@@ -58,4 +58,4 @@ print(serialize_automaton(quotient))
 reduced, report = reduce_heuristic(g, s)
 print(f"The merge heuristic finds the same reduction automatically: "
       f"{report.input_size} -> {report.output_size} states "
-      f"({report.steps} elementary steps).")
+      f"({report.steps} unions examined).")

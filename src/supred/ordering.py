@@ -176,6 +176,6 @@ def compare_full_vs_partial(
         raise PreconditionError(
             "control-equivalence", f"separating string {counterexample}"
         )
-    _, report_f = _reduce_exact_core(g, s_full, "cover", cap_states)
-    _, report_p = _reduce_exact_core(g, s_partial, "cover", cap_states)
+    _, report_f = _reduce_exact_core(s_full, control_data(g, s_full), "cover", cap_states)
+    _, report_p = _reduce_exact_core(s_partial, control_data(g, s_partial), "cover", cap_states)
     return report_f.output_size, report_p.output_size, report_f.output_size <= report_p.output_size

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .automata import (
     Automaton,
@@ -97,6 +97,11 @@ class QuotientChoice:
 
 @dataclass
 class ReductionReport:
+    """Sizes, the cover found, and ``steps``: the work count of the
+    reducer.  The heuristic counts the unions it examined (one
+    compatibility check each, committed or not); the exact search counts
+    the nodes it visited."""
+
     input_size: int
     output_size: int
     cover: Cover
@@ -130,22 +135,40 @@ def validate_cover(
         missing = sorted(set(range(n)) - covered)
         raise CoverError(f"cover misses states {[s.states[z] for z in missing]}")
 
-    rel = compatibility_relation(data)
+    masks = data.incompatibility_masks()
     for i, cell in enumerate(c.cells):
-        members = sorted(cell)
-        for a_idx, z1 in enumerate(members):
-            for z2 in members[a_idx + 1:]:
-                if not rel.holds(z1, z2):
-                    return False, ("pair", i, (s.states[z1], s.states[z2]))
+        cell_mask = sum(1 << z for z in cell)
+        for z1 in sorted(cell):
+            clash = (masks[z1] & cell_mask) >> (z1 + 1)
+            if clash:
+                z2 = z1 + (clash & -clash).bit_length()
+                return False, ("pair", i, (s.states[z1], s.states[z2]))
+    cells_of = _cells_of_states(c, n)
     for i, cell in enumerate(c.cells):
-        for e in range(len(s.alphabet)):
-            targets = {s.step(z, e) for z in cell}
-            targets.discard(None)
-            if not targets:
-                continue
-            if not any(targets <= other for other in c.cells):
+        for e, targets in _event_targets(s, cell):
+            if not any(targets <= c.cells[j] for j in cells_of[next(iter(targets))]):
                 return False, ("event", i, s.alphabet.name(e))
     return True, None
+
+
+def _cells_of_states(c: Cover, n: int) -> list[list[int]]:
+    """Per state, the indices of the cells holding it, in ascending order.
+    A cell that contains a target set holds each of its members, so the
+    cells of any one member are the only candidates."""
+    cells_of: list[list[int]] = [[] for _ in range(n)]
+    for j, cell in enumerate(c.cells):
+        for z in cell:
+            cells_of[z].append(j)
+    return cells_of
+
+
+def _event_targets(s: Automaton, cell: frozenset[int]) -> list[tuple[int, set[int]]]:
+    """The nonempty per-event successor sets of a cell, by event index."""
+    by_event: dict[int, set[int]] = {}
+    for z in cell:
+        for e, t in s.out(z):
+            by_event.setdefault(e, set()).add(t)
+    return sorted(by_event.items())
 
 
 def _cell_name(s: Automaton, cell: frozenset[int]) -> str:
@@ -171,16 +194,13 @@ def induce_quotient(
     if not ok:
         raise CoverError(f"invalid control cover: {violation}")
     cells = c.cells
+    cells_of = _cells_of_states(c, s.n)
     unobs = s.alphabet.unobservable
     trans: dict[tuple[int, int], int] = {}
     choice = QuotientChoice()
     for i, cell in enumerate(cells):
-        for e in range(len(s.alphabet)):
-            targets = {s.step(z, e) for z in cell}
-            targets.discard(None)
-            if not targets:
-                continue
-            valid = [j for j, other in enumerate(cells) if targets <= other]
+        for e, targets in _event_targets(s, cell):
+            valid = [j for j in cells_of[next(iter(targets))] if targets <= cells[j]]
             # an unobservable event selflooped in the input must stay a
             # selfloop, or the quotient would lose observation feasibility;
             # otherwise the lowest canonical index wins
@@ -190,30 +210,33 @@ def induce_quotient(
                 chosen = valid[0]
             trans[(i, e)] = chosen
             choice.choices[(i, e)] = (chosen, len(valid) > 1)
-    initial = c.cell_of(s.initial)
+    initial = cells_of[s.initial][0]
     marked = [i for i, cell in enumerate(cells) if any(data.marked_s[z] for z in cell)]
     names = [_cell_name(s, cell) for cell in cells]
     quotient = Automaton(name or f"{s.name}-quotient", s.alphabet, names, initial, marked, trans)
     return quotient, choice
 
 
-def require_feasible(g: Automaton, s: Automaton) -> None:
+def require_feasible(g: Automaton, s: Automaton) -> ControlData:
     """Gate used by the reduction pipeline.
 
     A supervisor passes when every unobservable transition is a selfloop
     and the closed loop never sees it disable an uncontrollable event the
-    plant offers.  (The stricter all-uncontrollables-enabled-everywhere
-    reading of control existence is available separately as
-    ``check_control_existence``; realistic supervisors omit uncontrollable
-    events the plant rules out, so the loop-relative condition is the one
-    the pipeline enforces.)
+    plant offers (the condition ``loop_controllable`` checks).  (The
+    stricter all-uncontrollables-enabled-everywhere reading of control
+    existence is available separately as ``check_control_existence``;
+    realistic supervisors omit uncontrollable events the plant rules out,
+    so the loop-relative condition is the one the pipeline enforces.)
+    Returns the control data of ``s``, which the second check computes.
     """
     ok, witness = check_control_feasibility(s)
     if not ok:
         raise InfeasibleSupervisorError("feasibility", witness)
-    ok, witness = loop_controllable(g, s)
-    if not ok:
-        raise InfeasibleSupervisorError("controllability", witness)
+    data = control_data(g, s)
+    z = data.uncontrollable_disabler()
+    if z is not None:
+        raise InfeasibleSupervisorError("controllability", s.states[z])
+    return data
 
 
 def build_super(g: Automaton, s: Automaton) -> Automaton:
@@ -316,79 +339,109 @@ def extract_cover_from_simsup(
 
 
 class _MergePartition:
-    """Scratch partition supporting tentative cell merges with rollback.
+    """Union-find partition of the supervisor states under tentative merges.
 
-    A merge of two cells propagates: states sharing a cell force their
-    event successors into a common cell.  An attempt aborts when a cell
-    would acquire an incompatible state pair.
+    Merging two cells forces their event successors into a common cell
+    (congruence closure, Hopcroft & Karp 1971); an attempt that would put an
+    incompatible pair into one cell is rolled back.  The closure is the
+    least congruence holding the old cells and the new pair, whatever the
+    order of its unions, so each attempt's outcome depends only on the
+    partition and the pair.  Each root keeps the
+    bitmask of its members, the union of their incompatibility masks, and
+    one representative successor per event, so a union costs one ``&`` plus
+    O(|Σ|) and pushes only the pairs of representative successors.  Union
+    by size without path compression keeps every change undoable from a
+    log, so a failed attempt costs only what it did.
     """
 
-    def __init__(self, s: Automaton, rel_matrix: tuple[tuple[bool, ...], ...]):
-        self.s = s
-        self.rel = rel_matrix
-        self.parent = list(range(s.n))
-        self.members: dict[int, list[int]] = {q: [q] for q in range(s.n)}
+    def __init__(self, s: Automaton, masks: Sequence[int]):
+        n = s.n
+        self.m = m = len(s.alphabet)
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.members = [1 << q for q in range(n)]
+        self.incompatible = list(masks)
+        # representative successor of root r under event e at r * m + e
+        succ = [-1] * (n * m)
+        for (q, e), t in s.trans.items():
+            succ[q * m + e] = t
+        self.succ = succ
         self.steps = 0
 
     def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
         return x
 
     def try_merge(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
+        """Merge the cells of ``i`` and ``j`` and close under successors;
+        on an incompatible cell undo everything and return False."""
+        parent, size, members = self.parent, self.size, self.members
+        incompatible, succ, m = self.incompatible, self.succ, self.m
+        a, b = i, j
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
             return True
-        if not self.rel[i][j]:
+        # per union: (kept root, absorbed root, kept root's old member and
+        # incompatibility masks, events whose representative it took over)
+        log = []
+        worklist = []
+        while True:
             self.steps += 1
-            return False
-        parent_backup = self.parent.copy()
-        members_backup = {r: m.copy() for r, m in self.members.items()}
-        if self._merge_with_closure(ri, rj):
-            return True
-        self.parent = parent_backup
-        self.members = members_backup
-        return False
+            if incompatible[a] & members[b]:
+                if log:
+                    self._undo(log)
+                return False
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            filled = []
+            log.append((a, b, members[a], incompatible[a], filled))
+            members[a] |= members[b]
+            incompatible[a] |= incompatible[b]
+            base_a, base_b = a * m, b * m
+            for e in range(m):
+                tb = succ[base_b + e]
+                if tb < 0:
+                    continue
+                ta = succ[base_a + e]
+                if ta < 0:
+                    succ[base_a + e] = tb
+                    filled.append(e)
+                elif ta != tb:
+                    worklist.append((ta, tb))
+            # on to the next pair still in two cells
+            while True:
+                if not worklist:
+                    return True
+                a, b = worklist.pop()
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    break
 
-    def _merge_with_closure(self, ri: int, rj: int) -> bool:
-        worklist = [(ri, rj)]
-        while worklist:
-            a, b = worklist.pop()
-            a, b = self.find(a), self.find(b)
-            if a == b:
-                continue
-            ma, mb = self.members[a], self.members[b]
-            for x in ma:
-                rx = self.rel[x]
-                for y in mb:
-                    self.steps += 1
-                    if not rx[y]:
-                        return False
-            if len(ma) < len(mb):
-                a, b, ma, mb = b, a, mb, ma
-            self.parent[b] = a
-            merged = ma + mb
-            self.members[a] = merged
-            del self.members[b]
-            # successors of co-celled states must be co-celled
-            s = self.s
-            for e in range(len(s.alphabet)):
-                root: Optional[int] = None
-                for z in merged:
-                    t = s.step(z, e)
-                    if t is None:
-                        continue
-                    rt = self.find(t)
-                    if root is None:
-                        root = rt
-                    elif rt != root:
-                        worklist.append((root, rt))
-                        self.steps += 1
-        return True
+    def _undo(self, log: list) -> None:
+        parent, size, succ, m = self.parent, self.size, self.succ, self.m
+        for a, b, members, incompatible, filled in reversed(log):
+            parent[b] = b
+            size[a] -= size[b]
+            self.members[a] = members
+            self.incompatible[a] = incompatible
+            for e in filled:
+                succ[a * m + e] = -1
 
     def cover(self) -> Cover:
-        return Cover.from_cells(self.members.values())
+        cells: dict[int, list[int]] = {}
+        for q in range(len(self.parent)):
+            cells.setdefault(self.find(q), []).append(q)
+        return Cover.from_cells(cells.values())
 
 
 def _congruence_from_merges(
@@ -396,10 +449,12 @@ def _congruence_from_merges(
     data: ControlData,
     pair_order: Iterable[tuple[int, int]],
 ) -> tuple[Cover, int]:
-    rel = compatibility_relation(data)
-    scratch = _MergePartition(s, rel.matrix)
+    """Attempt the merges in order; the cover is the control congruence
+    grown by the attempts that committed."""
+    scratch = _MergePartition(s, compatibility_relation(data).masks)
+    try_merge = scratch.try_merge
     for i, j in pair_order:
-        scratch.try_merge(i, j)
+        try_merge(i, j)
     return scratch.cover(), scratch.steps
 
 
@@ -410,9 +465,8 @@ def reduce_heuristic(g: Automaton, s: Automaton) -> tuple[Automaton, ReductionRe
     the propagated closure stays compatible.  The result is a partition
     cover, so the quotient never exceeds the input size.
     """
-    require_feasible(g, s)
-    data = control_data(g, s)
-    pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+    data = require_feasible(g, s)
+    pairs = ((i, j) for i in range(s.n) for j in range(i + 1, s.n))
     cover, steps = _congruence_from_merges(s, data, pairs)
     quotient, _ = induce_quotient(s, data, cover, name=f"{s.name}-reduced")
     report = ReductionReport(s.n, quotient.n, cover, steps, "heuristic")
@@ -438,19 +492,7 @@ def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Aut
 # Exact minimum search
 
 
-def _incompatibility_masks(rel_matrix: tuple[tuple[bool, ...], ...]) -> list[int]:
-    n = len(rel_matrix)
-    masks = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if not rel_matrix[i][j]:
-                m |= 1 << j
-        masks.append(m)
-    return masks
-
-
-def _greedy_incompatible_states(masks: list[int]) -> list[int]:
+def _greedy_incompatible_states(masks: Sequence[int]) -> list[int]:
     """Greedily grown set of pairwise-incompatible states."""
     n = len(masks)
     order = sorted(range(n), key=lambda i: bin(masks[i]).count("1"), reverse=True)
@@ -461,7 +503,7 @@ def _greedy_incompatible_states(masks: list[int]) -> list[int]:
     return clique
 
 
-def _greedy_incompatible_clique(masks: list[int]) -> int:
+def _greedy_incompatible_clique(masks: Sequence[int]) -> int:
     """Greedy lower bound: a set of pairwise-incompatible states can never
     share cells, so its size bounds every cover from below."""
     return max(1, len(_greedy_incompatible_states(masks)))
@@ -471,8 +513,7 @@ class _ExactSearch:
     def __init__(self, s: Automaton, data: ControlData):
         self.s = s
         self.n = s.n
-        self.rel = compatibility_relation(data).matrix
-        self.masks = _incompatibility_masks(self.rel)
+        self.masks = data.incompatibility_masks()
         self.succ = [
             [(e, s.step(q, e)) for e, _ in s.out(q)] for q in range(s.n)
         ]
@@ -688,16 +729,15 @@ def reduce_exact_minimum(
     """
     if mode not in ("partition", "cover"):
         raise ValueError(f"unknown mode {mode!r}")
-    require_feasible(g, s)
-    return _reduce_exact_core(g, s, mode, cap_states)
+    data = require_feasible(g, s)
+    return _reduce_exact_core(s, data, mode, cap_states)
 
 
 def _reduce_exact_core(
-    g: Automaton, s: Automaton, mode: str, cap_states: int
+    s: Automaton, data: ControlData, mode: str, cap_states: int
 ) -> tuple[Automaton, ReductionReport]:
     if s.n > cap_states:
         raise SearchCapError(s.n, cap_states)
-    data = control_data(g, s)
     search = _ExactSearch(s, data)
     lower = _greedy_incompatible_clique(search.masks)
     for k in range(lower, s.n + 1):

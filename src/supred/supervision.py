@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .automata import Automaton, sync_product, trim_reachable, _check_same_alphabet
@@ -46,26 +47,78 @@ class ControlData:
     marked_s: list[bool]
     marked_g: list[bool]
     reachable_in_loop: list[bool]
+    _incompatible: Optional[tuple[int, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def row(self, state: int) -> tuple[frozenset[str], frozenset[str], bool, bool]:
         return (self.enabled[state], self.disabled[state],
                 self.marked_s[state], self.marked_g[state])
 
+    def incompatibility_masks(self) -> tuple[int, ...]:
+        """Per state ``z``, the bitmask of the states incompatible with ``z``.
+
+        Compatibility depends on the row alone, so states are grouped by
+        equal rows and :func:`compatible` runs once per pair of rows:
+        O(n·k + k²) work for k distinct rows.  Computed on first use and
+        kept, so the data must not be edited afterwards.
+        """
+        if self._incompatible is None:
+            by_row: dict[tuple, list[int]] = {}
+            for z in range(self.supervisor.n):
+                by_row.setdefault(self.row(z), []).append(z)
+            groups = list(by_row.values())
+            bits = [sum(1 << z for z in group) for group in groups]
+            incompatible = [0] * len(groups)
+            for a, group_a in enumerate(groups):
+                for b in range(a, len(groups)):
+                    if not compatible(self, group_a[0], groups[b][0]):
+                        incompatible[a] |= bits[b]
+                        incompatible[b] |= bits[a]
+            masks = [0] * self.supervisor.n
+            for group, mask in zip(groups, incompatible):
+                for z in group:
+                    masks[z] = mask
+            self._incompatible = tuple(masks)
+        return self._incompatible
+
+    def uncontrollable_disabler(self) -> Optional[int]:
+        """The first state whose disabled set holds an uncontrollable
+        event, or None when the supervisor is loop controllable."""
+        alphabet = self.supervisor.alphabet
+        uncontrollable = {alphabet.name(e) for e in alphabet.uncontrollable}
+        for z, disabled in enumerate(self.disabled):
+            if disabled & uncontrollable:
+                return z
+        return None
+
 
 @dataclass
 class CompatibilityRelation:
-    """Symmetric, reflexive (and in general non-transitive) boolean matrix
-    recording which supervisor state pairs may share a cover cell."""
+    """Symmetric, reflexive (and in general non-transitive) relation
+    recording which supervisor state pairs may share a cover cell.
+
+    ``masks[z]`` has bit ``z'`` set when ``z`` and ``z'`` are incompatible;
+    ``matrix`` is the same relation as a boolean table, built on first use.
+    """
 
     states: tuple[str, ...]
-    matrix: tuple[tuple[bool, ...], ...] = field(repr=False)
+    masks: tuple[int, ...] = field(repr=False)
 
     def holds(self, z1: int, z2: int) -> bool:
-        return self.matrix[z1][z2]
+        n = len(self.states)
+        if not (0 <= z1 < n and 0 <= z2 < n):
+            raise IndexError(f"state index pair ({z1}, {z2}) out of range")
+        return not self.masks[z1] >> z2 & 1
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[bool, ...], ...]:
+        n = len(self.states)
+        return tuple(tuple(bit == "0" for bit in reversed(format(m, f"0{n}b")))
+                     for m in self.masks)
 
     def pairs(self) -> set[tuple[int, int]]:
         n = len(self.states)
-        return {(i, j) for i in range(n) for j in range(n) if self.matrix[i][j]}
+        return {(i, j) for i in range(n) for j in range(n) if self.holds(i, j)}
 
 
 def check_control_existence(s: Automaton) -> tuple[bool, Optional[str]]:
@@ -155,11 +208,7 @@ def compatible(data: ControlData, z1: int, z2: int) -> bool:
 
 
 def compatibility_relation(data: ControlData) -> CompatibilityRelation:
-    n = data.supervisor.n
-    matrix = tuple(
-        tuple(compatible(data, i, j) for j in range(n)) for i in range(n)
-    )
-    return CompatibilityRelation(data.supervisor.states, matrix)
+    return CompatibilityRelation(data.supervisor.states, data.incompatibility_masks())
 
 
 def control_equivalent(
@@ -185,12 +234,9 @@ def loop_controllable(g: Automaton, s: Automaton) -> tuple[bool, Optional[str]]:
     This is the closed-loop reading of the control-existence requirement:
     it ignores uncontrollable events the plant itself rules out.
     """
-    data = control_data(g, s)
-    uncontrollable = {g.alphabet.name(e) for e in g.alphabet.uncontrollable}
-    for z in range(s.n):
-        bad = data.disabled[z] & uncontrollable
-        if bad:
-            return False, s.states[z]
+    z = control_data(g, s).uncontrollable_disabler()
+    if z is not None:
+        return False, s.states[z]
     return True, None
 
 

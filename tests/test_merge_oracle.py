@@ -1,0 +1,164 @@
+"""Differential tests: the union-find merger, the grouped compatibility
+masks and the indexed quotient construction against the reference versions
+in ``tests/merge_oracle.py``, on seeded families."""
+
+import random
+
+from supred.automata import serialize_automaton
+from supred.reduction import (
+    Cover,
+    _congruence_from_merges,
+    build_super,
+    generate_equivalent_supervisor,
+    induce_quotient,
+    reduce_exact_minimum,
+    reduce_heuristic,
+    validate_cover,
+)
+from supred.supervision import compatibility_relation, compatible, control_data
+
+from tests import merge_oracle
+from tests.generators import (
+    loose_instance,
+    random_alphabet,
+    random_feasible_supervisor,
+    random_plant,
+    scale_pair,
+)
+
+
+def _random_pair(rng, min_states=40, max_states=80):
+    """A 40-80 state partial-observation supervisor against a small plant."""
+    while True:
+        alphabet = random_alphabet(rng, max_events=5, require_unobservable=True)
+        g = random_plant(rng, alphabet, max_states=10, uncontrollable_complete=True)
+        try:
+            s = random_feasible_supervisor(rng, alphabet, max_states=max_states, full_gamma=True)
+        except ValueError:  # too few observable events for a spanning tree
+            continue
+        if s.n >= min_states:
+            return g, s
+
+
+def _assert_same_heuristic(g, s):
+    """Same cover and byte-identical quotient as the reference merger."""
+    data = control_data(g, s)
+    pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+    expected, _ = merge_oracle._congruence_from_merges(s, data, pairs)
+    reduced, report = reduce_heuristic(g, s)
+    assert report.cover == expected
+    reference = merge_oracle.induce_quotient_by_scan(s, data, expected, reduced.name)
+    assert serialize_automaton(reduced) == serialize_automaton(reference)
+    return report
+
+
+def _assert_same_quotient(s, data, cover):
+    quotient, _ = induce_quotient(s, data, cover, name="Q")
+    reference = merge_oracle.induce_quotient_by_scan(s, data, cover, "Q")
+    assert serialize_automaton(quotient) == serialize_automaton(reference)
+
+
+def test_masks_match_pairwise_compatible():
+    rng = random.Random(5)
+    for _ in range(20):
+        g, s = loose_instance(rng, max_plant=8, max_sup=10, max_events=5)
+        data = control_data(g, s)
+        rel = compatibility_relation(data)
+        assert rel.matrix == tuple(
+            tuple(compatible(data, i, j) for j in range(s.n)) for i in range(s.n))
+
+
+def test_scale_pairs_match_oracle():
+    for seed in range(10):
+        g, s = scale_pair(random.Random(seed), core_states=8, factor=5)
+        report = _assert_same_heuristic(g, s)
+        assert report.output_size <= 8
+
+
+def test_loose_instances_match_oracle():
+    for seed in range(61):
+        g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+        _assert_same_heuristic(g, s)
+        _assert_same_heuristic(g, build_super(g, s))
+
+
+def test_random_partial_observation_pairs_match_oracle():
+    rng = random.Random(11)
+    for _ in range(8):
+        g, s = _random_pair(rng)
+        _assert_same_heuristic(g, s)
+
+
+def test_shuffled_truncated_orders_match_oracle():
+    """The ``generate_equivalent_supervisor`` path: shuffled pair orders
+    cut at a random length, on finest supervisors."""
+    rng = random.Random(17)
+    checked = 0
+    while checked < 40:
+        g, s = loose_instance(rng, max_plant=6, max_sup=6)
+        sup = build_super(g, s)
+        data = control_data(g, sup)
+        pairs = [(i, j) for i in range(sup.n) for j in range(i + 1, sup.n)]
+        rng.shuffle(pairs)
+        cut = pairs[: rng.randint(0, len(pairs))]
+        cover, _ = _congruence_from_merges(sup, data, cut)
+        expected, _ = merge_oracle._congruence_from_merges(sup, data, cut)
+        assert cover == expected
+        _assert_same_quotient(sup, data, cover)
+        seed = rng.randrange(2**32)
+        # generate_equivalent_supervisor draws its order exactly like this
+        draw = random.Random(seed)
+        order = [(i, j) for i in range(sup.n) for j in range(i + 1, sup.n)]
+        draw.shuffle(order)
+        expected, _ = merge_oracle._congruence_from_merges(
+            sup, data, order[: draw.randint(0, len(order))])
+        reference = merge_oracle.induce_quotient_by_scan(
+            sup, data, expected, f"{s.name}-equiv-{seed}")
+        generated = generate_equivalent_supervisor(g, s, seed)
+        assert serialize_automaton(generated) == serialize_automaton(reference)
+        checked += 1
+
+
+def test_overlapping_covers_quotient_matches_oracle():
+    """Overlapping covers, where several target cells can be valid: exact
+    minimum covers, and heuristic covers padded with subcells (a subset of
+    a valid cell is compatible and its targets fit where the cell's do)."""
+    overlapping = 0
+    for seed in range(200):
+        g, s = loose_instance(random.Random(seed), max_plant=6, max_sup=7)
+        _, report = reduce_exact_minimum(g, s, mode="cover")
+        overlapping += not report.cover.is_partition
+        _assert_same_quotient(s, control_data(g, s), report.cover)
+    assert overlapping >= 4
+    rng = random.Random(29)
+    padded = 0
+    for seed in range(30):
+        g, s = scale_pair(random.Random(seed), core_states=8, factor=3)
+        data = control_data(g, s)
+        cells = list(reduce_heuristic(g, s)[1].cover.cells)
+        for cell in list(cells):
+            if rng.random() < 0.5:
+                cells.append(rng.sample(sorted(cell), rng.randint(1, len(cell))))
+        cover = Cover.from_cells(cells)
+        assert validate_cover(s, data, cover)[0]
+        padded += not cover.is_partition
+        _assert_same_quotient(s, data, cover)
+    assert padded >= 20
+
+
+def test_cover_verdicts_match_oracle():
+    """Random partitions, mostly invalid: the same first violation."""
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(150):
+        g, s = loose_instance(rng, max_plant=6, max_sup=8)
+        data = control_data(g, s)
+        k = rng.randint(1, s.n)
+        cells = [set() for _ in range(k)]
+        for z in range(s.n):
+            cells[rng.randrange(k)].add(z)
+        cover = Cover.from_cells(cell for cell in cells if cell)
+        got = validate_cover(s, data, cover)
+        assert got == merge_oracle.validate_cover_by_scan(s, data, cover)
+        verdicts.add(got[1][0] if got[1] else "valid")
+    assert verdicts == {"valid", "pair", "event"}

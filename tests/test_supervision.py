@@ -213,6 +213,8 @@ def test_compatible_unknown_state(tank):
     g, s = tank
     with pytest.raises(ValueError):
         compatible(control_data(g, s), 0, 99)
+    with pytest.raises(IndexError):
+        compatibility_relation(control_data(g, s)).holds(0, 99)
 
 
 # ---------------------------------------------------------------------------
