@@ -21,6 +21,7 @@ __all__ = [
     "Alphabet",
     "Automaton",
     "MorphismResult",
+    "check_same_alphabet",
     "parse_automaton",
     "serialize_automaton",
     "serialize_automata",
@@ -57,7 +58,7 @@ class Alphabet:
         self.events: tuple[Event, ...] = tuple(events)
         self._index: dict[str, int] = {}
         for i, ev in enumerate(self.events):
-            if not ev.name or any(ch.isspace() for ch in ev.name):
+            if ev.name.split() != [ev.name]:
                 raise ValueError(f"bad event name {ev.name!r}")
             if ev.name in self._index:
                 raise ValueError(f"duplicate event name {ev.name!r}")
@@ -111,7 +112,9 @@ class Alphabet:
         return frozenset(i for i, e in enumerate(self.events) if not e.observable)
 
 
-def _check_same_alphabet(a: "Automaton", b: "Automaton") -> None:
+def check_same_alphabet(a: "Automaton", b: "Automaton") -> None:
+    """Raise :class:`AlphabetMismatchError`, naming both automata, unless
+    ``a`` and ``b`` carry the identical alphabet."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(
             f"automata {a.name!r} and {b.name!r} have different alphabets"
@@ -146,7 +149,7 @@ class Automaton:
             raise ValueError("automaton needs at least one state")
         seen: set[str] = set()
         for s in self.states:
-            if not s or any(ch.isspace() for ch in s):
+            if s.split() != [s]:
                 raise ValueError(f"bad state name {s!r}")
             if s in seen:
                 raise ValueError(f"duplicate state name {s!r}")
@@ -442,7 +445,7 @@ def sync_product_pairs(
     """Synchronous product plus the (a-state, b-state) pair behind each
     product state.  The product is reachable by construction and its state
     order is BFS discovery order, so it is already trim."""
-    _check_same_alphabet(a, b)
+    check_same_alphabet(a, b)
     start = (a.initial, b.initial)
     index: dict[tuple[int, int], int] = {start: 0}
     order = [start]
@@ -565,7 +568,7 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
     (surjectivity, exact marked-set correspondence, and every b-transition
     being witnessed by some preimage).
     """
-    _check_same_alphabet(a, b)
+    check_same_alphabet(a, b)
     _require_reachable(a, "is_des_epimorphic")
     _require_reachable(b, "is_des_epimorphic")
     theta: dict[int, int] = {a.initial: b.initial}
@@ -618,7 +621,7 @@ def language_equivalent(
     string (ties broken by alphabet order) that lies in exactly one of the
     languages concerned.
     """
-    _check_same_alphabet(a, b)
+    check_same_alphabet(a, b)
     _require_reachable(a, "language_equivalent")
     _require_reachable(b, "language_equivalent")
     start = (a.initial, b.initial)

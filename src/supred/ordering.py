@@ -14,9 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Automaton, sync_product_pairs, is_des_isomorphic, subset_construction, trim_reachable, sync_product, _check_same_alphabet
+from .automata import (Automaton, check_same_alphabet, is_des_isomorphic, language_equivalent,
+                       subset_construction, sync_product)
 from .errors import PreconditionError
-from .reduction import _reduce_exact_core, build_super, reduce_exact_minimum, DEFAULT_EXACT_CAP
+from .reduction import DEFAULT_EXACT_CAP, build_super, reduce_exact_core, reduce_exact_minimum
 from .supervision import control_data, control_equivalent, is_normal
 
 __all__ = [
@@ -56,9 +57,10 @@ def finer_than(
     reached state pair, so the walk decides the string quantification
     finitely and returns a shortest violating string.
     """
+    check_same_alphabet(g, s1)
+    loop = sync_product(g, s)
     for label, cand in (("s1", s1), ("s2", s2)):
-        _check_same_alphabet(g, cand)
-        equal, counterexample = control_equivalent(g, s, cand)
+        equal, counterexample = language_equivalent(loop, sync_product(g, cand))
         if not equal:
             raise PreconditionError(
                 "control-equivalence",
@@ -66,7 +68,6 @@ def finer_than(
             )
     data1 = control_data(g, s1)
     data2 = control_data(g, s2)
-    loop, _ = sync_product_pairs(g, s)
     start = (loop.initial, s1.initial, s2.initial)
     paths: dict[tuple[int, int, int], tuple[int, ...]] = {start: ()}
     queue = deque([start])
@@ -158,24 +159,22 @@ def compare_full_vs_partial(
     across distinct states, so no observation-feasibility gate is applied
     here; the reductions run on the control data alone.
     """
-    _check_same_alphabet(g, s_full)
-    _check_same_alphabet(g, s_partial)
-    loop_f = trim_reachable(sync_product(g, s_full))
+    loop_f = sync_product(g, s_full)
+    loop_p = sync_product(g, s_partial)
     if not is_des_isomorphic(s_full, loop_f).verdict:
         raise PreconditionError(
             "full-isomorphism", "s_full is not DES-isomorphic to its closed loop"
         )
-    observer = subset_construction(trim_reachable(sync_product(g, s_partial)))
-    if not is_des_isomorphic(s_partial, observer).verdict:
+    if not is_des_isomorphic(s_partial, subset_construction(loop_p)).verdict:
         raise PreconditionError(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",
         )
-    equal, counterexample = control_equivalent(g, s_full, s_partial)
+    equal, counterexample = language_equivalent(loop_f, loop_p)
     if not equal:
         raise PreconditionError(
             "control-equivalence", f"separating string {counterexample}"
         )
-    _, report_f = _reduce_exact_core(s_full, control_data(g, s_full), "cover", cap_states)
-    _, report_p = _reduce_exact_core(s_partial, control_data(g, s_partial), "cover", cap_states)
+    _, report_f = reduce_exact_core(s_full, control_data(g, s_full), "cover", cap_states)
+    _, report_p = reduce_exact_core(s_partial, control_data(g, s_partial), "cover", cap_states)
     return report_f.output_size, report_p.output_size, report_f.output_size <= report_p.output_size

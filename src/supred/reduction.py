@@ -18,7 +18,10 @@ from typing import Iterable, Optional, Sequence
 
 from .automata import (
     Automaton,
+    language_equivalent,
+    subset_construction,
     subset_construction_with_members,
+    sync_product,
     sync_product_pairs,
 )
 from .errors import CoverError, InfeasibleSupervisorError, PreconditionError, SearchCapError
@@ -27,7 +30,6 @@ from .supervision import (
     check_control_feasibility,
     compatibility_relation,
     control_data,
-    control_equivalent,
     is_normal,
     loop_controllable,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "extract_cover_from_simsup",
     "reduce_heuristic",
     "reduce_exact_minimum",
+    "reduce_exact_core",
     "characterize_super_state",
     "generate_equivalent_supervisor",
     "DEFAULT_EXACT_CAP",
@@ -244,17 +247,7 @@ def build_super(g: Automaton, s: Automaton) -> Automaton:
     subset construction over the reachable closed loop, with unobservable
     events reinserted as selfloops.  Fails on an infeasible supervisor."""
     require_feasible(g, s)
-    product, _ = sync_product_pairs(g, s)
-    out, _ = subset_construction_with_members(product, name="SUPER")
-    return out
-
-
-def _super_with_members(
-    g: Automaton, s: Automaton
-) -> tuple[Automaton, list[frozenset[int]], Automaton, list[tuple[int, int]]]:
-    product, pairs = sync_product_pairs(g, s)
-    sup, members = subset_construction_with_members(product, name="SUPER")
-    return sup, members, product, pairs
+    return subset_construction(sync_product(g, s), name="SUPER")
 
 
 def characterize_super_state(
@@ -266,7 +259,8 @@ def characterize_super_state(
     member's plant component offers it while the supervisor component does
     not."""
     require_feasible(g, s)
-    sup, members, product, pairs = _super_with_members(g, s)
+    product, pairs = sync_product_pairs(g, s)
+    sup, members = subset_construction_with_members(product, name="SUPER")
     if not (0 <= z < super_.n):
         raise ValueError(f"unknown super-state index {z}")
     idx = sup.state_index(super_.states[z])
@@ -299,14 +293,14 @@ def extract_cover_from_simsup(
     ok, _ = loop_controllable(g, simsup)
     if not ok:
         raise PreconditionError("feasibility", "simsup disables an uncontrollable event")
-    equal, counterexample = control_equivalent(g, s, simsup)
+    product = sync_product(g, s)
+    equal, counterexample = language_equivalent(product, sync_product(g, simsup))
     if not equal:
         raise PreconditionError("control-equivalence", f"separating string {counterexample}")
     normal, witness = is_normal(g, s, simsup)
     if not normal:
         raise PreconditionError("normality", str(witness))
 
-    product, _ = sync_product_pairs(g, s)
     cell_of_simsup: list[set[int]] = [set() for _ in range(simsup.n)]
     start = (product.initial, super_.initial, simsup.initial)
     seen = {start}
@@ -730,12 +724,16 @@ def reduce_exact_minimum(
     if mode not in ("partition", "cover"):
         raise ValueError(f"unknown mode {mode!r}")
     data = require_feasible(g, s)
-    return _reduce_exact_core(s, data, mode, cap_states)
+    return reduce_exact_core(s, data, mode, cap_states)
 
 
-def _reduce_exact_core(
+def reduce_exact_core(
     s: Automaton, data: ControlData, mode: str, cap_states: int
 ) -> tuple[Automaton, ReductionReport]:
+    """:func:`reduce_exact_minimum` on precomputed control data, without the
+    feasibility gate (the state cap still applies), so that supervisors
+    tracking unobservable events across states reduce too, as
+    :func:`~supred.ordering.compare_full_vs_partial` needs."""
     if s.n > cap_states:
         raise SearchCapError(s.n, cap_states)
     search = _ExactSearch(s, data)

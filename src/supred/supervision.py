@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .automata import Automaton, sync_product, trim_reachable, _check_same_alphabet
+from .automata import Automaton, check_same_alphabet, language_equivalent, sync_product
+
 __all__ = [
     "ControlData",
     "CompatibilityRelation",
@@ -154,9 +155,10 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
     indicators come from a walk of the reachable part of the closed loop,
     inspecting the plant component of every visited product state.
     """
-    _check_same_alphabet(g, s)
+    check_same_alphabet(g, s)
     names = g.alphabet.names
-    enabled = [frozenset(names[e] for e in s.enabled(q)) for q in range(s.n)]
+    s_enabled = [s.enabled(q) for q in range(s.n)]
+    enabled = [frozenset(names[e] for e in events) for events in s_enabled]
     disabled: list[set[str]] = [set() for _ in range(s.n)]
     marked_s = [False] * s.n
     marked_g = [False] * s.n
@@ -172,9 +174,8 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
             marked_g[z] = True
             if z in s.marked:
                 marked_s[z] = True
-        s_enabled = s.enabled(z)
         for e, xt in g.out(x):
-            if e in s_enabled:
+            if e in s_enabled[z]:
                 nxt = (xt, s.trans[(z, e)])
                 if nxt not in seen:
                     seen.add(nxt)
@@ -217,14 +218,7 @@ def control_equivalent(
     """Whether two supervisors induce the same closed and marked closed-loop
     languages with the plant.  The counterexample, when present, is a
     shortest string separating the two closed loops."""
-    from .automata import language_equivalent
-
-    _check_same_alphabet(g, s1)
-    _check_same_alphabet(g, s2)
-    return language_equivalent(
-        trim_reachable(sync_product(g, s1)),
-        trim_reachable(sync_product(g, s2)),
-    )
+    return language_equivalent(sync_product(g, s1), sync_product(g, s2))
 
 
 def loop_controllable(g: Automaton, s: Automaton) -> tuple[bool, Optional[str]]:
@@ -252,9 +246,8 @@ def is_normal(
     ``("transition", state, event)`` or unreached marked state
     ``("marked", state)``.
     """
-    _check_same_alphabet(g, s)
-    _check_same_alphabet(g, sp)
-    loop = trim_reachable(sync_product(g, s))
+    loop = sync_product(g, s)
+    check_same_alphabet(g, sp)
     exercised: set[tuple[int, int]] = set()
     marked_hit: set[int] = set()
     start = (loop.initial, sp.initial)

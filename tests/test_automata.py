@@ -42,6 +42,25 @@ def universal_one_state(alphabet, name="U"):
 
 
 # ---------------------------------------------------------------------------
+# names
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\u00a0b", "a\u3000b", "a\x1cb"])
+def test_constructors_reject_empty_or_spaced_names(name):
+    with pytest.raises(ValueError, match="bad event name"):
+        Alphabet([Event(name, True, True)])
+    alphabet = Alphabet([Event("a", True, True)])
+    with pytest.raises(ValueError, match="bad state name"):
+        Automaton("A", alphabet, [name], 0, [], {})
+
+
+@pytest.mark.parametrize("name", ["(x1,z2)", "z1+z2"])
+def test_constructors_accept_product_and_subset_names(name):
+    alphabet = Alphabet([Event(name, True, True)])
+    assert Automaton("A", alphabet, [name], 0, [], {}).states == (name,)
+
+
+# ---------------------------------------------------------------------------
 # parsing and serialization
 
 

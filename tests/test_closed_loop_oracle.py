@@ -1,0 +1,127 @@
+"""Differential tests: the closed-loop checks, which build each loop once,
+against the reference versions in ``tests/closed_loop_oracle.py``, which
+re-trim and rebuild it.  Verdicts, witnesses, covers, exception types and
+exception messages must all agree."""
+
+import random
+from itertools import product
+
+from supred.automata import (
+    Alphabet,
+    Event,
+    parse_automaton,
+    serialize_automaton,
+    subset_construction,
+    sync_product,
+    trim_reachable,
+)
+from supred.errors import SupredError
+from supred.ordering import compare_full_vs_partial, finer_than
+from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
+from supred.supervision import control_equivalent, is_normal
+
+from tests import closed_loop_oracle as oracle
+from tests.conftest import FIXTURES
+from tests.generators import (
+    loose_instance,
+    random_alphabet,
+    random_automaton,
+    random_feasible_supervisor,
+    random_plant,
+    scale_pair,
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except (SupredError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _assert_same(new, old, *args):
+    assert _outcome(new, *args) == _outcome(old, *args)
+
+
+def _mismatched(s):
+    """``s`` over an alphabet with the first event's controllability flipped."""
+    first, *rest = s.alphabet.events
+    alphabet = Alphabet([Event(first.name, not first.controllable, first.observable), *rest])
+    return s.with_alphabet(alphabet).renamed("X")
+
+
+def _candidates(seed):
+    """Plant, reference supervisor, and S, SUPER, a generated equivalent, a
+    random (almost always non-equivalent) and an alphabet-mismatched
+    candidate."""
+    rng = random.Random(seed)
+    g, s = loose_instance(rng, max_plant=6, max_sup=6, max_events=4)
+    other = random_feasible_supervisor(rng, s.alphabet, max_states=4, name="N")
+    cands = [s, build_super(g, s), generate_equivalent_supervisor(g, s, seed), other, _mismatched(s)]
+    return g, s, cands
+
+
+def _assert_same_checks(g, s, cands):
+    for a, b in product(cands, repeat=2):
+        _assert_same(control_equivalent, oracle.control_equivalent, g, a, b)
+        _assert_same(is_normal, oracle.is_normal, g, a, b)
+        _assert_same(finer_than, oracle.finer_than, g, s, a, b)
+        _assert_same(finer_than, oracle.finer_than, g, a, a, b)
+    for a in cands:
+        try:
+            sup = build_super(g, a)
+        except (SupredError, ValueError):
+            continue
+        for b in cands:
+            _assert_same(extract_cover_from_simsup, oracle.extract_cover_from_simsup, sup, b, g, a)
+
+
+def test_checks_match_oracle_on_candidate_sets():
+    for seed in range(25):
+        _assert_same_checks(*_candidates(seed))
+
+
+def test_checks_match_oracle_on_mismatched_plant():
+    g, s, cands = _candidates(3)
+    _assert_same_checks(_mismatched(g), s, cands)
+
+
+def test_full_vs_partial_matches_oracle():
+    g, s1, s2 = parse_automaton((FIXTURES / "ordering.aut").read_text())
+    hidden = Alphabet([Event(e.name, e.controllable, e.observable and e.name != "c")
+                       for e in g.alphabet])
+    systems = [(g, s1, s2), tuple(a.with_alphabet(hidden) for a in (g, s1, s2))]
+    rng = random.Random(3271)
+    while len(systems) < 12:
+        alphabet = random_alphabet(rng, max_events=4, require_unobservable=True)
+        plant = random_plant(rng, alphabet, max_states=4)
+        full = sync_product(plant, random_automaton(rng, alphabet, max_states=3), name="SF")
+        if full.n <= 8:
+            systems.append((plant, full, subset_construction(sync_product(plant, full), name="SP")))
+    for g, a, b in systems:
+        for x, y in product((a, b, _mismatched(a)), repeat=2):
+            _assert_same(compare_full_vs_partial, oracle.compare_full_vs_partial, g, x, y)
+            _assert_same(control_equivalent, oracle.control_equivalent, g, x, y)
+            _assert_same(finer_than, oracle.finer_than, g, x, x, y)
+
+
+def _assert_product_is_trim(g, s):
+    p = sync_product(g, s)
+    assert serialize_automaton(trim_reachable(p)) == serialize_automaton(p)
+
+
+def test_sync_product_is_already_trim():
+    """The invariant that lets the checks skip ``trim_reachable``: the
+    product is reachable and listed in BFS discovery order."""
+    for seed in range(40):
+        _assert_product_is_trim(*loose_instance(random.Random(seed), max_plant=8, max_sup=10,
+                                                max_events=5))
+    for seed in range(5):
+        _assert_product_is_trim(*scale_pair(random.Random(seed), core_states=8, factor=5))
+    rng = random.Random(17)
+    for _ in range(10):
+        alphabet = random_alphabet(rng, max_events=5)
+        a = random_automaton(rng, alphabet, max_states=100)
+        b = random_automaton(rng, alphabet, max_states=100)
+        _assert_product_is_trim(a, b)
+        _assert_product_is_trim(random_plant(rng, alphabet, max_states=10), b)
