@@ -234,85 +234,101 @@ class MorphismResult:
 
 
 class _TokenStream:
+    """The tokens of an ``.aut`` document with their line numbers.  Columns
+    are worked out only for the token an error names."""
+
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, int, int]] = []
-        text = text.lstrip("﻿")
-        for ln, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            col = 0
-            for tok in body.split():
-                col = body.index(tok, col)
-                self.tokens.append((tok, ln, col + 1))
-                col += len(tok)
+        self.lines = text.lstrip("\ufeff").splitlines()
+        self.tokens: list[str] = []
+        self.line_of: list[int] = []
+        for ln, line in enumerate(self.lines, start=1):
+            toks = line.split("#", 1)[0].split()
+            self.tokens += toks
+            self.line_of += [ln] * len(toks)
         self.pos = 0
 
-    def peek(self) -> Optional[tuple[str, int, int]]:
+    def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, what: str) -> tuple[str, int, int]:
-        if self.pos >= len(self.tokens):
+    def next(self, what: str) -> str:
+        """The next token; :meth:`error` with ``back=1`` names it."""
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise ParseError(f"unexpected end of input, expected {what}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.tokens[pos]
+
+    def error(self, message: str, back: int = 1, kind: str = "syntax") -> ParseError:
+        """A :class:`ParseError` at the token ``back`` places before the
+        read position (``back=0`` is the next token, if there is one)."""
+        at = self.pos - back
+        if at >= len(self.tokens):
+            return ParseError(message, kind=kind)
+        ln = self.line_of[at]
+        first = at
+        while first and self.line_of[first - 1] == ln:
+            first -= 1
+        body = self.lines[ln - 1].split("#", 1)[0]
+        col = 0
+        for tok in body.split()[: at - first + 1]:
+            col = body.index(tok, col) + len(tok)
+        return ParseError(message, ln, col - len(tok) + 1, kind=kind)
 
     def expect(self, literal: str) -> None:
-        tok, ln, col = self.next(f"'{literal}'")
+        tok = self.next(f"'{literal}'")
         if tok != literal:
-            raise ParseError(f"expected '{literal}', found '{tok}'", ln, col)
+            raise self.error(f"expected '{literal}', found '{tok}'")
 
     def count(self, what: str) -> int:
-        tok, ln, col = self.next(what)
+        tok = self.next(what)
         try:
             value = int(tok)
         except ValueError:
-            raise ParseError(f"expected a count for {what}, found '{tok}'", ln, col) from None
+            raise self.error(f"expected a count for {what}, found '{tok}'") from None
         if value < 0:
-            raise ParseError(f"negative count for {what}", ln, col)
+            raise self.error(f"negative count for {what}")
         return value
 
 
 def _parse_block(ts: _TokenStream) -> Automaton:
     ts.expect("automaton")
-    name, _, _ = ts.next("automaton name")
+    name = ts.next("automaton name")
 
     ts.expect("events")
     n_events = ts.count("events")
     events: list[Event] = []
     names_seen: set[str] = set()
     for _ in range(n_events):
-        ev_name, ln, col = ts.next("event name")
+        ev_name = ts.next("event name")
         if ev_name in names_seen:
-            raise ParseError(f"duplicate event name '{ev_name}'", ln, col, kind="duplicate")
+            raise ts.error(f"duplicate event name '{ev_name}'", kind="duplicate")
         names_seen.add(ev_name)
-        c_tok, ln, col = ts.next("controllability flag")
+        c_tok = ts.next("controllability flag")
         if c_tok not in ("c", "u"):
-            raise ParseError(f"expected 'c' or 'u', found '{c_tok}'", ln, col)
-        o_tok, ln, col = ts.next("observability flag")
+            raise ts.error(f"expected 'c' or 'u', found '{c_tok}'")
+        o_tok = ts.next("observability flag")
         if o_tok not in ("o", "n"):
-            raise ParseError(f"expected 'o' or 'n', found '{o_tok}'", ln, col)
+            raise ts.error(f"expected 'o' or 'n', found '{o_tok}'")
         events.append(Event(ev_name, c_tok == "c", o_tok == "o"))
     alphabet = Alphabet(events)
 
     ts.expect("states")
     n_states = ts.count("states")
     if n_states == 0:
-        tok = ts.peek()
-        raise ParseError("automaton must have at least one state",
-                         tok[1] if tok else None, tok[2] if tok else None)
+        raise ts.error("automaton must have at least one state", back=0)
     state_names: list[str] = []
     state_index: dict[str, int] = {}
     for _ in range(n_states):
-        s, ln, col = ts.next("state name")
+        s = ts.next("state name")
         if s in state_index:
-            raise ParseError(f"duplicate state name '{s}'", ln, col, kind="duplicate")
+            raise ts.error(f"duplicate state name '{s}'", kind="duplicate")
         state_index[s] = len(state_names)
         state_names.append(s)
 
     def resolve_state(what: str) -> int:
-        s, ln, col = ts.next(what)
+        s = ts.next(what)
         if s not in state_index:
-            raise ParseError(f"unknown state '{s}'", ln, col, kind="unknown")
+            raise ts.error(f"unknown state '{s}'", kind="unknown")
         return state_index[s]
 
     ts.expect("initial")
@@ -327,15 +343,15 @@ def _parse_block(ts: _TokenStream) -> Automaton:
     trans: dict[tuple[int, int], int] = {}
     for _ in range(n_trans):
         src = resolve_state("transition source")
-        ev, ln, col = ts.next("transition event")
+        ev = ts.next("transition event")
         if ev not in alphabet:
-            raise ParseError(f"unknown event '{ev}'", ln, col, kind="unknown")
+            raise ts.error(f"unknown event '{ev}'", kind="unknown")
         e = alphabet.index(ev)
         dst = resolve_state("transition target")
         if (src, e) in trans:
-            raise ParseError(
+            raise ts.error(
                 f"nondeterministic transitions from '{state_names[src]}' on '{ev}'",
-                ln, col, kind="nondeterministic")
+                back=2, kind="nondeterministic")
         trans[(src, e)] = dst
 
     ts.expect("end")

@@ -12,6 +12,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -62,7 +63,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls and fills a fresh namespace each time."""
     parser = _Parser(prog="supred", description="supervisor reduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,7 @@ from .automata import (Automaton, check_same_alphabet, is_des_isomorphic, langua
                        subset_construction, sync_product)
 from .errors import PreconditionError
 from .reduction import DEFAULT_EXACT_CAP, build_super, reduce_exact_core, reduce_exact_minimum
-from .supervision import control_data, control_equivalent, is_normal
+from .supervision import control_data, is_normal
 
 __all__ = [
     "OrderWitness",
@@ -66,6 +66,12 @@ def finer_than(
                 "control-equivalence",
                 f"{label} is not control equivalent to the reference (separating string {counterexample})",
             )
+    return _finer_on_loop(g, loop, s1, s2)
+
+
+def _finer_on_loop(g: Automaton, loop: Automaton, s1: Automaton, s2: Automaton) -> OrderWitness:
+    """The triple walk of :func:`finer_than` over a prebuilt closed loop
+    whose candidates are already known to be control equivalent to it."""
     data1 = control_data(g, s1)
     data2 = control_data(g, s2)
     start = (loop.initial, s1.initial, s2.initial)
@@ -120,8 +126,9 @@ def compare_reductions(
     """Exact minimum cover sizes of two normal, control-equivalent,
     fineness-ordered supervisors.  Under those hypotheses the finer one can
     never need more cells, so ``ordered`` is expected true."""
+    loop = sync_product(g, s)
     for label, cand in (("s1", s1), ("s2", s2)):
-        equal, counterexample = control_equivalent(g, s, cand)
+        equal, counterexample = language_equivalent(loop, sync_product(g, cand))
         if not equal:
             raise PreconditionError(
                 "control-equivalence", f"{label}: separating string {counterexample}"
@@ -131,7 +138,7 @@ def compare_reductions(
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
             raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
-    order = finer_than(g, s, s1, s2)
+    order = _finer_on_loop(g, loop, s1, s2)
     if not order.verdict:
         raise PreconditionError(
             "fineness", f"s1 is not finer than s2 (clause {order.counterexample[1]})"

@@ -102,8 +102,9 @@ class QuotientChoice:
 class ReductionReport:
     """Sizes, the cover found, and ``steps``: the work count of the
     reducer.  The heuristic counts the unions it examined (one
-    compatibility check each, committed or not); the exact search counts
-    the nodes it visited."""
+    compatibility check each, committed or not); pairs its masks settle
+    without an attempt are not counted.  The exact search counts the nodes
+    it visited."""
 
     input_size: int
     output_size: int
@@ -346,6 +347,12 @@ class _MergePartition:
     O(|Σ|) and pushes only the pairs of representative successors.  Union
     by size without path compression keeps every change undoable from a
     log, so a failed attempt costs only what it did.
+
+    A refused attempt also marks its two cells incompatible with each
+    other (a learned refusal).  Commits only coarsen the partition and the
+    closure is monotone, so any later congruence joining the two cells
+    contains the one just refused and fails too: the learned bits change
+    how soon an attempt fails, never whether it does.
     """
 
     def __init__(self, s: Automaton, masks: Sequence[int]):
@@ -370,7 +377,8 @@ class _MergePartition:
 
     def try_merge(self, i: int, j: int) -> bool:
         """Merge the cells of ``i`` and ``j`` and close under successors;
-        on an incompatible cell undo everything and return False."""
+        on an incompatible cell undo everything, mark the two cells
+        incompatible with each other and return False."""
         parent, size, members = self.parent, self.size, self.members
         incompatible, succ, m = self.incompatible, self.succ, self.m
         a, b = i, j
@@ -380,6 +388,7 @@ class _MergePartition:
             b = parent[b]
         if a == b:
             return True
+        ri, rj = a, b
         # per union: (kept root, absorbed root, kept root's old member and
         # incompatibility masks, events whose representative it took over)
         log = []
@@ -389,6 +398,8 @@ class _MergePartition:
             if incompatible[a] & members[b]:
                 if log:
                     self._undo(log)
+                incompatible[ri] |= members[rj]
+                incompatible[rj] |= members[ri]
                 return False
             if size[a] < size[b]:
                 a, b = b, a
@@ -431,6 +442,27 @@ class _MergePartition:
             for e in filled:
                 succ[a * m + e] = -1
 
+    def sweep(self) -> None:
+        """Attempt every pair ``(i, j)``, ``i < j``, in canonical order,
+        skipping the pairs the masks settle: ``j`` already in the cell of
+        ``i``, or marked incompatible with it.  ``try_merge`` would find the
+        former merged and refuse the latter on its first ``&``, so skipping
+        them leaves the cover as the full loop would."""
+        members, incompatible = self.members, self.incompatible
+        find, try_merge = self.find, self.try_merge
+        n = len(members)
+        full = (1 << n) - 1
+        for i in range(n):
+            above = full & -(2 << i)  # states j > i
+            while True:
+                r = find(i)
+                free = above & ~(incompatible[r] | members[r])
+                if not free:
+                    break
+                low = free & -free
+                try_merge(i, low.bit_length() - 1)
+                above &= -(low << 1)  # states beyond this j
+
     def cover(self) -> Cover:
         cells: dict[int, list[int]] = {}
         for q in range(len(self.parent)):
@@ -456,12 +488,15 @@ def reduce_heuristic(g: Automaton, s: Automaton) -> tuple[Automaton, ReductionRe
     """Polynomial-time reduction through a control congruence.
 
     Attempts every state pair in canonical order, committing a merge when
-    the propagated closure stays compatible.  The result is a partition
-    cover, so the quotient never exceeds the input size.
+    the propagated closure stays compatible; pairs the incompatibility
+    masks already settle are skipped (see :meth:`_MergePartition.sweep`).
+    The result is a partition cover, so the quotient never exceeds the
+    input size.
     """
     data = require_feasible(g, s)
-    pairs = ((i, j) for i in range(s.n) for j in range(i + 1, s.n))
-    cover, steps = _congruence_from_merges(s, data, pairs)
+    partition = _MergePartition(s, compatibility_relation(data).masks)
+    partition.sweep()
+    cover, steps = partition.cover(), partition.steps
     quotient, _ = induce_quotient(s, data, cover, name=f"{s.name}-reduced")
     report = ReductionReport(s.n, quotient.n, cover, steps, "heuristic")
     return quotient, report

@@ -1,7 +1,7 @@
 """Reference closed-loop checks, kept as a differential oracle.
 
 These are the versions of ``control_equivalent``, ``is_normal``,
-``finer_than``, ``compare_full_vs_partial`` and
+``finer_than``, ``compare_reductions``, ``compare_full_vs_partial`` and
 ``extract_cover_from_simsup`` that re-trimmed every synchronous product and
 built the closed loop ``G||S`` anew for each question they asked.  The
 bodies are unchanged apart from the public names of the alphabet check and
@@ -26,7 +26,12 @@ from supred.automata import (
 )
 from supred.errors import PreconditionError
 from supred.ordering import OrderWitness
-from supred.reduction import DEFAULT_EXACT_CAP, Cover, reduce_exact_core as _reduce_exact_core
+from supred.reduction import (
+    DEFAULT_EXACT_CAP,
+    Cover,
+    reduce_exact_core as _reduce_exact_core,
+    reduce_exact_minimum,
+)
 from supred.supervision import check_control_feasibility, control_data, loop_controllable
 
 
@@ -121,6 +126,34 @@ def finer_than(
                 paths[nxt] = path + (e,)
                 queue.append(nxt)
     return OrderWitness(True)
+
+
+def compare_reductions(
+    g: Automaton,
+    s: Automaton,
+    s1: Automaton,
+    s2: Automaton,
+    cap_states: int = DEFAULT_EXACT_CAP,
+) -> tuple[int, int, bool]:
+    for label, cand in (("s1", s1), ("s2", s2)):
+        equal, counterexample = control_equivalent(g, s, cand)
+        if not equal:
+            raise PreconditionError(
+                "control-equivalence", f"{label}: separating string {counterexample}"
+            )
+        normal, witness = is_normal(g, s, cand)
+        if not normal:
+            raise PreconditionError("normality", f"{label}: {witness}")
+        if cand.n > cap_states:
+            raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
+    order = finer_than(g, s, s1, s2)
+    if not order.verdict:
+        raise PreconditionError(
+            "fineness", f"s1 is not finer than s2 (clause {order.counterexample[1]})"
+        )
+    _, report1 = reduce_exact_minimum(g, s1, mode="cover", cap_states=cap_states)
+    _, report2 = reduce_exact_minimum(g, s2, mode="cover", cap_states=cap_states)
+    return report1.output_size, report2.output_size, report1.output_size <= report2.output_size
 
 
 def compare_full_vs_partial(

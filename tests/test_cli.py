@@ -276,3 +276,37 @@ def test_json_error_payload(tmp_path):
     assert result.exit_code == 4
     payload = json.loads(out)
     assert payload["verdict"] is None and "cap" in payload["witness"]
+
+
+def test_shared_parser_matches_fresh_parser():
+    """The parser is built once per process; commands run through it one
+    after another must behave as with a parser built for each call."""
+    from supred import cli
+
+    g, s = f"{TANK}:G", f"{TANK}:S"
+    sequence = [
+        ["reduce", "--exact", "--mode", "partition", "-g", g, "-s", s],
+        ["reduce", "--seed", "7", "-g", g, "-s", s],
+        ["reduce", "-g", g, "-s", s],
+        ["reduce", "--mode", "bogus", "-g", g, "-s", s],
+        ["verify", "equiv", "-g", f"{ORDERING}:G", "-s1", f"{ORDERING}:S1",
+         "-s2", f"{ORDERING}:S2"],
+    ]
+    shared = [invoke(*argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(invoke(*argv))
+    assert shared == fresh
+    assert [result.exit_code for result, _, _ in shared] == [0, 0, 0, 2, 0]
+
+    parser = cli._build_parser()
+    parser.parse_args(["reduce", "--exact", "--mode", "partition", "--cap", "5",
+                       "--seed", "3", "-g", g, "-s", s])
+    args = parser.parse_args(["reduce", "-g", g, "-s", s])
+    assert (args.exact, args.mode, args.cap, args.seed) == (
+        False, "cover", cli.reduction.DEFAULT_EXACT_CAP, None)
+    parser.parse_args(["verify", "cover", "-g", g, "-s", s, "--cells", "0;1"])
+    args = parser.parse_args(["verify", "equiv", "-g", g])
+    assert args.cells is None and args.s is None

@@ -15,8 +15,8 @@ from supred.automata import (
     sync_product,
     trim_reachable,
 )
-from supred.errors import SupredError
-from supred.ordering import compare_full_vs_partial, finer_than
+from supred.errors import PreconditionError, SupredError
+from supred.ordering import compare_full_vs_partial, compare_reductions, finer_than
 from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
 from supred.supervision import control_equivalent, is_normal
 
@@ -84,6 +84,28 @@ def test_checks_match_oracle_on_candidate_sets():
 def test_checks_match_oracle_on_mismatched_plant():
     g, s, cands = _candidates(3)
     _assert_same_checks(_mismatched(g), s, cands)
+
+
+def test_compare_reductions_matches_oracle():
+    """Sizes, verdicts and refusals (inequivalent, not normal, over the
+    cap, not finer, mismatched alphabets) as the version that built
+    ``G||S`` five times per call."""
+    outcomes = set()
+    for seed in range(25):
+        g, s, cands = _candidates(seed)
+        plants = [g, _mismatched(g)] if seed < 3 else [g]
+        for plant, ref, a, b in product(plants, cands[:1] + cands[-1:], cands, cands):
+            for cap in (4, 10):
+                got = _outcome(compare_reductions, plant, ref, a, b, cap)
+                assert got == _outcome(oracle.compare_reductions, plant, ref, a, b, cap)
+                if got[0] == "returned":
+                    outcomes.add("returned")
+                elif got[1] is PreconditionError:
+                    outcomes.add(got[2].split("'")[1])
+                else:
+                    outcomes.add(got[1].__name__)
+    assert outcomes == {"returned", "control-equivalence", "normality", "search-cap",
+                        "fineness", "AlphabetMismatchError"}
 
 
 def test_full_vs_partial_matches_oracle():

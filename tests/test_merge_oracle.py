@@ -8,6 +8,7 @@ from supred.automata import serialize_automaton
 from supred.reduction import (
     Cover,
     _congruence_from_merges,
+    _MergePartition,
     build_super,
     generate_equivalent_supervisor,
     induce_quotient,
@@ -73,6 +74,59 @@ def test_scale_pairs_match_oracle():
         g, s = scale_pair(random.Random(seed), core_states=8, factor=5)
         report = _assert_same_heuristic(g, s)
         assert report.output_size <= 8
+
+
+def test_sweep_matches_oracle_at_factor_12():
+    """Large enough for learned refusals and the mask-driven sweep to skip
+    most pairs: the cover must still be the oracle's."""
+    for seed in range(6):
+        g, s = scale_pair(random.Random(seed), core_states=8, factor=12)
+        _assert_same_heuristic(g, s)
+
+
+def test_failed_merge_marks_cells_incompatible():
+    """After a refused attempt the two cells are marked incompatible, so
+    retrying any member pair is refused after one union examined and
+    leaves the partition as it was."""
+    checked = 0
+    for seed in range(6):
+        g, s = scale_pair(random.Random(seed), core_states=8, factor=5)
+        masks = compatibility_relation(control_data(g, s)).masks
+        part = _MergePartition(s, masks)
+        for i in range(s.n):
+            for j in range(i + 1, s.n):
+                ri, rj = part.find(i), part.find(j)
+                if part.try_merge(i, j):
+                    continue
+                cell_i, cell_j = part.members[ri], part.members[rj]
+                assert part.incompatible[ri] & cell_j == cell_j
+                assert part.incompatible[rj] & cell_i == cell_i
+                if masks[i] >> j & 1:
+                    continue  # refused by the base masks alone
+                if checked == 60:
+                    continue
+                parent = part.parent.copy()
+                for x in (x for x in range(s.n) if cell_i >> x & 1):
+                    for y in (y for y in range(s.n) if cell_j >> y & 1):
+                        before = part.steps
+                        assert not part.try_merge(x, y)
+                        assert part.steps == before + 1
+                assert part.parent == parent
+                checked += 1
+    assert checked == 60
+
+
+def test_sweep_examines_few_unions():
+    """Regression guard on a 200-state inflated supervisor: the canonical
+    pair loop examines 17,716 unions (42,067 without learned refusals),
+    the mask-driven sweep 232."""
+    g, s = scale_pair(random.Random(0), 8, 25)
+    _, report = reduce_heuristic(g, s)
+    assert report.steps <= 25_000
+    pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+    cover, pair_loop_steps = _congruence_from_merges(s, control_data(g, s), pairs)
+    assert cover == report.cover
+    assert report.steps * 10 < pair_loop_steps
 
 
 def test_loose_instances_match_oracle():
