@@ -29,8 +29,9 @@ g, s = parse_automaton((FIXTURES / "tank.aut").read_text())
 sup = build_super(g, s)
 print(f"finest supervisor: {sup.n} states")
 for z, name in enumerate(sup.states):
-    enabled, disabled = characterize_super_state(g, s, sup, z)
-    print(f"  {name}: enables {sorted(enabled)}, disables {sorted(disabled)}")
+    enabled, disabled = characterize_super_state(g, s, sup, z)  # event bitmasks
+    print(f"  {name}: enables {sorted(g.alphabet.names_of(enabled))}, "
+          f"disables {sorted(g.alphabet.names_of(disabled))}")
 print()
 
 print("Here the given supervisor is already canonical:",

@@ -51,7 +51,8 @@ class Alphabet:
 
     Event names must be unique, nonempty and whitespace-free.  Operations
     over automaton pairs require the two alphabets to agree in names,
-    attribute bits and order.
+    attribute bits and order.  Event sets are ``int`` bitmasks over event
+    indices (bit ``e`` stands for event ``e``).
     """
 
     def __init__(self, events: Iterable[Event]):
@@ -90,6 +91,10 @@ class Alphabet:
 
     def name(self, i: int) -> str:
         return self.events[i].name
+
+    def names_of(self, mask: int) -> list[str]:
+        """The names of the events in bitmask ``mask``, in alphabet order."""
+        return [ev.name for i, ev in enumerate(self.events) if mask >> i & 1]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -164,11 +169,14 @@ class Automaton:
                 raise ValueError(f"transition ({q},{e})->{t} out of range")
         # per-state transition lists in canonical (alphabet) event order
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        enabled = [0] * n
         for (q, e), t in self.trans.items():
             out[q].append((e, t))
+            enabled[q] |= 1 << e
         for row in out:
             row.sort()
         self._out: tuple[tuple[tuple[int, int], ...], ...] = tuple(tuple(r) for r in out)
+        self._enabled: tuple[int, ...] = tuple(enabled)
 
     @property
     def n(self) -> int:
@@ -181,8 +189,9 @@ class Automaton:
         """Outgoing (event, target) pairs at ``state``, in event order."""
         return self._out[state]
 
-    def enabled(self, state: int) -> frozenset[int]:
-        return frozenset(e for e, _ in self._out[state])
+    def enabled(self, state: int) -> int:
+        """Bitmask of the events defined at ``state``, computed once."""
+        return self._enabled[state]
 
     def state_index(self, name: str) -> int:
         try:
@@ -649,16 +658,16 @@ def language_equivalent(
         path = paths[(qa, qb)]
         if (qa in a.marked) != (qb in b.marked):
             witnesses.append((len(path), path))
-        ea, eb = a.enabled(qa), b.enabled(qb)
-        if ea != eb:
-            for e in sorted(ea ^ eb):
-                witnesses.append((len(path) + 1, path + (e,)))
-                break
-        for e in sorted(ea & eb):
-            nxt = (a.trans[(qa, e)], b.trans[(qb, e)])
-            if nxt not in paths:
-                paths[nxt] = path + (e,)
-                queue.append(nxt)
+        eb = b.enabled(qb)
+        differ = a.enabled(qa) ^ eb
+        if differ:
+            witnesses.append((len(path) + 1, path + ((differ & -differ).bit_length() - 1,)))
+        for e, ta in a.out(qa):
+            if eb >> e & 1:
+                nxt = (ta, b.trans[(qb, e)])
+                if nxt not in paths:
+                    paths[nxt] = path + (e,)
+                    queue.append(nxt)
     if not witnesses:
         return True, None
     _, best = min(witnesses)

@@ -177,10 +177,9 @@ def control_data_table(g: am.Automaton, s: am.Automaton) -> str:
     """Canonical control-data table: one row per supervisor state, event
     sets in alphabet order."""
     data = supervision.control_data(g, s)
-    order = {name: i for i, name in enumerate(g.alphabet.names)}
 
-    def fmt(events: frozenset) -> str:
-        return "{" + ",".join(sorted(events, key=order.__getitem__)) + "}"
+    def fmt(mask: int) -> str:
+        return "{" + ",".join(g.alphabet.names_of(mask)) + "}"
 
     rows = []
     for z in range(s.n):

@@ -81,9 +81,9 @@ def _finer_on_loop(g: Automaton, loop: Automaton, s1: Automaton, s2: Automaton) 
         p, z1, z2 = queue.popleft()
         path = paths[(p, z1, z2)]
         failed = None
-        if not data1.enabled[z1] <= data2.enabled[z2]:
+        if data1.enabled[z1] & ~data2.enabled[z2]:
             failed = "enabled"
-        elif not data1.disabled[z1] <= data2.disabled[z2]:
+        elif data1.disabled[z1] & ~data2.disabled[z2]:
             failed = "disabled"
         elif data1.marked_s[z1] and not data2.marked_s[z2]:
             failed = "markedS"

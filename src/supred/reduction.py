@@ -13,6 +13,7 @@ search.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -253,30 +254,24 @@ def build_super(g: Automaton, s: Automaton) -> Automaton:
 
 def characterize_super_state(
     g: Automaton, s: Automaton, super_: Automaton, z: int
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Enabled and disabled event sets of one state of the finest
+) -> tuple[int, int]:
+    """Enabled and disabled event bitmasks of one state of the finest
     supervisor, read off its member product states: an event is enabled if
     some member extends by it inside the closed loop, and disabled if some
     member's plant component offers it while the supervisor component does
-    not."""
+    not.  ``g.alphabet.names_of`` lists the events of either mask."""
     require_feasible(g, s)
     product, pairs = sync_product_pairs(g, s)
     sup, members = subset_construction_with_members(product, name="SUPER")
     if not (0 <= z < super_.n):
         raise ValueError(f"unknown super-state index {z}")
     idx = sup.state_index(super_.states[z])
-    names = g.alphabet.names
-    enabled: set[str] = set()
-    disabled: set[str] = set()
+    enabled = disabled = 0
     for member in members[idx]:
-        for e, _ in product.out(member):
-            enabled.add(names[e])
+        enabled |= product.enabled(member)
         x, zs = pairs[member]
-        s_enabled = s.enabled(zs)
-        for e, _ in g.out(x):
-            if e not in s_enabled:
-                disabled.add(names[e])
-    return frozenset(enabled), frozenset(disabled)
+        disabled |= g.enabled(x) & ~s.enabled(zs)
+    return enabled, disabled
 
 
 def extract_cover_from_simsup(
@@ -509,10 +504,13 @@ def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Aut
     sup = build_super(g, s)
     data = control_data(g, sup)
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-    pairs = [(i, j) for i in range(sup.n) for j in range(i + 1, sup.n)]
-    rng.shuffle(pairs)
-    attempts = rng.randint(0, len(pairs))
-    cover, _ = _congruence_from_merges(sup, data, pairs[:attempts])
+    n = sup.n
+    codes = array("Q")  # pair (i, j), i < j, as code i * n + j: 8 bytes, not a tuple
+    for i in range(n):
+        codes.extend(range(i * n + i + 1, i * n + n))
+    rng.shuffle(codes)
+    attempts = rng.randint(0, len(codes))
+    cover, _ = _congruence_from_merges(sup, data, (divmod(c, n) for c in codes[:attempts]))
     quotient, _ = induce_quotient(sup, data, cover, name=f"{s.name}-equiv-{seed}")
     return quotient
 
@@ -543,9 +541,7 @@ class _ExactSearch:
         self.s = s
         self.n = s.n
         self.masks = data.incompatibility_masks()
-        self.succ = [
-            [(e, s.step(q, e)) for e, _ in s.out(q)] for q in range(s.n)
-        ]
+        self.succ = [s.out(q) for q in range(s.n)]
         self.steps = 0
 
     # -- partitions ---------------------------------------------------

@@ -6,7 +6,8 @@ The control data of a supervisor state consists of its enabled event set,
 its disabled event set (events with no transition there that the plant can
 nevertheless execute after some string reaching the state), and two marking
 indicators: whether a marked closed-loop string reaches the state, and
-whether a string marked by the plant alone does.
+whether a string marked by the plant alone does.  Event sets are bitmasks
+over event indices, as :meth:`~supred.automata.Automaton.enabled` returns.
 """
 
 from __future__ import annotations
@@ -36,22 +37,23 @@ __all__ = [
 class ControlData:
     """Per-state control information of a supervisor against a plant.
 
-    All event sets hold event names.  ``reachable_in_loop`` is False for
-    supervisor states never visited by the closed loop; such states carry
-    vacuous data (empty disabled set, both indicators False) and therefore
-    constrain nothing.
+    ``enabled[z]`` and ``disabled[z]`` are event-index bitmasks (bit ``e``
+    for event ``e``; ``Alphabet.names_of`` lists their names).
+    ``reachable_in_loop`` is False for supervisor states never visited by
+    the closed loop; such states carry vacuous data (empty disabled set,
+    both indicators False) and therefore constrain nothing.
     """
 
     supervisor: Automaton
-    enabled: list[frozenset[str]]
-    disabled: list[frozenset[str]]
+    enabled: list[int]
+    disabled: list[int]
     marked_s: list[bool]
     marked_g: list[bool]
     reachable_in_loop: list[bool]
     _incompatible: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
-    def row(self, state: int) -> tuple[frozenset[str], frozenset[str], bool, bool]:
+    def row(self, state: int) -> tuple[int, int, bool, bool]:
         return (self.enabled[state], self.disabled[state],
                 self.marked_s[state], self.marked_g[state])
 
@@ -85,8 +87,7 @@ class ControlData:
     def uncontrollable_disabler(self) -> Optional[int]:
         """The first state whose disabled set holds an uncontrollable
         event, or None when the supervisor is loop controllable."""
-        alphabet = self.supervisor.alphabet
-        uncontrollable = {alphabet.name(e) for e in alphabet.uncontrollable}
+        uncontrollable = sum(1 << e for e in self.supervisor.alphabet.uncontrollable)
         for z, disabled in enumerate(self.disabled):
             if disabled & uncontrollable:
                 return z
@@ -125,9 +126,9 @@ class CompatibilityRelation:
 def check_control_existence(s: Automaton) -> tuple[bool, Optional[str]]:
     """True iff every state enables all uncontrollable events, i.e. every
     enabled set is a control pattern.  Returns a violating state otherwise."""
-    required = s.alphabet.uncontrollable
+    required = sum(1 << e for e in s.alphabet.uncontrollable)
     for q in range(s.n):
-        if not required <= s.enabled(q):
+        if required & ~s.enabled(q):
             return False, s.states[q]
     return True, None
 
@@ -156,10 +157,8 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
     inspecting the plant component of every visited product state.
     """
     check_same_alphabet(g, s)
-    names = g.alphabet.names
-    s_enabled = [s.enabled(q) for q in range(s.n)]
-    enabled = [frozenset(names[e] for e in events) for events in s_enabled]
-    disabled: list[set[str]] = [set() for _ in range(s.n)]
+    enabled = [s.enabled(q) for q in range(s.n)]
+    disabled = [0] * s.n
     marked_s = [False] * s.n
     marked_g = [False] * s.n
     visited_loop = [False] * s.n
@@ -174,18 +173,17 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
             marked_g[z] = True
             if z in s.marked:
                 marked_s[z] = True
+        disabled[z] |= g.enabled(x) & ~enabled[z]
         for e, xt in g.out(x):
-            if e in s_enabled[z]:
+            if enabled[z] >> e & 1:
                 nxt = (xt, s.trans[(z, e)])
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-            else:
-                disabled[z].add(names[e])
     return ControlData(
         supervisor=s,
         enabled=enabled,
-        disabled=[frozenset(d) for d in disabled],
+        disabled=disabled,
         marked_s=marked_s,
         marked_g=marked_g,
         reachable_in_loop=visited_loop,
@@ -248,7 +246,7 @@ def is_normal(
     """
     loop = sync_product(g, s)
     check_same_alphabet(g, sp)
-    exercised: set[tuple[int, int]] = set()
+    exercised = [0] * sp.n  # per sp state, the events taken there
     marked_hit: set[int] = set()
     start = (loop.initial, sp.initial)
     seen = {start}
@@ -261,13 +259,15 @@ def is_normal(
             yt = sp.step(y, e)
             if yt is None:
                 continue
-            exercised.add((y, e))
+            exercised[y] |= 1 << e
             nxt = (pt, yt)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    for (y, e), _ in sorted(sp.trans.items()):
-        if (y, e) not in exercised:
+    for y in range(sp.n):
+        unexercised = sp.enabled(y) & ~exercised[y]
+        if unexercised:
+            e = (unexercised & -unexercised).bit_length() - 1
             return False, ("transition", sp.states[y], sp.alphabet.name(e))
     for y in sorted(sp.marked):
         if y not in marked_hit:

@@ -5,7 +5,9 @@ These are the versions of ``control_equivalent``, ``is_normal``,
 ``extract_cover_from_simsup`` that re-trimmed every synchronous product and
 built the closed loop ``G||S`` anew for each question they asked.  The
 bodies are unchanged apart from the public names of the alphabet check and
-the exact-search core, and they call each other as before.
+the exact-search core, and they call each other as before.  The fineness
+walk in ``finer_than`` reads the name-set control data of
+``tests/name_set_oracle.py``, since the library's now holds bitmasks.
 ``tests/test_closed_loop_oracle.py`` checks that the library, which builds
 each closed loop once, gives the same verdicts, witnesses and errors.
 """
@@ -33,6 +35,8 @@ from supred.reduction import (
     reduce_exact_minimum,
 )
 from supred.supervision import check_control_feasibility, control_data, loop_controllable
+
+from tests import name_set_oracle
 
 
 def control_equivalent(
@@ -92,8 +96,8 @@ def finer_than(
                 "control-equivalence",
                 f"{label} is not control equivalent to the reference (separating string {counterexample})",
             )
-    data1 = control_data(g, s1)
-    data2 = control_data(g, s2)
+    data1 = name_set_oracle.control_data(g, s1)
+    data2 = name_set_oracle.control_data(g, s2)
     loop, _ = sync_product_pairs(g, s)
     start = (loop.initial, s1.initial, s2.initial)
     paths: dict[tuple[int, int, int], tuple[int, ...]] = {start: ()}

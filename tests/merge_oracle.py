@@ -8,16 +8,20 @@ partition before each attempt so a failed one can be rolled back.  The
 cover check and quotient below scan every cell for each (cell, event)
 target set and test compatibility pair by pair.  They are slow but plainly
 correct, and ``tests/test_merge_oracle.py`` checks that the library returns
-the same covers, verdicts and quotients.
+the same covers, verdicts and quotients.  ``generate_equivalent_supervisor``
+is the unchanged version that shuffled a list of all n(n-1)/2 pair tuples;
+it calls the library's merger and quotient, as it did.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Optional
 
 from supred.automata import Automaton
-from supred.reduction import Cover
-from supred.supervision import ControlData, compatibility_relation, compatible
+from supred.reduction import Cover, build_super, induce_quotient
+from supred.reduction import _congruence_from_merges as _library_congruence
+from supred.supervision import ControlData, compatibility_relation, compatible, control_data
 
 
 class _MergePartition:
@@ -152,3 +156,15 @@ def induce_quotient_by_scan(
     marked = [i for i, cell in enumerate(cells) if any(data.marked_s[z] for z in cell)]
     names = ["+".join(sorted(s.states[z] for z in cell)) for cell in cells]
     return Automaton(name, s.alphabet, names, initial, marked, trans)
+
+
+def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Automaton:
+    sup = build_super(g, s)
+    data = control_data(g, sup)
+    rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+    pairs = [(i, j) for i in range(sup.n) for j in range(i + 1, sup.n)]
+    rng.shuffle(pairs)
+    attempts = rng.randint(0, len(pairs))
+    cover, _ = _library_congruence(sup, data, pairs[:attempts])
+    quotient, _ = induce_quotient(sup, data, cover, name=f"{s.name}-equiv-{seed}")
+    return quotient

@@ -46,6 +46,7 @@ from tests.conftest import FIXTURES
 from tests.generators import loose_instance, scale_pair, strict_instance
 from tests.test_reduction import (
     _bounded_enumeration_characterization,
+    _characterization_names,
     _observations_per_super_state,
 )
 
@@ -169,8 +170,6 @@ def test_state_characterization_suite():
     """Member-based enabled/disabled sets of finest-supervisor states equal
     the bounded string-enumeration oracle: 50 partial-observation instances."""
     with criterion("state-characterization-oracle", 60.0):
-        from supred.reduction import characterize_super_state
-
         rng = random.Random(6151)
         accepted = 0
         while accepted < 50:
@@ -184,7 +183,7 @@ def test_state_characterization_suite():
             for z, w in observations.items():
                 bound = (len(w) + 1) * product.n
                 expected = _bounded_enumeration_characterization(g, s, w, bound)
-                assert characterize_super_state(g, s, sup, z) == expected
+                assert _characterization_names(g, s, sup, z) == expected
             accepted += 1
         assert accepted >= 50
 

@@ -1,0 +1,36 @@
+"""Each walkthrough in ``demos/`` runs to completion and prints what it
+printed when written."""
+
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+def _run(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(name, capsys):
+    assert _run(name, capsys)
+
+
+def test_single_tank_demo_reduces_to_two_states(capsys):
+    out = _run("01_single_tank_reduction.py", capsys)
+    assert ("The merge heuristic finds the same reduction automatically: "
+            "4 -> 2 states (2 unions examined).") in out.splitlines()
+
+
+def test_finest_supervisor_demo_characterises_states(capsys):
+    out = _run("02_finest_supervisor.py", capsys).splitlines()
+    start = out.index("finest supervisor: 4 states") + 1
+    assert out[start:start + 4] == [
+        "  (0,z0): enables ['hL', 'hM'], disables []",
+        "  (1,z1)+(2,z1): enables ['hL', 'hM', 'qo0', 'qo1'], disables []",
+        "  (4,z2)+(5,z2): enables ['hH', 'hL', 'hM', 'qo0', 'qo1'], disables []",
+        "  (6,z3)+(8,z3): enables ['hH', 'hM', 'qo1'], disables ['qo0']",
+    ]

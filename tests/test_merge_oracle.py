@@ -173,6 +173,21 @@ def test_shuffled_truncated_orders_match_oracle():
         checked += 1
 
 
+def test_generate_equivalent_matches_pair_list_draw():
+    """``generate_equivalent_supervisor`` shuffles pair codes, not a list of
+    pair tuples; ``random.shuffle`` draws depend only on the length, so 256
+    draws give byte-identical supervisors to the pair-list version."""
+    instances = [loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+                 for seed in range(60)]
+    instances += [scale_pair(random.Random(seed), core_states=8, factor=5) for seed in range(4)]
+    draws = random.Random(29)
+    for g, s in instances:
+        for seed in (0, -1, 2**64 + 7, draws.randrange(2**64)):
+            generated = generate_equivalent_supervisor(g, s, seed)
+            reference = merge_oracle.generate_equivalent_supervisor(g, s, seed)
+            assert serialize_automaton(generated) == serialize_automaton(reference)
+
+
 def test_overlapping_covers_quotient_matches_oracle():
     """Overlapping covers, where several target cells can be valid: exact
     minimum covers, and heuristic covers padded with subcells (a subset of

@@ -49,7 +49,7 @@ def test_ordering_example_reverse_fails_at_empty_string(ordering_example):
     # order to break is the disabled-set containment
     assert clause == "disabled"
     data1, data2 = control_data(g, s2), control_data(g, s1)
-    assert not data1.disabled[s2.initial] <= data2.disabled[s1.initial]
+    assert data1.disabled[s2.initial] & ~data2.disabled[s1.initial]
     assert data1.marked_s[s2.initial] and not data2.marked_s[s1.initial]
 
 
@@ -75,8 +75,8 @@ def test_counterexample_replays(ordering_example):
     z1, z2 = s2.run(idx), s1.run(idx)
     data1, data2 = control_data(g, s2), control_data(g, s1)
     checks = {
-        "enabled": lambda: data1.enabled[z1] <= data2.enabled[z2],
-        "disabled": lambda: data1.disabled[z1] <= data2.disabled[z2],
+        "enabled": lambda: not data1.enabled[z1] & ~data2.enabled[z2],
+        "disabled": lambda: not data1.disabled[z1] & ~data2.disabled[z2],
         "markedS": lambda: (not data1.marked_s[z1]) or data2.marked_s[z2],
         "markedG": lambda: (not data1.marked_g[z1]) or data2.marked_g[z2],
     }
@@ -98,8 +98,8 @@ def test_counterexample_replays_random():
         z1, z2 = coarse.run(idx), sup.run(idx)
         data1, data2 = control_data(g, coarse), control_data(g, sup)
         holds = {
-            "enabled": data1.enabled[z1] <= data2.enabled[z2],
-            "disabled": data1.disabled[z1] <= data2.disabled[z2],
+            "enabled": not data1.enabled[z1] & ~data2.enabled[z2],
+            "disabled": not data1.disabled[z1] & ~data2.disabled[z2],
             "markedS": (not data1.marked_s[z1]) or data2.marked_s[z2],
             "markedG": (not data1.marked_g[z1]) or data2.marked_g[z2],
         }

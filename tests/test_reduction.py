@@ -94,7 +94,7 @@ def test_tank_quotient_matches_published_reduction(tank):
     assert control_equivalent(g, s, quotient) == (True, None)
     # the high cell keeps the close command disabled
     high = quotient.state_index("z3")
-    assert "qo0" not in {quotient.alphabet.name(e) for e in quotient.enabled(high)}
+    assert "qo0" not in quotient.alphabet.names_of(quotient.enabled(high))
 
 
 def test_singleton_quotient_isomorphic(tank):
@@ -386,11 +386,16 @@ def _bounded_enumeration_characterization(g, s, observation, bound):
         for e, _ in product.out(p):
             enabled.add(names[e])
         x, z = pairs[p]
-        s_enabled = s.enabled(z)
         for e, _ in g.out(x):
-            if e not in s_enabled:
+            if s.step(z, e) is None:
                 disabled.add(names[e])
     return frozenset(enabled), frozenset(disabled)
+
+
+def _characterization_names(g, s, sup, z):
+    """``characterize_super_state`` with both masks decoded to name sets."""
+    return tuple(frozenset(g.alphabet.names_of(mask))
+                 for mask in characterize_super_state(g, s, sup, z))
 
 
 def _observations_per_super_state(sup):
@@ -441,7 +446,7 @@ def test_characterize_matches_enumeration_oracle():
         for z, w in observations.items():
             bound = (len(w) + 1) * product.n
             expected = _bounded_enumeration_characterization(g, s, w, bound)
-            assert characterize_super_state(g, s, sup, z) == expected
+            assert _characterization_names(g, s, sup, z) == expected
         done += 1
 
 

@@ -20,8 +20,8 @@ from supred.supervision import (
 from tests.generators import loose_instance
 
 
-def _names(alphabet, indices):
-    return frozenset(alphabet.name(e) for e in indices)
+def _names(alphabet, mask):
+    return frozenset(alphabet.names_of(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +77,11 @@ def test_tank_control_data_rows(tank):
     g, s = tank
     data = control_data(g, s)
     z = {name: i for i, name in enumerate(s.states)}
-    assert data.enabled[z["z3"]] == {"qo1", "hM", "hH"}
-    assert data.disabled[z["z3"]] == {"qo0"}
+    assert _names(g.alphabet, data.enabled[z["z3"]]) == {"qo1", "hM", "hH"}
+    assert _names(g.alphabet, data.disabled[z["z3"]]) == {"qo0"}
     assert data.marked_s[z["z3"]] is False and data.marked_g[z["z3"]] is False
-    assert data.enabled[z["z2"]] == {"qo0", "qo1", "hL", "hM", "hH"}
-    assert data.disabled[z["z2"]] == frozenset()
+    assert _names(g.alphabet, data.enabled[z["z2"]]) == {"qo0", "qo1", "hL", "hM", "hH"}
+    assert _names(g.alphabet, data.disabled[z["z2"]]) == frozenset()
     assert data.marked_s[z["z2"]] is True and data.marked_g[z["z2"]] is True
     assert all(data.reachable_in_loop)
 
@@ -94,7 +94,7 @@ def test_unreachable_supervisor_state_gets_vacuous_data():
     data = control_data(g, s)
     off = s.state_index("off")
     assert not data.reachable_in_loop[off]
-    assert data.disabled[off] == frozenset()
+    assert _names(alphabet, data.disabled[off]) == frozenset()
     assert data.marked_s[off] is False and data.marked_g[off] is False
 
 
@@ -131,7 +131,7 @@ def test_control_data_matches_brute_force():
         bound = trim_reachable(sync_product(g, s)).n + 1
         disabled, marked_s, marked_g = _brute_force_control_data(g, s, bound)
         for z in range(s.n):
-            assert data.disabled[z] == disabled[z], (z, s.states[z])
+            assert _names(g.alphabet, data.disabled[z]) == disabled[z], (z, s.states[z])
             assert data.marked_s[z] == marked_s[z]
             assert data.marked_g[z] == marked_g[z]
 
@@ -146,7 +146,7 @@ def test_control_data_invariants_random():
             assert not data.enabled[z] & data.disabled[z]
             assert not (data.marked_s[z] and not data.marked_g[z])
         if check_control_existence(s)[0]:
-            uncontrollable = _names(g.alphabet, g.alphabet.uncontrollable)
+            uncontrollable = sum(1 << e for e in g.alphabet.uncontrollable)
             for z in range(s.n):
                 assert not data.disabled[z] & uncontrollable
             uncontrollable_ok += 1
