@@ -29,6 +29,7 @@ from .errors import CoverError, InfeasibleSupervisorError, PreconditionError, Se
 from .supervision import (
     ControlData,
     check_control_feasibility,
+    closed_incompatibility,
     compatibility_relation,
     control_data,
     is_normal,
@@ -530,18 +531,11 @@ def _greedy_incompatible_states(masks: Sequence[int]) -> list[int]:
     return clique
 
 
-def _greedy_incompatible_clique(masks: Sequence[int]) -> int:
-    """Greedy lower bound: a set of pairwise-incompatible states can never
-    share cells, so its size bounds every cover from below."""
-    return max(1, len(_greedy_incompatible_states(masks)))
-
-
 class _ExactSearch:
     def __init__(self, s: Automaton, data: ControlData):
         self.s = s
         self.n = s.n
-        self.masks = data.incompatibility_masks()
-        self.succ = [s.out(q) for q in range(s.n)]
+        self.masks = closed_incompatibility(s, data.incompatibility_masks())
         self.steps = 0
 
     # -- partitions ---------------------------------------------------
@@ -566,16 +560,13 @@ class _ExactSearch:
             return True
 
         def placement_ok(q: int, c: int) -> bool:
-            # co-celled states push their successors into one cell, so a
-            # successor pair must at least be compatible; assigned pairs
-            # must already agree
+            # co-celled states push their successors into one cell, so
+            # assigned successor pairs must already agree
             for m in cells[c]:
-                for e, t in self.succ[q]:
+                for e, t in self.s.out(q):
                     tm = self.s.step(m, e)
                     if tm is None:
                         continue
-                    if self.masks[t] >> tm & 1:
-                        return False
                     if assign[t] != -1 and assign[tm] != -1 and assign[t] != assign[tm]:
                         return False
             return True
@@ -615,35 +606,20 @@ class _ExactSearch:
     # -- general covers -----------------------------------------------
 
     def _candidate_cells(self, m: int) -> list[int]:
-        """All compatibility cliques (as bitmasks) whose minimum member is
-        ``m`` and whose per-event target sets stay pairwise compatible (a
-        cell whose targets conflict can never satisfy the closure
-        condition).  Largest cells first."""
-        n_events = len(self.s.alphabet)
+        """All cliques of the closed compatibility relation (as bitmasks)
+        whose minimum member is ``m``, largest cells first.  The relation
+        is closed under successors, so every clique's per-event target
+        sets are cliques as well."""
         out: list[int] = []
         candidates = [z for z in range(m + 1, self.n) if not self.masks[m] >> z & 1]
 
-        def grow(cell: int, incompat: int, tinc: list[int], rest: list[int]) -> None:
+        def grow(cell: int, incompat: int, rest: list[int]) -> None:
             out.append(cell)
             for i, z in enumerate(rest):
-                if incompat >> z & 1:
-                    continue
-                conflict = False
-                for e, t in self.succ[z]:
-                    if tinc[e] >> t & 1:
-                        conflict = True
-                        break
-                if conflict:
-                    continue
-                tinc2 = tinc.copy()
-                for e, t in self.succ[z]:
-                    tinc2[e] |= self.masks[t]
-                grow(cell | 1 << z, incompat | self.masks[z], tinc2, rest[i + 1:])
+                if not incompat >> z & 1:
+                    grow(cell | 1 << z, incompat | self.masks[z], rest[i + 1:])
 
-        tinc0 = [0] * n_events
-        for e, t in self.succ[m]:
-            tinc0[e] |= self.masks[t]
-        grow(1 << m, self.masks[m], tinc0, candidates)
+        grow(1 << m, self.masks[m], candidates)
         out.sort(key=lambda c: -bin(c).count("1"))
         return out
 
@@ -653,7 +629,9 @@ class _ExactSearch:
         keys, which kills permutation symmetry and yields two strong
         prunes — a state below the next allowed minimum can never be
         covered later, and a pending target set reaching below it can
-        never be received later."""
+        never be received later.  A pending target set is itself a
+        candidate cell, so its own minimum is the highest minimum any
+        receiver can have."""
         n_events = len(self.s.alphabet)
         full = (1 << self.n) - 1
         by_min = [self._candidate_cells(m) for m in range(self.n)]
@@ -664,7 +642,6 @@ class _ExactSearch:
         for z in _greedy_incompatible_states(self.masks):
             clique_mask |= 1 << z
         targets_of: dict[int, tuple[int, ...]] = {}
-        receiver_mins: dict[int, int] = {}
 
         def cell_targets(cell: int) -> tuple[int, ...]:
             cached = targets_of.get(cell)
@@ -674,22 +651,9 @@ class _ExactSearch:
                 while c:
                     z = (c & -c).bit_length() - 1
                     c &= c - 1
-                    for e, t in self.succ[z]:
+                    for e, t in self.s.out(z):
                         rows[e] |= 1 << t
                 targets_of[cell] = cached = tuple(rows)
-            return cached
-
-        def receiver_min_mask(tb: int) -> int:
-            """Bitmask of min-member values owning a candidate cell that
-            contains the target set."""
-            cached = receiver_mins.get(tb)
-            if cached is None:
-                cached = 0
-                limit = (tb & -tb).bit_length() - 1
-                for m in range(limit + 1):
-                    if any(tb & ~cell == 0 for cell in by_min[m]):
-                        cached |= 1 << m
-                receiver_mins[tb] = cached
             return cached
 
         chosen: list[int] = []
@@ -703,12 +667,10 @@ class _ExactSearch:
                         pending.append(tb)
             if len(chosen) == k:
                 return covered == full and not pending
-            # future cells have min member >= last_min: a pending target
-            # set must still have a candidate receiver at or above it, and
-            # no uncovered state may lie below it
-            for tb in pending:
-                if receiver_min_mask(tb) >> last_min == 0:
-                    return False
+            # future cells have min member >= last_min: no pending target
+            # set and no uncovered state may lie below it
+            if any(tb & ((1 << last_min) - 1) for tb in pending):
+                return False
             uncovered = full & ~covered
             remaining = k - len(chosen)
             if bin(uncovered).count("1") > remaining * max_cell:
@@ -748,9 +710,12 @@ def reduce_exact_minimum(
     """Minimum-cardinality control cover by increasing-size backtracking.
 
     ``mode`` is "partition" (control congruences only) or "cover" (general,
-    possibly overlapping covers, which can be strictly smaller).  Refuses
-    supervisors larger than ``cap_states``: the underlying minimisation
-    problem is NP-hard and blowup should be explicit, not silent.
+    possibly overlapping covers, which can be strictly smaller).  The
+    search reads incompatibility closed under successors
+    (:func:`~supred.supervision.closed_incompatibility`), which no valid
+    cover violates.  Refuses supervisors larger than ``cap_states``: the
+    underlying minimisation problem is NP-hard and blowup should be
+    explicit, not silent.
     """
     if mode not in ("partition", "cover"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -768,7 +733,8 @@ def reduce_exact_core(
     if s.n > cap_states:
         raise SearchCapError(s.n, cap_states)
     search = _ExactSearch(s, data)
-    lower = _greedy_incompatible_clique(search.masks)
+    # pairwise-incompatible states never share a cell
+    lower = max(1, len(_greedy_incompatible_states(search.masks)))
     for k in range(lower, s.n + 1):
         cells = search.find_partition(k)
         if cells is None and mode == "cover":

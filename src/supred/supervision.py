@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .automata import Automaton, check_same_alphabet, language_equivalent, sync_product
 
@@ -24,6 +24,7 @@ __all__ = [
     "CompatibilityRelation",
     "check_control_existence",
     "check_control_feasibility",
+    "closed_incompatibility",
     "control_data",
     "compatible",
     "compatibility_relation",
@@ -208,6 +209,36 @@ def compatible(data: ControlData, z1: int, z2: int) -> bool:
 
 def compatibility_relation(data: ControlData) -> CompatibilityRelation:
     return CompatibilityRelation(data.supervisor.states, data.incompatibility_masks())
+
+
+def closed_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
+    """Close symmetric incompatibility masks of the states of ``s`` under
+    successors (Paull and Unger's implication chart): a pair becomes
+    incompatible when some event defined at both states takes it to an
+    incompatible pair, until nothing changes.  A cover cell holding both
+    states would force their successors into one cell, so no control cover
+    has a cell holding a pair the closure adds.  Each incompatible pair is
+    propagated once, backwards through per-event predecessor bitmasks."""
+    pred = [[0] * s.n for _ in range(len(s.alphabet))]  # pred[e][t]: states with e-successor t
+    for (q, e), t in s.trans.items():
+        pred[e][t] |= 1 << q
+    closed = list(masks)
+    work = [(a, b) for a in range(s.n) for b in range(a + 1) if masks[a] >> b & 1]
+    while work:
+        a, b = work.pop()
+        for into in pred:
+            sources = into[a]
+            while sources:
+                p = (sources & -sources).bit_length() - 1
+                sources &= sources - 1
+                new = into[b] & ~closed[p]
+                closed[p] |= new
+                while new:
+                    r = (new & -new).bit_length() - 1
+                    new &= new - 1
+                    closed[r] |= 1 << p
+                    work.append((p, r))
+    return closed
 
 
 def control_equivalent(

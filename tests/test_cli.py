@@ -101,6 +101,17 @@ def test_reduce_exact_cover_sizes():
     assert payload["sizes"]["output"] == 3
 
 
+def test_reduce_exact_answers_the_blowup_pairs():
+    blowup = str(FIXTURES / "exact_blowup.aut")
+    for seed, size in ((91, 8), (255, 9)):
+        for mode in ("partition", "cover"):
+            result, payload = invoke_json(
+                "reduce", "--exact", "--mode", mode, "-g", f"{blowup}:G{seed}", "-s", f"{blowup}:S{seed}"
+            )
+            assert result.exit_code == 0
+            assert payload["sizes"]["output"] == size
+
+
 def test_reduce_exact_cap_exit_code():
     result, _, _ = invoke(
         "reduce", "--exact", "-g", f"{TANK}:G", "-s", f"{TANK}:S", "--cap", "3"

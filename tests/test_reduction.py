@@ -10,6 +10,7 @@ from supred.automata import (
     Automaton,
     Event,
     is_des_isomorphic,
+    parse_automaton,
     sync_product,
     sync_product_pairs,
     trim_reachable,
@@ -28,12 +29,14 @@ from supred.reduction import (
 )
 from supred.supervision import (
     check_control_feasibility,
+    closed_incompatibility,
     control_data,
     control_equivalent,
     is_normal,
     loop_controllable,
 )
 
+from tests.conftest import FIXTURES
 from tests.generators import loose_instance, scale_pair, strict_instance
 
 
@@ -350,6 +353,54 @@ def test_exact_output_is_valid_quotient():
         reduced, report = reduce_exact_minimum(g, s, mode="cover")
         assert reduced.n == len(report.cover)
         assert control_equivalent(g, s, reduced) == (True, None)
+
+
+def test_exact_answers_the_blowup_pairs():
+    # every supervisor state pair is incompatible once the relation is
+    # closed under successors, so the search stops at its lower bound
+    g91, s91, g255, s255 = parse_automaton((FIXTURES / "exact_blowup.aut").read_text())
+    for g, s, size in ((g91, s91, 8), (g255, s255, 9)):
+        for mode in ("partition", "cover"):
+            _, report = reduce_exact_minimum(g, s, mode=mode)
+            assert report.output_size == size and report.steps <= 20, (s.name, mode)
+
+
+def test_exact_cover_node_count_on_seed_40():
+    g, s = loose_instance(random.Random(40), max_plant=8, max_sup=10, max_events=5)
+    _, report = reduce_exact_minimum(g, s, mode="cover")
+    assert report.steps <= 5_000
+
+
+def _assert_cells_closed_compatible(g, s, covers):
+    """Returns whether the closure marked any pair the base masks leave open."""
+    base = control_data(g, s).incompatibility_masks()
+    closed = closed_incompatibility(s, base)
+    for cover in covers:
+        for cell in cover.cells:
+            cell_mask = sum(1 << z for z in cell)
+            assert all(not closed[z] & cell_mask for z in cell), (s.name, sorted(cell))
+    return closed != list(base)
+
+
+def test_every_cover_cell_is_closed_compatible():
+    """No valid control cover puts a pair the closure marks into one cell:
+    checked on heuristic, exact and extracted covers, over supervisors and
+    their finest supervisors."""
+    refined = extracted = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        g, s = loose_instance(rng, max_plant=8, max_sup=8, require_unobservable=seed % 2 == 1)
+        sup = build_super(g, s)
+        for x in (s, sup):
+            covers = [reduce_heuristic(g, x)[1].cover]
+            if x.n <= 10:
+                covers += [reduce_exact_minimum(g, x, mode)[1].cover for mode in ("partition", "cover")]
+            refined += _assert_cells_closed_compatible(g, x, covers)
+        simsup = generate_equivalent_supervisor(g, s, seed)
+        if is_normal(g, s, simsup)[0]:
+            _assert_cells_closed_compatible(g, sup, [extract_cover_from_simsup(sup, simsup, g, s)])
+            extracted += 1
+    assert refined >= 10 and extracted >= 30, (refined, extracted)
 
 
 # ---------------------------------------------------------------------------

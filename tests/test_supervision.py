@@ -4,11 +4,14 @@ compatibility, control equivalence, normality."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supred.automata import Alphabet, Automaton, Event, sync_product, trim_reachable
 from supred.supervision import (
     check_control_existence,
     check_control_feasibility,
+    closed_incompatibility,
     compatibility_relation,
     compatible,
     control_data,
@@ -215,6 +218,79 @@ def test_compatible_unknown_state(tank):
         compatible(control_data(g, s), 0, 99)
     with pytest.raises(IndexError):
         compatibility_relation(control_data(g, s)).holds(0, 99)
+
+
+# ---------------------------------------------------------------------------
+# incompatibility closed under successors
+
+
+def _implication_chart(s, masks):
+    """Textbook implication chart over a pair table: mark a pair whenever
+    some event defined at both states leads to a marked pair, and sweep
+    the whole table again until a sweep marks nothing."""
+    marked = {(i, j) for i in range(s.n) for j in range(s.n) if masks[i] >> j & 1}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(s.n):
+            for j in range(s.n):
+                if (i, j) in marked:
+                    continue
+                for e in range(len(s.alphabet)):
+                    ti, tj = s.step(i, e), s.step(j, e)
+                    if ti is not None and tj is not None and (ti, tj) in marked:
+                        marked.add((i, j))
+                        changed = True
+                        break
+    return [sum(1 << j for j in range(s.n) if (i, j) in marked) for i in range(s.n)]
+
+
+@st.composite
+def _automaton_with_masks(draw):
+    """A deterministic automaton of at most 8 states and symmetric base
+    incompatibility masks over its states."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 3))
+    alphabet = Alphabet([Event(f"e{e}", True, True) for e in range(m)])
+    targets = draw(st.lists(st.none() | st.integers(0, n - 1), min_size=n * m, max_size=n * m))
+    trans = {(q, e): t for (q, e), t in zip(((q, e) for q in range(n) for e in range(m)), targets)
+             if t is not None}
+    s = Automaton("S", alphabet, [f"z{q}" for q in range(n)], 0, [], trans)
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return s, masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_automaton_with_masks())
+def test_closed_incompatibility_is_the_implication_chart(case):
+    s, masks = case
+    closed = closed_incompatibility(s, masks)
+    assert closed == _implication_chart(s, masks)
+    assert closed_incompatibility(s, closed) == closed
+    for i in range(s.n):
+        assert masks[i] & ~closed[i] == 0
+        for j in range(s.n):
+            assert closed[i] >> j & 1 == closed[j] >> i & 1
+            if closed[i] >> j & 1:
+                continue
+            for e in range(len(s.alphabet)):
+                ti, tj = s.step(i, e), s.step(j, e)
+                assert ti is None or tj is None or not closed[ti] >> tj & 1
+
+
+def test_closed_incompatibility_follows_a_chain():
+    # e walks z0 -> z1 -> z2 and z3 -> z4 -> z5; only (z2, z5) conflicts
+    alphabet = Alphabet([Event("e", True, True)])
+    trans = {(0, 0): 1, (1, 0): 2, (3, 0): 4, (4, 0): 5}
+    s = Automaton("S", alphabet, [f"z{q}" for q in range(6)], 0, [], trans)
+    masks = [0, 0, 1 << 5, 0, 0, 1 << 2]
+    closed = closed_incompatibility(s, masks)
+    pairs = {(i, j) for i in range(6) for j in range(i) if closed[i] >> j & 1}
+    assert pairs == {(5, 2), (4, 1), (3, 0)}
 
 
 # ---------------------------------------------------------------------------
