@@ -14,9 +14,11 @@ from .automata import (
     Automaton,
     Event,
     MorphismResult,
+    control_equivalent,
     is_des_epimorphic,
     is_des_isomorphic,
     language_equivalent,
+    lockstep,
     parse_automaton,
     project_string,
     serialize_automata,
@@ -62,7 +64,6 @@ from .supervision import (
     compatibility_relation,
     compatible,
     control_data,
-    control_equivalent,
     is_normal,
     loop_controllable,
 )

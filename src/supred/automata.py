@@ -4,8 +4,9 @@ Provides the shared representation (events carry controllable/observable
 bits; transition maps are partial and deterministic), the ``.aut`` text
 format, synchronous product over a common alphabet, reachability trimming,
 natural projection of strings, subset construction under partial
-observation, structure-preserving morphism checks, and language
-equivalence with shortest counterexamples.
+observation, structure-preserving morphism checks, the lockstep walk of a
+plant with two automata, and control and language equivalence with
+shortest counterexamples.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "Automaton",
     "MorphismResult",
     "check_same_alphabet",
+    "distinct_names",
     "parse_automaton",
     "serialize_automaton",
     "serialize_automata",
@@ -33,6 +35,8 @@ __all__ = [
     "subset_construction_with_members",
     "is_des_epimorphic",
     "is_des_isomorphic",
+    "lockstep",
+    "control_equivalent",
     "language_equivalent",
 ]
 
@@ -152,13 +156,13 @@ class Automaton:
         n = len(self.states)
         if n == 0:
             raise ValueError("automaton needs at least one state")
-        seen: set[str] = set()
-        for s in self.states:
+        self._index: dict[str, int] = {}
+        for i, s in enumerate(self.states):
             if s.split() != [s]:
                 raise ValueError(f"bad state name {s!r}")
-            if s in seen:
+            if s in self._index:
                 raise ValueError(f"duplicate state name {s!r}")
-            seen.add(s)
+            self._index[s] = i
         if not (0 <= self.initial < n):
             raise ValueError("initial state out of range")
         if any(not (0 <= q < n) for q in self.marked):
@@ -195,8 +199,8 @@ class Automaton:
 
     def state_index(self, name: str) -> int:
         try:
-            return self.states.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ValueError(f"unknown state {name!r} in automaton {self.name!r}") from None
 
     def run(self, string: Iterable[int], start: Optional[int] = None) -> Optional[int]:
@@ -414,6 +418,28 @@ def serialize_automata(automata: Iterable[Automaton]) -> str:
 # Constructions
 
 
+def distinct_names(names: list[str]) -> list[str]:
+    """Composite state names (product pairs, member lists) made distinct;
+    they coincide when component names contain the separators.  Distinct
+    names come back unchanged; otherwise each repeat of a name gets the
+    suffix ``~k`` with the least ``k >= 1`` not yet taken."""
+    taken = set(names)
+    if len(taken) == len(names):
+        return names
+    out: list[str] = []
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            k = 1
+            while f"{name}~{k}" in taken:
+                k += 1
+            name = f"{name}~{k}"
+            taken.add(name)
+        seen.add(name)
+        out.append(name)
+    return out
+
+
 def _reachable_set(a: Automaton) -> list[int]:
     """States reachable from the initial state, in BFS discovery order
     (events taken in alphabet order)."""
@@ -496,7 +522,8 @@ def sync_product_pairs(
         for (qa, qb) in order
         if qa in a.marked and qb in b.marked
     ]
-    product = Automaton(name or f"{a.name}||{b.name}", a.alphabet, names, 0, marked, trans)
+    product = Automaton(name or f"{a.name}||{b.name}", a.alphabet, distinct_names(names), 0,
+                        marked, trans)
     return product, order
 
 
@@ -556,7 +583,7 @@ def subset_construction_with_members(
         for u in sorted(unobs):
             if any(a.step(q, u) is not None for q in subset):
                 trans[(src, u)] = src
-    names = ["+".join(sorted(a.states[q] for q in subset)) for subset in order]
+    names = distinct_names(["+".join(sorted(a.states[q] for q in subset)) for subset in order])
     marked = [i for i, subset in enumerate(order) if subset & a.marked]
     out = Automaton(name or f"det({a.name})", a.alphabet, names, 0, marked, trans)
     return out, order
@@ -624,51 +651,73 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
 
 
 def is_des_isomorphic(a: Automaton, b: Automaton) -> MorphismResult:
-    """DES-epimorphism with a bijective state map."""
+    """DES-epimorphism with a bijective state map: an epimorphism's map is
+    onto ``b`` and total on ``a``, so equal sizes make it a bijection."""
     if a.n != b.n:
         return MorphismResult(False)
-    result = is_des_epimorphic(a, b)
-    if not result.verdict:
-        return result
-    assert result.mapping is not None
-    if len(set(result.mapping.values())) != a.n:
-        return MorphismResult(False)
-    return result
+    return is_des_epimorphic(a, b)
+
+
+def lockstep(
+    g: Automaton, a: Automaton, b: Automaton
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """Breadth-first walk of the triples ``(x, qa, qb)`` that the plant
+    ``g`` and the automata ``a`` and ``b`` reach together on the events all
+    three define, each yielded once with the first string (event indices)
+    reaching it: events go in alphabet order, so it is a shortest one, ties
+    broken by alphabet order.  The order is that of the reachable pairs of
+    ``(g||a)||b``, but no product automaton is built."""
+    check_same_alphabet(g, a)
+    check_same_alphabet(g, b)
+    start = (g.initial, a.initial, b.initial)
+    paths: dict[tuple[int, int, int], tuple[int, ...]] = {start: ()}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        x, qa, qb = node
+        path = paths[node]
+        yield x, qa, qb, path
+        shared = a.enabled(qa) & b.enabled(qb)
+        for e, xt in g.out(x):
+            if shared >> e & 1:
+                nxt = (xt, a.trans[(qa, e)], b.trans[(qb, e)])
+                if nxt not in paths:
+                    paths[nxt] = path + (e,)
+                    queue.append(nxt)
+
+
+def control_equivalent(
+    g: Automaton, a: Automaton, b: Automaton
+) -> tuple[bool, Optional[list[str]]]:
+    """Whether L(g||a) = L(g||b) and Lm(g||a) = Lm(g||b), read off
+    :func:`lockstep`: marking must agree inside the plant at every triple,
+    and no event the plant offers may be defined by just one of ``a`` and
+    ``b``.  On failure returns a shortest separating string, ties broken by
+    alphabet order."""
+    witnesses: list[tuple[int, tuple[int, ...]]] = []
+    for x, qa, qb, path in lockstep(g, a, b):
+        if witnesses and len(path) > witnesses[0][0]:
+            break  # no later triple gives a shorter witness
+        if x in g.marked and (qa in a.marked) != (qb in b.marked):
+            witnesses.append((len(path), path))
+        differ = g.enabled(x) & (a.enabled(qa) ^ b.enabled(qb))
+        if differ:
+            witnesses.append((len(path) + 1, path + ((differ & -differ).bit_length() - 1,)))
+    if not witnesses:
+        return True, None
+    return False, [g.alphabet.name(e) for e in min(witnesses)[1]]
 
 
 def language_equivalent(
     a: Automaton, b: Automaton
 ) -> tuple[bool, Optional[list[str]]]:
-    """Decide L(a)=L(b) and Lm(a)=Lm(b) for deterministic reachable automata.
-
-    Walks the synchronized pair graph demanding equal enabled sets and equal
-    marking at every reached pair.  On failure returns a shortest witness
-    string (ties broken by alphabet order) that lies in exactly one of the
-    languages concerned.
-    """
+    """Decide L(a)=L(b) and Lm(a)=Lm(b) for deterministic reachable
+    automata: :func:`control_equivalent` under a one-state plant that
+    allows and marks every string.  On failure returns a shortest witness
+    string (ties broken by alphabet order) in exactly one of the languages."""
     check_same_alphabet(a, b)
     _require_reachable(a, "language_equivalent")
     _require_reachable(b, "language_equivalent")
-    start = (a.initial, b.initial)
-    paths: dict[tuple[int, int], tuple[int, ...]] = {start: ()}
-    queue = deque([start])
-    witnesses: list[tuple[int, tuple[int, ...]]] = []
-    while queue:
-        qa, qb = queue.popleft()
-        path = paths[(qa, qb)]
-        if (qa in a.marked) != (qb in b.marked):
-            witnesses.append((len(path), path))
-        eb = b.enabled(qb)
-        differ = a.enabled(qa) ^ eb
-        if differ:
-            witnesses.append((len(path) + 1, path + ((differ & -differ).bit_length() - 1,)))
-        for e, ta in a.out(qa):
-            if eb >> e & 1:
-                nxt = (ta, b.trans[(qb, e)])
-                if nxt not in paths:
-                    paths[nxt] = path + (e,)
-                    queue.append(nxt)
-    if not witnesses:
-        return True, None
-    _, best = min(witnesses)
-    return False, [a.alphabet.name(e) for e in best]
+    universal = Automaton("*", a.alphabet, ["*"], 0, [0],
+                          {(0, e): 0 for e in range(len(a.alphabet))})
+    return control_equivalent(universal, a, b)

@@ -10,12 +10,11 @@ below every other member of the equivalence class.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import (Automaton, check_same_alphabet, is_des_isomorphic, language_equivalent,
-                       subset_construction, sync_product)
+from .automata import (Automaton, check_same_alphabet, control_equivalent, is_des_isomorphic,
+                       lockstep, subset_construction, sync_product)
 from .errors import PreconditionError
 from .reduction import DEFAULT_EXACT_CAP, build_super, reduce_exact_core, reduce_exact_minimum
 from .supervision import control_data, is_normal
@@ -52,34 +51,29 @@ def finer_than(
 
     Both candidates must be control equivalent to ``s``; the order is not
     defined outside the class and the call refuses rather than comparing
-    over a sublanguage.  The check walks the reachable triples of the
-    closed loop with both candidates; all four clauses depend only on the
-    reached state pair, so the walk decides the string quantification
-    finitely and returns a shortest violating string.
+    over a sublanguage.  The check scans the triples of plant, ``s1`` and
+    ``s2`` that :func:`~supred.automata.lockstep` reaches; all four
+    clauses depend only on the reached state pair, so the walk decides the
+    string quantification finitely and returns a shortest violating
+    string, ties broken by alphabet order.
     """
     check_same_alphabet(g, s1)
-    loop = sync_product(g, s)
     for label, cand in (("s1", s1), ("s2", s2)):
-        equal, counterexample = language_equivalent(loop, sync_product(g, cand))
+        equal, counterexample = control_equivalent(g, s, cand)
         if not equal:
             raise PreconditionError(
                 "control-equivalence",
                 f"{label} is not control equivalent to the reference (separating string {counterexample})",
             )
-    return _finer_on_loop(g, loop, s1, s2)
+    return _finer(g, s1, s2)
 
 
-def _finer_on_loop(g: Automaton, loop: Automaton, s1: Automaton, s2: Automaton) -> OrderWitness:
-    """The triple walk of :func:`finer_than` over a prebuilt closed loop
-    whose candidates are already known to be control equivalent to it."""
+def _finer(g: Automaton, s1: Automaton, s2: Automaton) -> OrderWitness:
+    """The fineness walk of :func:`finer_than` over candidates already
+    known to be control equivalent to the reference."""
     data1 = control_data(g, s1)
     data2 = control_data(g, s2)
-    start = (loop.initial, s1.initial, s2.initial)
-    paths: dict[tuple[int, int, int], tuple[int, ...]] = {start: ()}
-    queue = deque([start])
-    while queue:
-        p, z1, z2 = queue.popleft()
-        path = paths[(p, z1, z2)]
+    for _, z1, z2, path in lockstep(g, s1, s2):
         failed = None
         if data1.enabled[z1] & ~data2.enabled[z2]:
             failed = "enabled"
@@ -90,20 +84,7 @@ def _finer_on_loop(g: Automaton, loop: Automaton, s1: Automaton, s2: Automaton) 
         elif data1.marked_g[z1] and not data2.marked_g[z2]:
             failed = "markedG"
         if failed is not None:
-            string = [g.alphabet.name(e) for e in path]
-            return OrderWitness(False, (string, failed))
-        for e, pt in loop.out(p):
-            t1 = s1.step(z1, e)
-            t2 = s2.step(z2, e)
-            if t1 is None or t2 is None:
-                # cannot happen for control-equivalent candidates
-                raise PreconditionError(
-                    "control-equivalence", "closed-loop string leaves a candidate"
-                )
-            nxt = (pt, t1, t2)
-            if nxt not in paths:
-                paths[nxt] = path + (e,)
-                queue.append(nxt)
+            return OrderWitness(False, ([g.alphabet.name(e) for e in path], failed))
     return OrderWitness(True)
 
 
@@ -126,9 +107,8 @@ def compare_reductions(
     """Exact minimum cover sizes of two normal, control-equivalent,
     fineness-ordered supervisors.  Under those hypotheses the finer one can
     never need more cells, so ``ordered`` is expected true."""
-    loop = sync_product(g, s)
     for label, cand in (("s1", s1), ("s2", s2)):
-        equal, counterexample = language_equivalent(loop, sync_product(g, cand))
+        equal, counterexample = control_equivalent(g, s, cand)
         if not equal:
             raise PreconditionError(
                 "control-equivalence", f"{label}: separating string {counterexample}"
@@ -138,7 +118,7 @@ def compare_reductions(
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
             raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
-    order = _finer_on_loop(g, loop, s1, s2)
+    order = _finer(g, s1, s2)
     if not order.verdict:
         raise PreconditionError(
             "fineness", f"s1 is not finer than s2 (clause {order.counterexample[1]})"
@@ -177,7 +157,7 @@ def compare_full_vs_partial(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",
         )
-    equal, counterexample = language_equivalent(loop_f, loop_p)
+    equal, counterexample = control_equivalent(g, s_full, s_partial)
     if not equal:
         raise PreconditionError(
             "control-equivalence", f"separating string {counterexample}"

@@ -19,7 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 from .automata import (
     Automaton,
-    language_equivalent,
+    control_equivalent,
+    distinct_names,
+    lockstep,
     subset_construction,
     subset_construction_with_members,
     sync_product,
@@ -177,10 +179,6 @@ def _event_targets(s: Automaton, cell: frozenset[int]) -> list[tuple[int, set[in
     return sorted(by_event.items())
 
 
-def _cell_name(s: Automaton, cell: frozenset[int]) -> str:
-    return "+".join(sorted(s.states[z] for z in cell))
-
-
 def induce_quotient(
     s: Automaton, data: ControlData, c: Cover, name: Optional[str] = None
 ) -> tuple[Automaton, QuotientChoice]:
@@ -218,7 +216,7 @@ def induce_quotient(
             choice.choices[(i, e)] = (chosen, len(valid) > 1)
     initial = cells_of[s.initial][0]
     marked = [i for i, cell in enumerate(cells) if any(data.marked_s[z] for z in cell)]
-    names = [_cell_name(s, cell) for cell in cells]
+    names = distinct_names(["+".join(sorted(s.states[z] for z in cell)) for cell in cells])
     quotient = Automaton(name or f"{s.name}-quotient", s.alphabet, names, initial, marked, trans)
     return quotient, choice
 
@@ -282,7 +280,10 @@ def extract_cover_from_simsup(
     cover on the finest supervisor whose quotient reproduces it.
 
     Each simsup state contributes the cell of finest-supervisor states
-    reached by the closed-loop strings that drive simsup to it.
+    reached by the closed-loop strings that drive simsup to it.  Once
+    simsup is known to be control equivalent to ``s``, the cells are read
+    off the triples of plant, ``super_`` and simsup that
+    :func:`~supred.automata.lockstep` reaches.
     """
     ok, witness = check_control_feasibility(simsup)
     if not ok:
@@ -290,8 +291,7 @@ def extract_cover_from_simsup(
     ok, _ = loop_controllable(g, simsup)
     if not ok:
         raise PreconditionError("feasibility", "simsup disables an uncontrollable event")
-    product = sync_product(g, s)
-    equal, counterexample = language_equivalent(product, sync_product(g, simsup))
+    equal, counterexample = control_equivalent(g, s, simsup)
     if not equal:
         raise PreconditionError("control-equivalence", f"separating string {counterexample}")
     normal, witness = is_normal(g, s, simsup)
@@ -299,24 +299,13 @@ def extract_cover_from_simsup(
         raise PreconditionError("normality", str(witness))
 
     cell_of_simsup: list[set[int]] = [set() for _ in range(simsup.n)]
-    start = (product.initial, super_.initial, simsup.initial)
-    seen = {start}
-    queue = [start]
-    while queue:
-        p, zs, y = queue.pop()
+    for x, zs, y, _ in lockstep(g, super_, simsup):
+        if g.enabled(x) & simsup.enabled(y) & ~super_.enabled(zs):
+            raise PreconditionError(
+                "control-equivalence",
+                "closed-loop string leaves the candidate supervisor",
+            )
         cell_of_simsup[y].add(zs)
-        for e, pt in product.out(p):
-            zt = super_.step(zs, e)
-            yt = simsup.step(y, e)
-            if zt is None or yt is None:
-                raise PreconditionError(
-                    "control-equivalence",
-                    "closed-loop string leaves the candidate supervisor",
-                )
-            nxt = (pt, zt, yt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
     for y, cell in enumerate(cell_of_simsup):
         if not cell:
             raise PreconditionError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .automata import Automaton, check_same_alphabet, language_equivalent, sync_product
+from .automata import Automaton, check_same_alphabet, control_equivalent, lockstep
 
 __all__ = [
     "ControlData",
@@ -241,15 +241,6 @@ def closed_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
     return closed
 
 
-def control_equivalent(
-    g: Automaton, s1: Automaton, s2: Automaton
-) -> tuple[bool, Optional[list[str]]]:
-    """Whether two supervisors induce the same closed and marked closed-loop
-    languages with the plant.  The counterexample, when present, is a
-    shortest string separating the two closed loops."""
-    return language_equivalent(sync_product(g, s1), sync_product(g, s2))
-
-
 def loop_controllable(g: Automaton, s: Automaton) -> tuple[bool, Optional[str]]:
     """True iff ``s`` never disables an uncontrollable event the plant can
     execute, i.e. every disabled set avoids the uncontrollable events.
@@ -271,30 +262,18 @@ def is_normal(
     closed-loop string routed through it, and every marked state of ``sp``
     is reached by some marked closed-loop string.
 
+    The check scans the triples of plant, ``s`` and ``sp`` that
+    :func:`~supred.automata.lockstep` reaches; no closed loop is built.
     The witness names the first unexercised transition
     ``("transition", state, event)`` or unreached marked state
     ``("marked", state)``.
     """
-    loop = sync_product(g, s)
-    check_same_alphabet(g, sp)
     exercised = [0] * sp.n  # per sp state, the events taken there
     marked_hit: set[int] = set()
-    start = (loop.initial, sp.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p, y = queue.popleft()
-        if p in loop.marked and y in sp.marked:
+    for x, z, y, _ in lockstep(g, s, sp):
+        if x in g.marked and z in s.marked and y in sp.marked:
             marked_hit.add(y)
-        for e, pt in loop.out(p):
-            yt = sp.step(y, e)
-            if yt is None:
-                continue
-            exercised[y] |= 1 << e
-            nxt = (pt, yt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        exercised[y] |= g.enabled(x) & s.enabled(z) & sp.enabled(y)
     for y in range(sp.n):
         unexercised = sp.enabled(y) & ~exercised[y]
         if unexercised:

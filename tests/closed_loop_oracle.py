@@ -7,9 +7,13 @@ built the closed loop ``G||S`` anew for each question they asked.  The
 bodies are unchanged apart from the public names of the alphabet check and
 the exact-search core, and they call each other as before.  The fineness
 walk in ``finer_than`` reads the name-set control data of
-``tests/name_set_oracle.py``, since the library's now holds bitmasks.
-``tests/test_closed_loop_oracle.py`` checks that the library, which builds
-each closed loop once, gives the same verdicts, witnesses and errors.
+``tests/name_set_oracle.py``, since the library's now holds bitmasks, and
+``control_equivalent`` compares the two products with the frozen pair walk
+``language_equivalent`` of that module, since the library's now runs
+through the walk these oracles check.
+``tests/test_closed_loop_oracle.py`` checks that the library, which walks
+plant and supervisors in lockstep without building a closed loop, gives the
+same verdicts, witnesses and errors.
 """
 
 from __future__ import annotations
@@ -42,11 +46,9 @@ from tests import name_set_oracle
 def control_equivalent(
     g: Automaton, s1: Automaton, s2: Automaton
 ) -> tuple[bool, Optional[list[str]]]:
-    from supred.automata import language_equivalent
-
     _check_same_alphabet(g, s1)
     _check_same_alphabet(g, s2)
-    return language_equivalent(
+    return name_set_oracle.language_equivalent(
         trim_reachable(sync_product(g, s1)),
         trim_reachable(sync_product(g, s2)),
     )

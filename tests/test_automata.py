@@ -9,6 +9,7 @@ from supred.automata import (
     Alphabet,
     Automaton,
     Event,
+    distinct_names,
     is_des_epimorphic,
     is_des_isomorphic,
     language_equivalent,
@@ -58,6 +59,29 @@ def test_constructors_reject_empty_or_spaced_names(name):
 def test_constructors_accept_product_and_subset_names(name):
     alphabet = Alphabet([Event(name, True, True)])
     assert Automaton("A", alphabet, [name], 0, [], {}).states == (name,)
+
+
+def test_distinct_names_keeps_distinct_names():
+    names = ["(x1,z2)", "z1+z2", "a~1"]
+    assert distinct_names(names) is names
+
+
+def test_distinct_names_suffixes_repeats():
+    assert distinct_names(["a", "a", "a~1", "a"]) == ["a", "a~2", "a~1", "a~3"]
+    for names in (["(p,q,r)", "(p,q,r)"], ["x", "x~1", "x", "x~1"]):
+        out = distinct_names(names)
+        assert len(set(out)) == len(out)
+        assert all(n.split() == [n] and "#" not in n for n in out)
+        assert distinct_names(names) == out
+
+
+def test_state_index_reads_the_name_table(tank):
+    _, s = tank
+    assert [s.state_index(name) for name in s.states] == list(range(s.n))
+    with pytest.raises(ValueError, match="unknown state 'nope' in automaton 'S'"):
+        s.state_index("nope")
+    with pytest.raises(ValueError, match="duplicate state name 'z0'"):
+        Automaton("A", s.alphabet, ["z0", "z1", "z0"], 0, [], {})
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 from supred.automata import parse_automaton
 from supred.cli import run
+from supred.supervision import control_equivalent
 
 from tests.conftest import FIXTURES
 
@@ -321,3 +322,95 @@ def test_shared_parser_matches_fresh_parser():
     parser.parse_args(["verify", "cover", "-g", g, "-s", s, "--cells", "0;1"])
     args = parser.parse_args(["verify", "equiv", "-g", g])
     assert args.cells is None and args.s is None
+
+
+MERGE_COLLISION = """\
+automaton G
+events 3
+u u o
+v u o
+c c o
+states 1
+x
+initial x
+marked 1 x
+trans 3
+x u x
+x v x
+x c x
+end
+
+automaton S
+events 3
+u u o
+v u o
+c c o
+states 3
+a b a+b
+initial a
+marked 0
+trans 7
+a u b
+a v a+b
+b u b
+b v a+b
+a+b u a+b
+a+b v a+b
+a+b c a
+end
+"""
+
+PRODUCT_COLLISION = """\
+automaton G
+events 1
+e c o
+states 2
+p p,q
+initial p
+marked 1 p,q
+trans 2
+p e p,q
+p,q e p,q
+end
+
+automaton S
+events 1
+e c o
+states 2
+q,r r
+initial q,r
+marked 1 r
+trans 2
+q,r e r
+r e q,r
+end
+"""
+
+
+def _written(tmp_path, text, argv):
+    """Run ``argv`` on the G and S of ``text`` with ``-o``; returns G, S
+    and the automaton written, parsed back."""
+    src, out = tmp_path / "in.aut", tmp_path / "out.aut"
+    src.write_text(text)
+    result, _, err = invoke(*argv, "-g", f"{src}:G", "-s", f"{src}:S", "-o", str(out))
+    assert result.exit_code == 0, err
+    (reduced,) = parse_automaton(out.read_text())
+    return (*parse_automaton(text), reduced)
+
+
+def test_reduce_names_a_merged_cell_apart_from_a_state_named_like_it(tmp_path):
+    """States ``a`` and ``b`` merge into a cell whose member list reads
+    ``a+b``, the name of the third state."""
+    for argv in (["reduce"], ["reduce", "--exact"], ["reduce", "--exact", "--mode", "partition"]):
+        g, s, reduced = _written(tmp_path, MERGE_COLLISION, argv)
+        assert reduced.states == ("a+b", "a+b~1")
+        assert control_equivalent(g, s, reduced) == (True, None)
+
+
+def test_product_and_super_name_colliding_pairs_apart(tmp_path):
+    """Plant states ``p``, ``p,q`` and supervisor states ``q,r``, ``r`` give
+    two product states written ``(p,q,r)``."""
+    for argv in (["product"], ["super"]):
+        g, s, out = _written(tmp_path, PRODUCT_COLLISION, argv)
+        assert out.states == ("(p,q,r)", "(p,q,r)~1", "(p,q,q,r)")
+        assert control_equivalent(g, s, out) == (True, None)

@@ -1,6 +1,7 @@
-"""Differential tests: the closed-loop checks, which build each loop once,
-against the reference versions in ``tests/closed_loop_oracle.py``, which
-re-trim and rebuild it.  Verdicts, witnesses, covers, exception types and
+"""Differential tests: the closed-loop checks, which walk plant and
+supervisors in lockstep without building a closed loop, against the
+reference versions in ``tests/closed_loop_oracle.py``, which re-trim and
+rebuild it.  Verdicts, witnesses, covers, exception types and
 exception messages must all agree."""
 
 import random
@@ -72,8 +73,12 @@ def _assert_same_checks(g, s, cands):
             sup = build_super(g, a)
         except (SupredError, ValueError):
             continue
-        for b in cands:
-            _assert_same(extract_cover_from_simsup, oracle.extract_cover_from_simsup, sup, b, g, a)
+        # the other candidates as ``super_`` reach the refusal of a closed
+        # loop leaving it; the mismatched one is refused on its alphabet,
+        # which the oracle never checked
+        for super_, b in product([sup, *cands[:-1]], cands):
+            _assert_same(extract_cover_from_simsup, oracle.extract_cover_from_simsup,
+                         super_, b, g, a)
 
 
 def test_checks_match_oracle_on_candidate_sets():

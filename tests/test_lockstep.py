@@ -1,0 +1,152 @@
+"""The lockstep walk of a plant with two automata, and the guard that the
+closed-loop checks read it instead of building product automata."""
+
+import random
+from collections import deque
+
+import pytest
+
+import supred
+from supred.automata import Automaton, lockstep, sync_product, sync_product_pairs
+from supred.ordering import compare_reductions, finer_than
+from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
+from supred.supervision import control_equivalent, is_normal
+
+from tests.generators import (
+    loose_instance,
+    random_alphabet,
+    random_automaton,
+    random_feasible_supervisor,
+    random_plant,
+)
+
+
+def _with_unreachable(rng, a, extra=2):
+    """``a`` plus ``extra`` states that nothing reachable leads to; they
+    have outgoing transitions of their own."""
+    n = a.n + extra
+    trans = dict(a.trans)
+    for q in range(a.n, n):
+        for e in range(len(a.alphabet)):
+            if rng.random() < 0.5:
+                trans[(q, e)] = rng.randrange(n)
+    marked = set(a.marked) | {q for q in range(a.n, n) if rng.random() < 0.5}
+    names = list(a.states) + [f"u{q}" for q in range(a.n, n)]
+    return Automaton(a.name, a.alphabet, names, a.initial, marked, trans)
+
+
+def _triples():
+    """(g, a, b) triples: supervisors of loose instances, then random
+    automata with unreachable states."""
+    for seed in range(30):
+        rng = random.Random(seed)
+        g, s = loose_instance(rng, max_plant=6, max_sup=6, max_events=4)
+        other = random_feasible_supervisor(rng, s.alphabet, max_states=4, name="N")
+        cands = [s, build_super(g, s), generate_equivalent_supervisor(g, s, seed), other]
+        for a in cands:
+            for b in cands:
+                yield g, a, b
+    rng = random.Random(4242)
+    for _ in range(60):
+        alphabet = random_alphabet(rng, max_events=4)
+        g = _with_unreachable(rng, random_plant(rng, alphabet, max_states=6))
+        a = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
+        b = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
+        yield g, a, b
+
+
+def _product_walk(g, a, b):
+    """The BFS order and depths of ``(g||a)||b``, mapped back to triples."""
+    ga, pairs_ga = sync_product_pairs(g, a)
+    gab, pairs = sync_product_pairs(ga, b)
+    depth = [0] * gab.n
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        p = queue.popleft()
+        for _, t in gab.out(p):
+            if t not in seen:
+                seen.add(t)
+                depth[t] = depth[p] + 1
+                queue.append(t)
+    return [(*pairs_ga[p], qb) for p, qb in pairs], depth
+
+
+def test_lockstep_visits_the_product_in_bfs_order():
+    count = 0
+    for g, a, b in _triples():
+        nodes, _ = _product_walk(g, a, b)
+        assert [(x, qa, qb) for x, qa, qb, _ in lockstep(g, a, b)] == nodes
+        count += 1
+    assert count > 500
+
+
+def test_lockstep_strings_replay_at_bfs_depth():
+    for g, a, b in _triples():
+        _, depth = _product_walk(g, a, b)
+        for i, (x, qa, qb, string) in enumerate(lockstep(g, a, b)):
+            assert (g.run(string), a.run(string), b.run(string)) == (x, qa, qb)
+            assert len(string) == depth[i]
+
+
+def test_lockstep_strings_are_shortlex_least():
+    """Each yielded string is the least of all strings reaching its triple,
+    shortest first, ties broken by alphabet order: every other string of
+    the same length or shorter reaches another triple or is larger."""
+    rng = random.Random(9)
+    for _ in range(20):
+        alphabet = random_alphabet(rng, max_events=3)
+        g = random_plant(rng, alphabet, max_states=4)
+        a = random_automaton(rng, alphabet, max_states=3)
+        b = random_automaton(rng, alphabet, max_states=3)
+        first: dict = {}
+        level = [()]
+        for _ in range(7):
+            for w in level:
+                node = (g.run(w), a.run(w), b.run(w))
+                if None not in node:
+                    first.setdefault(node, w)
+            level = [w + (e,) for w in level for e in range(len(alphabet))]
+        walked = {(x, qa, qb): w for x, qa, qb, w in lockstep(g, a, b)}
+        for node, w in walked.items():
+            if len(w) < 7:
+                assert first[node] == w
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Counts ``sync_product_pairs`` calls made through any ``supred``
+    module that binds it (``sync_product`` calls it too)."""
+    calls = []
+    original = sync_product_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (supred.automata, supred.supervision, supred.ordering, supred.reduction):
+        if hasattr(module, "sync_product_pairs"):
+            monkeypatch.setattr(module, "sync_product_pairs", counting)
+    return calls
+
+
+def test_closed_loop_checks_build_no_product(product_calls):
+    compared = 0
+    for seed in range(20):
+        g, s = loose_instance(random.Random(seed), max_plant=6, max_sup=6, max_events=4)
+        sup = build_super(g, s)
+        equiv = generate_equivalent_supervisor(g, s, seed)
+        loop = sync_product(g, s)
+        del product_calls[:]
+        control_equivalent(g, s, equiv)
+        supred.language_equivalent(loop, loop)
+        is_normal(g, s, equiv)
+        is_normal(g, s, sup)
+        finer_than(g, s, sup, equiv)
+        finer_than(g, s, equiv, sup)
+        if sup.n <= 6:
+            compare_reductions(g, s, sup, equiv, cap_states=6)
+            compared += 1
+        extract_cover_from_simsup(sup, equiv, g, s)
+        assert product_calls == []
+    assert compared >= 10

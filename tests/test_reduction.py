@@ -15,7 +15,8 @@ from supred.automata import (
     sync_product_pairs,
     trim_reachable,
 )
-from supred.errors import CoverError, InfeasibleSupervisorError, PreconditionError, SearchCapError
+from supred.errors import (AlphabetMismatchError, CoverError, InfeasibleSupervisorError,
+                           PreconditionError, SearchCapError)
 from supred.reduction import (
     Cover,
     build_super,
@@ -206,6 +207,22 @@ def test_extract_rejects_inequivalent(ordering_example):
     with pytest.raises(PreconditionError) as err:
         extract_cover_from_simsup(sup, narrower, g, s1)
     assert err.value.name == "control-equivalence"
+
+
+def test_extract_rejects_a_finest_supervisor_that_leaves_the_loop(ordering_example):
+    """``super_`` must define every event the closed loop takes; one built
+    from a narrower supervisor does not, and one over another alphabet is
+    refused outright."""
+    g, s1, _ = ordering_example
+    trans = {k: v for k, v in s1.trans.items() if k != (1, s1.alphabet.index("d1"))}
+    narrower = Automaton("N", s1.alphabet, s1.states, s1.initial, s1.marked, trans)
+    with pytest.raises(PreconditionError, match="leaves the candidate supervisor") as err:
+        extract_cover_from_simsup(build_super(g, narrower), s1, g, s1)
+    assert err.value.name == "control-equivalence"
+    first, *rest = s1.alphabet.events
+    flipped = Alphabet([Event(first.name, not first.controllable, first.observable), *rest])
+    with pytest.raises(AlphabetMismatchError):
+        extract_cover_from_simsup(build_super(g, s1).with_alphabet(flipped), s1, g, s1)
 
 
 def test_extract_rejects_nonnormal(tank):
