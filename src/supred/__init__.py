@@ -13,12 +13,12 @@ from .automata import (
     Alphabet,
     Automaton,
     Event,
+    Lockstep,
     MorphismResult,
     control_equivalent,
     is_des_epimorphic,
     is_des_isomorphic,
     language_equivalent,
-    lockstep,
     parse_automaton,
     project_string,
     serialize_automata,

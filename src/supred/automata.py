@@ -35,7 +35,7 @@ __all__ = [
     "subset_construction_with_members",
     "is_des_epimorphic",
     "is_des_isomorphic",
-    "lockstep",
+    "Lockstep",
     "control_equivalent",
     "language_equivalent",
 ]
@@ -247,17 +247,15 @@ class MorphismResult:
 
 
 class _TokenStream:
-    """The tokens of an ``.aut`` document with their line numbers.  Columns
-    are worked out only for the token an error names."""
+    """The tokens of an ``.aut`` document.  Lines and columns are worked
+    out only for the token an error names."""
 
     def __init__(self, text: str):
-        self.lines = text.lstrip("\ufeff").splitlines()
-        self.tokens: list[str] = []
-        self.line_of: list[int] = []
-        for ln, line in enumerate(self.lines, start=1):
-            toks = line.split("#", 1)[0].split()
-            self.tokens += toks
-            self.line_of += [ln] * len(toks)
+        self.text = text = text.lstrip("\ufeff")
+        if "#" in text:
+            text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+        # every line break str.splitlines knows is whitespace to str.split
+        self.tokens: list[str] = text.split()
         self.pos = 0
 
     def peek(self) -> Optional[str]:
@@ -277,15 +275,16 @@ class _TokenStream:
         at = self.pos - back
         if at >= len(self.tokens):
             return ParseError(message, kind=kind)
-        ln = self.line_of[at]
-        first = at
-        while first and self.line_of[first - 1] == ln:
-            first -= 1
-        body = self.lines[ln - 1].split("#", 1)[0]
-        col = 0
-        for tok in body.split()[: at - first + 1]:
-            col = body.index(tok, col) + len(tok)
-        return ParseError(message, ln, col - len(tok) + 1, kind=kind)
+        for ln, line in enumerate(self.text.splitlines(), start=1):
+            body = line.split("#", 1)[0]
+            toks = body.split()
+            if at < len(toks):
+                col = 0
+                for tok in toks[: at + 1]:
+                    col = body.index(tok, col) + len(tok)
+                return ParseError(message, ln, col - len(tok) + 1, kind=kind)
+            at -= len(toks)
+        raise AssertionError("token index past the last line")  # pragma: no cover
 
     def expect(self, literal: str) -> None:
         tok = self.next(f"'{literal}'")
@@ -329,14 +328,22 @@ def _parse_block(ts: _TokenStream) -> Automaton:
     n_states = ts.count("states")
     if n_states == 0:
         raise ts.error("automaton must have at least one state", back=0)
-    state_names: list[str] = []
-    state_index: dict[str, int] = {}
-    for _ in range(n_states):
-        s = ts.next("state name")
-        if s in state_index:
-            raise ts.error(f"duplicate state name '{s}'", kind="duplicate")
-        state_index[s] = len(state_names)
-        state_names.append(s)
+    # Read the section in one go.  A short or repeating list leaves fewer
+    # than n_states names; it is then reread token by token, which raises
+    # at the first bad token.
+    start = ts.pos
+    state_names = ts.tokens[start:start + n_states]
+    state_index = {s: i for i, s in enumerate(state_names)}
+    if len(state_index) == n_states:
+        ts.pos = start + n_states
+    else:
+        state_names, state_index = [], {}
+        for _ in range(n_states):
+            s = ts.next("state name")
+            if s in state_index:
+                raise ts.error(f"duplicate state name '{s}'", kind="duplicate")
+            state_index[s] = len(state_names)
+            state_names.append(s)
 
     def resolve_state(what: str) -> int:
         s = ts.next(what)
@@ -353,19 +360,34 @@ def _parse_block(ts: _TokenStream) -> Automaton:
 
     ts.expect("trans")
     n_trans = ts.count("transitions")
+    # Likewise: a missing, unknown or repeated token leaves fewer than
+    # n_trans transitions.
+    start = ts.pos
+    chunk = ts.tokens[start:start + 3 * n_trans]
     trans: dict[tuple[int, int], int] = {}
-    for _ in range(n_trans):
-        src = resolve_state("transition source")
-        ev = ts.next("transition event")
-        if ev not in alphabet:
-            raise ts.error(f"unknown event '{ev}'", kind="unknown")
-        e = alphabet.index(ev)
-        dst = resolve_state("transition target")
-        if (src, e) in trans:
-            raise ts.error(
-                f"nondeterministic transitions from '{state_names[src]}' on '{ev}'",
-                back=2, kind="nondeterministic")
-        trans[(src, e)] = dst
+    try:
+        sources = [state_index[s] for s in chunk[0::3]]
+        labels = [alphabet._index[ev] for ev in chunk[1::3]]
+        targets = [state_index[s] for s in chunk[2::3]]
+        trans = dict(zip(zip(sources, labels), targets))
+    except KeyError:
+        pass
+    if len(trans) == n_trans:
+        ts.pos = start + 3 * n_trans
+    else:
+        trans = {}
+        for _ in range(n_trans):
+            src = resolve_state("transition source")
+            ev = ts.next("transition event")
+            if ev not in alphabet:
+                raise ts.error(f"unknown event '{ev}'", kind="unknown")
+            e = alphabet.index(ev)
+            dst = resolve_state("transition target")
+            if (src, e) in trans:
+                raise ts.error(
+                    f"nondeterministic transitions from '{state_names[src]}' on '{ev}'",
+                    back=2, kind="nondeterministic")
+            trans[(src, e)] = dst
 
     ts.expect("end")
     return Automaton(name, alphabet, state_names, initial, marked, trans)
@@ -658,54 +680,102 @@ def is_des_isomorphic(a: Automaton, b: Automaton) -> MorphismResult:
     return is_des_epimorphic(a, b)
 
 
-def lockstep(
-    g: Automaton, a: Automaton, b: Automaton
-) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+class Lockstep:
     """Breadth-first walk of the triples ``(x, qa, qb)`` that the plant
     ``g`` and the automata ``a`` and ``b`` reach together on the events all
-    three define, each yielded once with the first string (event indices)
-    reaching it: events go in alphabet order, so it is a shortest one, ties
-    broken by alphabet order.  The order is that of the reachable pairs of
-    ``(g||a)||b``, but no product automaton is built."""
-    check_same_alphabet(g, a)
-    check_same_alphabet(g, b)
-    start = (g.initial, a.initial, b.initial)
-    paths: dict[tuple[int, int, int], tuple[int, ...]] = {start: ()}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        x, qa, qb = node
-        path = paths[node]
-        yield x, qa, qb, path
-        shared = a.enabled(qa) & b.enabled(qb)
-        for e, xt in g.out(x):
-            if shared >> e & 1:
-                nxt = (xt, a.trans[(qa, e)], b.trans[(qb, e)])
-                if nxt not in paths:
-                    paths[nxt] = path + (e,)
-                    queue.append(nxt)
+    three define.  Iterating yields ``(node, x, qa, qb)`` once per triple,
+    where ``node`` numbers the triples in visiting order.  The order is that
+    of the reachable pairs of ``(g||a)||b``, but no product automaton is
+    built.
+
+    Each node keeps only its BFS ``depth`` and the ``parent`` node and
+    ``event`` it was first reached by; :meth:`string` rebuilds the string
+    from them.  Events go in alphabet order, so that string is a shortest
+    one, ties broken by alphabet order.  Every iteration walks afresh.
+    """
+
+    def __init__(self, g: Automaton, a: Automaton, b: Automaton):
+        check_same_alphabet(g, a)
+        check_same_alphabet(g, b)
+        self.g, self.a, self.b = g, a, b
+        self.parent: list[int] = []
+        self.event: list[int] = []
+        self.depth: list[int] = []
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        g, a, b = self.g, self.a, self.b
+        na, nb = a.n, b.n
+        g_out, a_trans, b_trans = g._out, a.trans, b.trans
+        a_enabled, b_enabled = a._enabled, b._enabled
+        # a triple is coded as the int (x * na + qa) * nb + qb
+        seen = {(g.initial * na + a.initial) * nb + b.initial}
+        xs, qas, qbs = [g.initial], [a.initial], [b.initial]
+        parent, event, depth = self.parent, self.event, self.depth
+        parent[:], event[:], depth[:] = [-1], [-1], [0]
+        node = 0
+        while node < len(xs):
+            x, qa, qb = xs[node], qas[node], qbs[node]
+            yield node, x, qa, qb
+            shared = a_enabled[qa] & b_enabled[qb]
+            if shared:
+                d = depth[node] + 1
+                for e, xt in g_out[x]:
+                    if shared >> e & 1:
+                        ta = a_trans[(qa, e)]
+                        tb = b_trans[(qb, e)]
+                        code = (xt * na + ta) * nb + tb
+                        if code not in seen:
+                            seen.add(code)
+                            xs.append(xt)
+                            qas.append(ta)
+                            qbs.append(tb)
+                            parent.append(node)
+                            event.append(e)
+                            depth.append(d)
+            node += 1
+
+    def string(self, node: int) -> tuple[int, ...]:
+        """The first string (event indices) reaching ``node``."""
+        parent, event = self.parent, self.event
+        back = []
+        while node:
+            back.append(event[node])
+            node = parent[node]
+        return tuple(reversed(back))
 
 
 def control_equivalent(
     g: Automaton, a: Automaton, b: Automaton
 ) -> tuple[bool, Optional[list[str]]]:
     """Whether L(g||a) = L(g||b) and Lm(g||a) = Lm(g||b), read off
-    :func:`lockstep`: marking must agree inside the plant at every triple,
+    :class:`Lockstep`: marking must agree inside the plant at every triple,
     and no event the plant offers may be defined by just one of ``a`` and
     ``b``.  On failure returns a shortest separating string, ties broken by
     alphabet order."""
-    witnesses: list[tuple[int, tuple[int, ...]]] = []
-    for x, qa, qb, path in lockstep(g, a, b):
-        if witnesses and len(path) > witnesses[0][0]:
+    walk = Lockstep(g, a, b)
+    if a is b:
+        return True, None
+    # The walk meets strings of one length in shortlex order, so the first
+    # witness of each kind and length is the least of its kind and length.
+    witnesses: dict[tuple[int, bool], tuple[int, tuple[int, ...]]] = {}
+    depth = walk.depth
+    limit = None
+    for node, x, qa, qb in walk:
+        d = depth[node]
+        if limit is not None and d > limit:
             break  # no later triple gives a shorter witness
         if x in g.marked and (qa in a.marked) != (qb in b.marked):
-            witnesses.append((len(path), path))
+            witnesses.setdefault((d, False), (node, ()))
         differ = g.enabled(x) & (a.enabled(qa) ^ b.enabled(qb))
         if differ:
-            witnesses.append((len(path) + 1, path + ((differ & -differ).bit_length() - 1,)))
+            witnesses.setdefault((d + 1, True), (node, ((differ & -differ).bit_length() - 1,)))
+        if witnesses and limit is None:
+            limit = min(witnesses)[0]
     if not witnesses:
         return True, None
-    return False, [g.alphabet.name(e) for e in min(witnesses)[1]]
+    least = min((len(w), w) for w in (walk.string(node) + tail
+                                       for node, tail in witnesses.values()))[1]
+    return False, [g.alphabet.name(e) for e in least]
 
 
 def language_equivalent(

@@ -312,10 +312,18 @@ def _verify(args, emit) -> CommandResult:
 def _compare(args, emit) -> CommandResult:
     what = args.what
     cmd = f"compare {what}"
+    loaded: dict[str, am.Automaton] = {}
+
+    def load(spec: str) -> am.Automaton:
+        """A spec named twice is read once and gives the same automaton."""
+        if spec not in loaded:
+            loaded[spec] = _load(spec)
+        return loaded[spec]
+
     if what == "order":
         gspec, s1spec, s2spec = _require(args, "g", "s1", "s2")
-        g, s1, s2 = _load(gspec), _load(s1spec), _load(s2spec)
-        ref = _load(args.ref) if args.ref else s1
+        g, s1, s2 = load(gspec), load(s1spec), load(s2spec)
+        ref = load(args.ref) if args.ref else s1
         result = ordering.finer_than(g, ref, s1, s2)
         if result.verdict:
             emit("true")
@@ -326,15 +334,15 @@ def _compare(args, emit) -> CommandResult:
         return CommandResult(cmd, verdict=False, witness=witness, exit_code=1)
     if what == "reductions":
         gspec, s1spec, s2spec = _require(args, "g", "s1", "s2")
-        g, s1, s2 = _load(gspec), _load(s1spec), _load(s2spec)
-        ref = _load(args.ref) if args.ref else s1
+        g, s1, s2 = load(gspec), load(s1spec), load(s2spec)
+        ref = load(args.ref) if args.ref else s1
         size1, size2, ordered = ordering.compare_reductions(g, ref, s1, s2, cap_states=args.cap)
         emit(f"s1: {size1} states, s2: {size2} states, ordered: {str(ordered).lower()}")
         return CommandResult(cmd, verdict=ordered, sizes={"s1": size1, "s2": size2},
                              exit_code=0 if ordered else 1)
     # fullpartial
     gspec, sfspec, spspec = _require(args, "g", "sf", "sp")
-    g, sf, sp = _load(gspec), _load(sfspec), _load(spspec)
+    g, sf, sp = load(gspec), load(sfspec), load(spspec)
     size_f, size_p, ordered = ordering.compare_full_vs_partial(g, sf, sp, cap_states=args.cap)
     emit(f"full: {size_f} states, partial: {size_p} states, ordered: {str(ordered).lower()}")
     return CommandResult(cmd, verdict=ordered, sizes={"full": size_f, "partial": size_p},

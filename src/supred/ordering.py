@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import (Automaton, check_same_alphabet, control_equivalent, is_des_isomorphic,
-                       lockstep, subset_construction, sync_product)
+from .automata import (Automaton, Lockstep, check_same_alphabet, control_equivalent,
+                       is_des_isomorphic, subset_construction, sync_product)
 from .errors import PreconditionError
-from .reduction import DEFAULT_EXACT_CAP, build_super, reduce_exact_core, reduce_exact_minimum
-from .supervision import control_data, is_normal
+from .reduction import DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible
+from .supervision import ControlData, control_data, is_normal
 
 __all__ = [
     "OrderWitness",
@@ -52,7 +52,7 @@ def finer_than(
     Both candidates must be control equivalent to ``s``; the order is not
     defined outside the class and the call refuses rather than comparing
     over a sublanguage.  The check scans the triples of plant, ``s1`` and
-    ``s2`` that :func:`~supred.automata.lockstep` reaches; all four
+    ``s2`` that :class:`~supred.automata.Lockstep` reaches; all four
     clauses depend only on the reached state pair, so the walk decides the
     string quantification finitely and returns a shortest violating
     string, ties broken by alphabet order.
@@ -65,15 +65,17 @@ def finer_than(
                 "control-equivalence",
                 f"{label} is not control equivalent to the reference (separating string {counterexample})",
             )
-    return _finer(g, s1, s2)
+    return _finer(g, s1, s2, control_data(g, s1), control_data(g, s2))
 
 
-def _finer(g: Automaton, s1: Automaton, s2: Automaton) -> OrderWitness:
+def _finer(
+    g: Automaton, s1: Automaton, s2: Automaton, data1: ControlData, data2: ControlData
+) -> OrderWitness:
     """The fineness walk of :func:`finer_than` over candidates already
-    known to be control equivalent to the reference."""
-    data1 = control_data(g, s1)
-    data2 = control_data(g, s2)
-    for _, z1, z2, path in lockstep(g, s1, s2):
+    known to be control equivalent to the reference, given their control
+    data."""
+    walk = Lockstep(g, s1, s2)
+    for node, _, z1, z2 in walk:
         failed = None
         if data1.enabled[z1] & ~data2.enabled[z2]:
             failed = "enabled"
@@ -84,7 +86,7 @@ def _finer(g: Automaton, s1: Automaton, s2: Automaton) -> OrderWitness:
         elif data1.marked_g[z1] and not data2.marked_g[z2]:
             failed = "markedG"
         if failed is not None:
-            return OrderWitness(False, ([g.alphabet.name(e) for e in path], failed))
+            return OrderWitness(False, ([g.alphabet.name(e) for e in walk.string(node)], failed))
     return OrderWitness(True)
 
 
@@ -118,14 +120,18 @@ def compare_reductions(
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
             raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
-    order = _finer(g, s1, s2)
+    data1, data2 = control_data(g, s1), control_data(g, s2)
+    order = _finer(g, s1, s2, data1, data2)
     if not order.verdict:
         raise PreconditionError(
             "fineness", f"s1 is not finer than s2 (clause {order.counterexample[1]})"
         )
-    _, report1 = reduce_exact_minimum(g, s1, mode="cover", cap_states=cap_states)
-    _, report2 = reduce_exact_minimum(g, s2, mode="cover", cap_states=cap_states)
-    return report1.output_size, report2.output_size, report1.output_size <= report2.output_size
+    sizes = []
+    for cand, data in ((s1, data1), (s2, data2)):
+        require_feasible(g, cand, data)
+        _, report = reduce_exact_core(cand, data, "cover", cap_states)
+        sizes.append(report.output_size)
+    return sizes[0], sizes[1], sizes[0] <= sizes[1]
 
 
 def compare_full_vs_partial(

@@ -19,9 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 from .automata import (
     Automaton,
+    Lockstep,
     control_equivalent,
     distinct_names,
-    lockstep,
     subset_construction,
     subset_construction_with_members,
     sync_product,
@@ -221,7 +221,9 @@ def induce_quotient(
     return quotient, choice
 
 
-def require_feasible(g: Automaton, s: Automaton) -> ControlData:
+def require_feasible(
+    g: Automaton, s: Automaton, data: Optional[ControlData] = None
+) -> ControlData:
     """Gate used by the reduction pipeline.
 
     A supervisor passes when every unobservable transition is a selfloop
@@ -231,12 +233,14 @@ def require_feasible(g: Automaton, s: Automaton) -> ControlData:
     existence is available separately as ``check_control_existence``;
     realistic supervisors omit uncontrollable events the plant rules out,
     so the loop-relative condition is the one the pipeline enforces.)
-    Returns the control data of ``s``, which the second check computes.
+    Returns the control data of ``s``, which the second check computes
+    unless ``data`` already holds it.
     """
     ok, witness = check_control_feasibility(s)
     if not ok:
         raise InfeasibleSupervisorError("feasibility", witness)
-    data = control_data(g, s)
+    if data is None:
+        data = control_data(g, s)
     z = data.uncontrollable_disabler()
     if z is not None:
         raise InfeasibleSupervisorError("controllability", s.states[z])
@@ -283,7 +287,7 @@ def extract_cover_from_simsup(
     reached by the closed-loop strings that drive simsup to it.  Once
     simsup is known to be control equivalent to ``s``, the cells are read
     off the triples of plant, ``super_`` and simsup that
-    :func:`~supred.automata.lockstep` reaches.
+    :class:`~supred.automata.Lockstep` reaches.
     """
     ok, witness = check_control_feasibility(simsup)
     if not ok:
@@ -299,7 +303,7 @@ def extract_cover_from_simsup(
         raise PreconditionError("normality", str(witness))
 
     cell_of_simsup: list[set[int]] = [set() for _ in range(simsup.n)]
-    for x, zs, y, _ in lockstep(g, super_, simsup):
+    for _, x, zs, y in Lockstep(g, super_, simsup):
         if g.enabled(x) & simsup.enabled(y) & ~super_.enabled(zs):
             raise PreconditionError(
                 "control-equivalence",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .automata import Automaton, check_same_alphabet, control_equivalent, lockstep
+from .automata import Automaton, Lockstep, check_same_alphabet, control_equivalent
 
 __all__ = [
     "ControlData",
@@ -263,14 +263,15 @@ def is_normal(
     is reached by some marked closed-loop string.
 
     The check scans the triples of plant, ``s`` and ``sp`` that
-    :func:`~supred.automata.lockstep` reaches; no closed loop is built.
+    :class:`~supred.automata.Lockstep` reaches; no closed loop is built
+    and no string is read.
     The witness names the first unexercised transition
     ``("transition", state, event)`` or unreached marked state
     ``("marked", state)``.
     """
     exercised = [0] * sp.n  # per sp state, the events taken there
     marked_hit: set[int] = set()
-    for x, z, y, _ in lockstep(g, s, sp):
+    for _, x, z, y in Lockstep(g, s, sp):
         if x in g.marked and z in s.marked and y in sp.marked:
             marked_hit.add(y)
         exercised[y] |= g.enabled(x) & s.enabled(z) & sp.enabled(y)

@@ -186,6 +186,30 @@ def test_compare_order():
     assert "[disabled]" in payload["witness"]
 
 
+def test_compare_reads_a_repeated_spec_once(monkeypatch):
+    import supred.automata
+
+    parsed = []
+    original = supred.automata.parse_automaton
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(supred.automata, "parse_automaton", counting)
+    for what in ("order", "reductions"):
+        for ref in ([], ["--ref", f"{ORDERING}:S1"]):
+            del parsed[:]
+            result, _, _ = invoke("compare", what, "-g", f"{ORDERING}:G",
+                                  "-s1", f"{ORDERING}:S1", "-s2", f"{ORDERING}:S2", *ref)
+            assert result.exit_code == 0
+            assert len(parsed) == 3
+    del parsed[:]
+    result, _, _ = invoke("compare", "fullpartial", "-g", f"{ORDERING}:G",
+                          "-sf", f"{ORDERING}:S1", "-sp", f"{ORDERING}:S1")
+    assert result.exit_code == 0 and len(parsed) == 2
+
+
 def test_compare_reductions():
     result, payload = invoke_json(
         "compare", "reductions", "-g", f"{ORDERING}:G",

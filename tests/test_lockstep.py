@@ -1,17 +1,23 @@
-"""The lockstep walk of a plant with two automata, and the guard that the
-closed-loop checks read it instead of building product automata."""
+"""The lockstep walk of a plant with two automata, against the product
+automata and the path-tuple walk it replaced (``tests/lockstep_oracle.py``),
+and the guards that the closed-loop checks read it instead of building
+product automata and build strings only for witnesses."""
 
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
 
 import supred
-from supred.automata import Automaton, lockstep, sync_product, sync_product_pairs
+from supred.automata import (Alphabet, Automaton, Event, Lockstep, sync_product,
+                             sync_product_pairs)
+from supred.errors import AlphabetMismatchError
 from supred.ordering import compare_reductions, finer_than
 from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
 from supred.supervision import control_equivalent, is_normal
 
+from tests import lockstep_oracle
 from tests.generators import (
     loose_instance,
     random_alphabet,
@@ -76,7 +82,9 @@ def test_lockstep_visits_the_product_in_bfs_order():
     count = 0
     for g, a, b in _triples():
         nodes, _ = _product_walk(g, a, b)
-        assert [(x, qa, qb) for x, qa, qb, _ in lockstep(g, a, b)] == nodes
+        walked = list(Lockstep(g, a, b))
+        assert [node for node, _, _, _ in walked] == list(range(len(nodes)))
+        assert [(x, qa, qb) for _, x, qa, qb in walked] == nodes
         count += 1
     assert count > 500
 
@@ -84,9 +92,11 @@ def test_lockstep_visits_the_product_in_bfs_order():
 def test_lockstep_strings_replay_at_bfs_depth():
     for g, a, b in _triples():
         _, depth = _product_walk(g, a, b)
-        for i, (x, qa, qb, string) in enumerate(lockstep(g, a, b)):
+        walk = Lockstep(g, a, b)
+        for node, x, qa, qb in walk:
+            string = walk.string(node)
             assert (g.run(string), a.run(string), b.run(string)) == (x, qa, qb)
-            assert len(string) == depth[i]
+            assert len(string) == walk.depth[node] == depth[node]
 
 
 def test_lockstep_strings_are_shortlex_least():
@@ -107,10 +117,72 @@ def test_lockstep_strings_are_shortlex_least():
                 if None not in node:
                     first.setdefault(node, w)
             level = [w + (e,) for w in level for e in range(len(alphabet))]
-        walked = {(x, qa, qb): w for x, qa, qb, w in lockstep(g, a, b)}
+        walk = Lockstep(g, a, b)
+        walked = {(x, qa, qb): walk.string(node) for node, x, qa, qb in walk}
         for node, w in walked.items():
             if len(w) < 7:
                 assert first[node] == w
+
+
+def test_lockstep_matches_the_path_tuple_oracle():
+    """Same triples in the same order, same BFS depths, same strings; a
+    second iteration of one walk starts afresh."""
+    for g, a, b in _triples():
+        expected = [(x, qa, qb, len(path), path)
+                    for x, qa, qb, path in lockstep_oracle.lockstep(g, a, b)]
+        walk = Lockstep(g, a, b)
+        for _ in range(2):
+            got = [(x, qa, qb, walk.depth[node], walk.string(node))
+                   for node, x, qa, qb in walk]
+            assert got == expected
+
+
+def _chain(n):
+    """A one-state plant that allows and marks every string of one event,
+    and an ``n``-state chain of that event marked at its end."""
+    alphabet = Alphabet([Event("a", True, True)])
+    plant = Automaton("G", alphabet, ["g"], 0, [0], {(0, 0): 0})
+    chain = Automaton("C", alphabet, [f"c{i}" for i in range(n)], 0, [n - 1],
+                      {(i, 0): i + 1 for i in range(n - 1)})
+    return plant, chain
+
+
+def test_walks_keep_no_string_per_triple():
+    """The walk keeps a parent, an event and a depth per triple, not a
+    string: a string per triple of a 3,000-state chain took over 30 MB."""
+    plant, chain = _chain(3000)
+    other = chain.renamed("D")
+    tracemalloc.start()
+    try:
+        assert is_normal(plant, chain, other) == (True, None)
+        assert control_equivalent(plant, chain, other) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def test_control_equivalent_rebuilds_a_deep_witness():
+    plant, chain = _chain(3000)
+    unmarked = Automaton("U", chain.alphabet, chain.states, 0, [], chain.trans)
+    assert control_equivalent(plant, chain, unmarked) == (False, ["a"] * 2999)
+
+
+def test_control_equivalent_of_an_automaton_with_itself_walks_nothing(monkeypatch):
+    g, s = loose_instance(random.Random(0), max_plant=6, max_sup=6, max_events=4)
+
+    def no_walk(self):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(Lockstep, "__iter__", no_walk)
+    assert control_equivalent(g, s, s) == (True, None)
+    with pytest.raises(AssertionError):
+        control_equivalent(g, s, s.renamed("T"))
+    first, *rest = s.alphabet.events
+    other = s.with_alphabet(Alphabet([Event(first.name, not first.controllable,
+                                            first.observable), *rest]))
+    with pytest.raises(AlphabetMismatchError):
+        control_equivalent(g, other, other)
 
 
 @pytest.fixture

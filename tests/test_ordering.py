@@ -5,7 +5,7 @@ import random
 import pytest
 
 from supred.automata import Alphabet, Event
-from supred.errors import PreconditionError
+from supred.errors import InfeasibleSupervisorError, PreconditionError
 from supred.ordering import (
     compare_full_vs_partial,
     compare_reductions,
@@ -150,6 +150,39 @@ def test_compare_reductions_equal_inputs(ordering_example):
     g, s1, _ = ordering_example
     size1, size2, ordered = compare_reductions(g, s1, s1, s1)
     assert size1 == size2 == 2 and ordered
+
+
+def test_compare_reductions_computes_control_data_once_per_candidate(
+    ordering_example, monkeypatch
+):
+    import supred.ordering
+    import supred.reduction
+
+    g, s1, s2 = ordering_example
+    seen = []
+
+    def counting(plant, s):
+        seen.append(s.name)
+        return control_data(plant, s)
+
+    for module in (supred.ordering, supred.reduction):
+        monkeypatch.setattr(module, "control_data", counting)
+    assert compare_reductions(g, s1, s1, s2) == (2, 3, True)
+    assert seen == ["S1", "S2"]
+
+
+def test_compare_reductions_gates_feasibility_after_fineness(ordering_example):
+    """With c unobservable, S1 tracks c across states and is infeasible:
+    it passes the closed-loop gates and fails only the feasibility gate
+    of the reduction, while the reverse order fails fineness first."""
+    g, s1, s2 = c_unobservable(*ordering_example)
+    with pytest.raises(InfeasibleSupervisorError) as err:
+        compare_reductions(g, s1, s1, s2)
+    assert err.value.check == "feasibility"
+    with pytest.raises(PreconditionError) as err:
+        compare_reductions(g, s1, s2, s1)
+    assert err.value.name == "fineness"
+    assert compare_reductions(g, s1, s2, s2) == (3, 3, True)
 
 
 def test_compare_reductions_names_failed_precondition(ordering_example):

@@ -1,11 +1,16 @@
-"""Differential tests: the ``.aut`` parser, which works out a token's
-column only when it raises, against the reference in
-``tests/parse_oracle.py``, which records every column up front.  On the
-fixtures and on every single-token mutation of them, both must return the
-same automata or raise the same error with the same line, column and
-kind."""
+"""Differential tests: the ``.aut`` parser, which reads sections in bulk
+and works out a token's line and column only when it raises, against the
+reference in ``tests/parse_oracle.py``, which reads token by token and
+records every line and column up front.  On the fixtures, on every
+single-token mutation of them with and without their comments, and on
+token soups drawn from them, both must return the same automata or raise
+the same error with the same line, column and kind."""
 
+import random
 import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supred.automata import parse_automaton, serialize_automata
 from supred.errors import ParseError
@@ -23,6 +28,12 @@ def _outcome(parse, text):
         return "ParseError", str(exc), exc.line, exc.column, exc.kind
     except ValueError as exc:
         return "ValueError", str(exc)
+
+
+def _without_comments(text):
+    """``text`` with every ``#`` comment cut off its line, so the parser
+    splits the whole document at once."""
+    return "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
 
 
 def _mutations(text):
@@ -50,13 +61,60 @@ def test_fixtures_parse_alike():
 
 
 def test_single_token_mutations_match_oracle():
-    kinds = set()
-    for name in FIXTURE_NAMES:
-        for variant in _mutations((FIXTURES / name).read_text()):
-            outcome = _outcome(parse_automaton, variant)
-            assert outcome == _outcome(parse_oracle.parse_automaton, variant)
-            kinds.add(outcome[4] if outcome[0] == "ParseError" else outcome[0])
-    assert kinds >= {"parsed", "syntax", "duplicate", "unknown", "nondeterministic"}
+    for strip in (False, True):
+        kinds = set()
+        for name in FIXTURE_NAMES:
+            text = (FIXTURES / name).read_text()
+            assert "#" in text
+            if strip:
+                text = _without_comments(text)
+                assert "#" not in text
+            for variant in _mutations(text):
+                outcome = _outcome(parse_automaton, variant)
+                assert outcome == _outcome(parse_oracle.parse_automaton, variant)
+                kinds.add(outcome[4] if outcome[0] == "ParseError" else outcome[0])
+        assert kinds >= {"parsed", "syntax", "duplicate", "unknown", "nondeterministic"}
+
+
+FIXTURE_TOKENS = [_without_comments((FIXTURES / name).read_text()).split()
+                  for name in FIXTURE_NAMES]
+VOCABULARY = sorted({tok for toks in FIXTURE_TOKENS for tok in toks} | {"0", "-1", "99"})
+SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", " # note q a\n", "\n#\n", "\x0c", "\u2028"]
+
+
+@st.composite
+def token_soups(draw):
+    """A fixture's tokens under a few edits (drop, insert, replace or
+    repeat a token, drawn from all fixtures' tokens and some counts),
+    joined by whitespace, line breaks and comments."""
+    tokens = list(draw(st.sampled_from(FIXTURE_TOKENS)))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["drop", "insert", "replace", "repeat"]))
+        word = draw(st.sampled_from(VOCABULARY))
+        if edit == "insert":
+            tokens.insert(at, word)
+        elif at < len(tokens):
+            if edit == "drop":
+                del tokens[at]
+            elif edit == "replace":
+                tokens[at] = word
+            else:
+                tokens.insert(at, tokens[at])
+    if draw(st.booleans()):
+        tokens += tokens  # a second block with the same names
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return "".join(rng.choice(SEPARATORS) + tok for tok in tokens) + rng.choice(SEPARATORS)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(token_soups())
+def test_token_soups_match_oracle(text):
+    outcome = _outcome(parse_automaton, text)
+    assert outcome[0] in ("parsed", "ParseError")
+    assert outcome == _outcome(parse_oracle.parse_automaton, text)
+    if outcome[0] == "parsed":
+        assert serialize_automata(parse_automaton(outcome[1])) == outcome[1]
 
 
 def test_error_columns_on_repeated_tokens():
