@@ -156,30 +156,33 @@ class Automaton:
         n = len(self.states)
         if n == 0:
             raise ValueError("automaton needs at least one state")
-        self._index: dict[str, int] = {}
-        for i, s in enumerate(self.states):
-            if s.split() != [s]:
-                raise ValueError(f"bad state name {s!r}")
-            if s in self._index:
-                raise ValueError(f"duplicate state name {s!r}")
-            self._index[s] = i
+        # bulk checks; the per-item loops run only to name the first fault
+        self._index: dict[str, int] = dict(zip(self.states, range(n)))
+        if len(self._index) != n or " ".join(self.states).split() != list(self.states):
+            seen: set[str] = set()
+            for s in self.states:
+                if s.split() != [s]:
+                    raise ValueError(f"bad state name {s!r}")
+                if s in seen:
+                    raise ValueError(f"duplicate state name {s!r}")
+                seen.add(s)
         if not (0 <= self.initial < n):
             raise ValueError("initial state out of range")
-        if any(not (0 <= q < n) for q in self.marked):
+        if self.marked and not (0 <= min(self.marked) and max(self.marked) < n):
             raise ValueError("marked state out of range")
         m = len(self.alphabet)
-        for (q, e), t in self.trans.items():
-            if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
-                raise ValueError(f"transition ({q},{e})->{t} out of range")
-        # per-state transition lists in canonical (alphabet) event order
+        # per-state transition lists in canonical (alphabet) event order;
+        # the range check rides along and raises for the first bad item
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         enabled = [0] * n
         for (q, e), t in self.trans.items():
+            if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
+                raise ValueError(f"transition ({q},{e})->{t} out of range")
             out[q].append((e, t))
             enabled[q] |= 1 << e
         for row in out:
-            row.sort()
-        self._out: tuple[tuple[tuple[int, int], ...], ...] = tuple(tuple(r) for r in out)
+            row.sort()  # one linear pass when trans arrives in key order
+        self._out: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out))
         self._enabled: tuple[int, ...] = tuple(enabled)
 
     @property

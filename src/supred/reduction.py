@@ -36,6 +36,7 @@ from .supervision import (
     control_data,
     is_normal,
     loop_controllable,
+    successor_incompatibility,
 )
 
 __all__ = [
@@ -107,8 +108,10 @@ class ReductionReport:
     """Sizes, the cover found, and ``steps``: the work count of the
     reducer.  The heuristic counts the unions it examined (one
     compatibility check each, committed or not); pairs its masks settle
-    without an attempt are not counted.  The exact search counts the nodes
-    it visited."""
+    without an attempt are not counted.  Those masks are the one-step
+    masks of :func:`~supred.supervision.successor_incompatibility`, so a
+    pair one event leads to a base-incompatible pair is settled too.  The
+    exact search counts the nodes it visited."""
 
     input_size: int
     output_size: int
@@ -128,6 +131,18 @@ def validate_cover(
     covers (empty cell, out-of-range state, non-covering union) raise
     :class:`CoverError` instead.
     """
+    violation, _ = _cover_targets(s, data, c)
+    return violation is None, violation
+
+
+def _cover_targets(
+    s: Automaton, data: ControlData, c: Cover
+) -> tuple[Optional[tuple], list[list[tuple[int, list[int]]]]]:
+    """:func:`validate_cover`'s checks in one pass that also keeps, per
+    cell, the ``(event, valid target cells)`` pairs in event order.
+    Returns the first violation, pairs before events, or None and the
+    targets.  A cell that contains a target set holds each of its members,
+    so the cells holding its lowest member are the only candidates."""
     n = s.n
     if not c.cells:
         raise CoverError("cover has no cells")
@@ -144,39 +159,40 @@ def validate_cover(
         raise CoverError(f"cover misses states {[s.states[z] for z in missing]}")
 
     masks = data.incompatibility_masks()
-    for i, cell in enumerate(c.cells):
-        cell_mask = sum(1 << z for z in cell)
+    cell_masks = [sum(1 << z for z in cell) for cell in c.cells]
+    for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
+        if len(cell) == 1:
+            continue
         for z1 in sorted(cell):
             clash = (masks[z1] & cell_mask) >> (z1 + 1)
             if clash:
                 z2 = z1 + (clash & -clash).bit_length()
-                return False, ("pair", i, (s.states[z1], s.states[z2]))
-    cells_of = _cells_of_states(c, n)
-    for i, cell in enumerate(c.cells):
-        for e, targets in _event_targets(s, cell):
-            if not any(targets <= c.cells[j] for j in cells_of[next(iter(targets))]):
-                return False, ("event", i, s.alphabet.name(e))
-    return True, None
-
-
-def _cells_of_states(c: Cover, n: int) -> list[list[int]]:
-    """Per state, the indices of the cells holding it, in ascending order.
-    A cell that contains a target set holds each of its members, so the
-    cells of any one member are the only candidates."""
+                return ("pair", i, (s.states[z1], s.states[z2])), []
     cells_of: list[list[int]] = [[] for _ in range(n)]
     for j, cell in enumerate(c.cells):
         for z in cell:
             cells_of[z].append(j)
-    return cells_of
-
-
-def _event_targets(s: Automaton, cell: frozenset[int]) -> list[tuple[int, set[int]]]:
-    """The nonempty per-event successor sets of a cell, by event index."""
-    by_event: dict[int, set[int]] = {}
-    for z in cell:
-        for e, t in s.out(z):
-            by_event.setdefault(e, set()).add(t)
-    return sorted(by_event.items())
+    m = len(s.alphabet)
+    rows = []
+    for i, cell in enumerate(c.cells):
+        if len(cell) == 1:  # every cell holding a lone target is valid
+            (z,) = cell
+            rows.append([(e, cells_of[t]) for e, t in s.out(z)])
+            continue
+        targets = [0] * m
+        for z in cell:
+            for e, t in s.out(z):
+                targets[e] |= 1 << t
+        row = []
+        for e, tb in enumerate(targets):
+            if not tb:
+                continue
+            valid = [j for j in cells_of[(tb & -tb).bit_length() - 1] if not tb & ~cell_masks[j]]
+            if not valid:
+                return ("event", i, s.alphabet.name(e)), []
+            row.append((e, valid))
+        rows.append(row)
+    return None, rows
 
 
 def induce_quotient(
@@ -194,17 +210,15 @@ def induce_quotient(
     (cell, event) pair the lowest canonical index wins, and the choice
     record notes that alternatives existed.
     """
-    ok, violation = validate_cover(s, data, c)
-    if not ok:
+    violation, rows = _cover_targets(s, data, c)
+    if violation is not None:
         raise CoverError(f"invalid control cover: {violation}")
     cells = c.cells
-    cells_of = _cells_of_states(c, s.n)
     unobs = s.alphabet.unobservable
     trans: dict[tuple[int, int], int] = {}
     choice = QuotientChoice()
-    for i, cell in enumerate(cells):
-        for e, targets in _event_targets(s, cell):
-            valid = [j for j in cells_of[next(iter(targets))] if targets <= cells[j]]
+    for i, row in enumerate(rows):
+        for e, valid in row:
             # an unobservable event selflooped in the input must stay a
             # selfloop, or the quotient would lose observation feasibility;
             # otherwise the lowest canonical index wins
@@ -214,7 +228,7 @@ def induce_quotient(
                 chosen = valid[0]
             trans[(i, e)] = chosen
             choice.choices[(i, e)] = (chosen, len(valid) > 1)
-    initial = cells_of[s.initial][0]
+    initial = next(i for i, cell in enumerate(cells) if s.initial in cell)
     marked = [i for i, cell in enumerate(cells) if any(data.marked_s[z] for z in cell)]
     names = distinct_names(["+".join(sorted(s.states[z] for z in cell)) for cell in cells])
     quotient = Automaton(name or f"{s.name}-quotient", s.alphabet, names, initial, marked, trans)
@@ -341,7 +355,11 @@ class _MergePartition:
     other (a learned refusal).  Commits only coarsen the partition and the
     closure is monotone, so any later congruence joining the two cells
     contains the one just refused and fails too: the learned bits change
-    how soon an attempt fails, never whether it does.
+    how soon an attempt fails, never whether it does.  The same holds for
+    the one-step bits of
+    :func:`~supred.supervision.successor_incompatibility` the callers seed
+    it with: no congruence holds such a pair without the incompatible
+    successor pair.
     """
 
     def __init__(self, s: Automaton, masks: Sequence[int]):
@@ -465,8 +483,9 @@ def _congruence_from_merges(
     pair_order: Iterable[tuple[int, int]],
 ) -> tuple[Cover, int]:
     """Attempt the merges in order; the cover is the control congruence
-    grown by the attempts that committed."""
-    scratch = _MergePartition(s, compatibility_relation(data).masks)
+    grown by the attempts that committed.  The one-step masks refuse the
+    same attempts as the base masks, sooner."""
+    scratch = _MergePartition(s, successor_incompatibility(s, compatibility_relation(data).masks))
     try_merge = scratch.try_merge
     for i, j in pair_order:
         try_merge(i, j)
@@ -477,13 +496,14 @@ def reduce_heuristic(g: Automaton, s: Automaton) -> tuple[Automaton, ReductionRe
     """Polynomial-time reduction through a control congruence.
 
     Attempts every state pair in canonical order, committing a merge when
-    the propagated closure stays compatible; pairs the incompatibility
-    masks already settle are skipped (see :meth:`_MergePartition.sweep`).
+    the propagated closure stays compatible; pairs the one-step
+    incompatibility masks already settle are skipped (see
+    :meth:`_MergePartition.sweep`).
     The result is a partition cover, so the quotient never exceeds the
     input size.
     """
     data = require_feasible(g, s)
-    partition = _MergePartition(s, compatibility_relation(data).masks)
+    partition = _MergePartition(s, successor_incompatibility(s, compatibility_relation(data).masks))
     partition.sweep()
     cover, steps = partition.cover(), partition.steps
     quotient, _ = induce_quotient(s, data, cover, name=f"{s.name}-reduced")

@@ -31,6 +31,7 @@ __all__ = [
     "control_equivalent",
     "is_normal",
     "loop_controllable",
+    "successor_incompatibility",
 ]
 
 
@@ -144,9 +145,10 @@ def check_control_feasibility(
     violating transition ``(state, event, target)``.
     """
     unobs = s.alphabet.unobservable
-    for (q, e), t in sorted(s.trans.items()):
-        if e in unobs and t != q:
-            return False, (s.states[q], s.alphabet.name(e), s.states[t])
+    moving = [(q, e, t) for (q, e), t in s.trans.items() if e in unobs and t != q]
+    if moving:
+        q, e, t = min(moving)
+        return False, (s.states[q], s.alphabet.name(e), s.states[t])
     return True, None
 
 
@@ -209,6 +211,50 @@ def compatible(data: ControlData, z1: int, z2: int) -> bool:
 
 def compatibility_relation(data: ControlData) -> CompatibilityRelation:
     return CompatibilityRelation(data.supervisor.states, data.incompatibility_masks())
+
+
+def successor_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
+    """One round of the implication chart: the symmetric incompatibility
+    masks ``masks`` of the states of ``s``, plus every pair that some event
+    defined at both states takes to a pair incompatible under ``masks``.
+
+    A cell holding such a pair would force the conflicting successors into
+    one cell, so every added bit is sound.  Under symmetry, states with
+    equal masks have equal columns too, so each mask is a union of groups
+    of equal-mask states: the states whose ``e``-successor is incompatible
+    with a target ``t`` are found per (event, group of ``t``), combined
+    from ``into[e][group]``, the sources whose ``e``-successor lies in each
+    group.
+    """
+    group_of_mask: dict[int, int] = {}
+    group: list[int] = []
+    rep: list[int] = []  # one member per group
+    for z, mask in enumerate(masks):
+        g = group_of_mask.get(mask)
+        if g is None:
+            g = group_of_mask[mask] = len(rep)
+            rep.append(z)
+        group.append(g)
+    into = [[0] * len(rep) for _ in range(len(s.alphabet))]
+    for (q, e), t in s.trans.items():
+        into[e][group[t]] |= 1 << q
+    # per group, the groups its mask holds
+    conflicts = [[g for g, z in enumerate(rep) if mask >> z & 1] for mask in group_of_mask]
+    # per event and target group, the sources whose successor conflicts
+    sources = []
+    for row in into:
+        per_group = []
+        for conflict in conflicts:
+            hits = 0
+            for g in conflict:
+                hits |= row[g]
+            per_group.append(hits)
+        sources.append(per_group)
+    widened = list(masks)
+    for p in range(s.n):
+        for e, t in s.out(p):
+            widened[p] |= sources[e][group[t]]
+    return widened
 
 
 def closed_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:

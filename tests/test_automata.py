@@ -4,6 +4,8 @@ subset construction, morphisms, language equivalence."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supred.automata import (
     Alphabet,
@@ -82,6 +84,87 @@ def test_state_index_reads_the_name_table(tank):
         s.state_index("nope")
     with pytest.raises(ValueError, match="duplicate state name 'z0'"):
         Automaton("A", s.alphabet, ["z0", "z1", "z0"], 0, [], {})
+
+
+def _checked_by_item(states, initial, marked, trans, m):
+    """The constructor's checks and rows as per-item loops, kept as the
+    reference for its bulk checks: the first fault's message, or the
+    name index, transition rows and enabled masks."""
+    n = len(states)
+    if n == 0:
+        return "automaton needs at least one state"
+    index = {}
+    for i, s in enumerate(states):
+        if s.split() != [s]:
+            return f"bad state name {s!r}"
+        if s in index:
+            return f"duplicate state name {s!r}"
+        index[s] = i
+    if not (0 <= initial < n):
+        return "initial state out of range"
+    if any(not (0 <= q < n) for q in marked):
+        return "marked state out of range"
+    for (q, e), t in trans.items():
+        if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
+            return f"transition ({q},{e})->{t} out of range"
+    out = [[] for _ in range(n)]
+    for (q, e), t in trans.items():
+        out[q].append((e, t))
+    rows = tuple(tuple(sorted(row)) for row in out)
+    enabled = tuple(sum(1 << e for e, _ in row) for row in rows)
+    return index, rows, enabled
+
+
+@st.composite
+def _constructor_arguments(draw):
+    """Valid states, initial state, marked states and a transition map in
+    any key order."""
+    m = draw(st.integers(1, 3))
+    states = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "(a,b)", "z1+z2"]),
+                           min_size=1, max_size=5, unique=True))
+    n = len(states)
+    initial = draw(st.integers(0, n - 1))
+    marked = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    trans = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                                 st.integers(0, n - 1), max_size=12))
+    trans = dict(draw(st.permutations(list(trans.items()))))
+    where = draw(st.integers(0, n))
+    return m, states, initial, marked, trans, where
+
+
+def _with_one_fault(m, states, initial, marked, trans, where):
+    """The arguments with one fault put in each way: a bad, repeated or
+    missing state name, or an index just out of range."""
+    n = len(states)
+    for name in ["", "a b", "\u3000", states[-1]]:
+        yield m, states[:where] + [name] + states[where:], initial, marked, trans
+    yield m, [], initial, marked, trans
+    for state in (-1, n):
+        yield m, states, state, marked, trans
+        yield m, states, initial, marked + [state], trans
+        yield m, states, initial, marked, {**trans, (state, 0): 0}
+        yield m, states, initial, marked, {**trans, (0, 0): state}
+    for event in (-1, m):
+        yield m, states, initial, marked, {**trans, (0, event): 0}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_constructor_arguments())
+def test_constructor_matches_per_item_checks(case):
+    *valid, where = case
+    for m, states, initial, marked, trans in [valid, *_with_one_fault(*valid, where)]:
+        alphabet = Alphabet([Event(f"e{e}", True, True) for e in range(m)])
+        expected = _checked_by_item(states, initial, marked, trans, m)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as raised:
+                Automaton("A", alphabet, states, initial, marked, trans)
+            assert str(raised.value) == expected
+            continue
+        a = Automaton("A", alphabet, states, initial, marked, trans)
+        index, rows, enabled = expected
+        assert [a.state_index(s) for s in index] == list(index.values())
+        assert tuple(a.out(q) for q in range(a.n)) == rows
+        assert tuple(a.enabled(q) for q in range(a.n)) == enabled
 
 
 # ---------------------------------------------------------------------------

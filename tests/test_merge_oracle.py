@@ -16,7 +16,12 @@ from supred.reduction import (
     reduce_heuristic,
     validate_cover,
 )
-from supred.supervision import compatibility_relation, compatible, control_data
+from supred.supervision import (
+    compatibility_relation,
+    compatible,
+    control_data,
+    successor_incompatibility,
+)
 
 from tests import merge_oracle
 from tests.generators import (
@@ -119,7 +124,8 @@ def test_failed_merge_marks_cells_incompatible():
 def test_sweep_examines_few_unions():
     """Regression guard on a 200-state inflated supervisor: the canonical
     pair loop examines 17,716 unions (42,067 without learned refusals),
-    the mask-driven sweep 232."""
+    the mask-driven sweep 232 on the base masks and 210 on the one-step
+    masks."""
     g, s = scale_pair(random.Random(0), 8, 25)
     _, report = reduce_heuristic(g, s)
     assert report.steps <= 25_000
@@ -231,3 +237,79 @@ def test_cover_verdicts_match_oracle():
         assert got == merge_oracle.validate_cover_by_scan(s, data, cover)
         verdicts.add(got[1][0] if got[1] else "valid")
     assert verdicts == {"valid", "pair", "event"}
+
+
+# ---------------------------------------------------------------------------
+# one-step masks against the plain-mask merger
+
+
+def _plain_mask_sweep(g, s):
+    """The sweep seeded with the base incompatibility masks, as
+    ``reduce_heuristic`` ran it before the one-step masks."""
+    partition = _MergePartition(s, compatibility_relation(control_data(g, s)).masks)
+    partition.sweep()
+    return partition.cover(), partition.steps
+
+
+def _bench_random_instance(seed):
+    """The draw of the 100-300 state partial-observation pairs of the
+    ``reduce_random`` benchmark workload, by instance seed."""
+    rng = random.Random(seed)
+    while True:
+        alphabet = random_alphabet(rng, max_events=5, require_unobservable=True)
+        g = random_plant(rng, alphabet, max_states=20, uncontrollable_complete=True)
+        if g.n < 10:
+            continue
+        try:
+            s = random_feasible_supervisor(rng, alphabet, max_states=300, full_gamma=True)
+        except ValueError:  # too few observable events for a spanning tree
+            continue
+        if s.n >= 100:
+            return g, s
+
+
+def test_one_step_sweep_matches_plain_mask_sweep():
+    """Every bit the one-step masks add is a pair no congruence may join,
+    so the sweep refuses the same merges and returns the same cover."""
+    instances = [scale_pair(random.Random(seed), core_states=8, factor=12) for seed in range(4)]
+    instances += [loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+                  for seed in range(60)]
+    rng = random.Random(31)
+    instances += [_random_pair(rng) for _ in range(6)]
+    fewer = 0
+    for g, s in instances:
+        expected, plain_steps = _plain_mask_sweep(g, s)
+        _, report = reduce_heuristic(g, s)
+        assert report.cover == expected
+        assert report.steps <= plain_steps
+        fewer += report.steps < plain_steps
+    assert fewer >= 10
+
+
+def test_one_step_masks_keep_shuffled_merge_outcomes():
+    """The ``generate_equivalent_supervisor`` path: on shuffled, truncated
+    pair orders over finest supervisors, every attempt commits or fails
+    as it does on the base masks."""
+    rng = random.Random(37)
+    for _ in range(30):
+        g, s = loose_instance(rng, max_plant=6, max_sup=6)
+        sup = build_super(g, s)
+        masks = compatibility_relation(control_data(g, sup)).masks
+        plain = _MergePartition(sup, masks)
+        one_step = _MergePartition(sup, successor_incompatibility(sup, masks))
+        pairs = [(i, j) for i in range(sup.n) for j in range(i + 1, sup.n)]
+        rng.shuffle(pairs)
+        for i, j in pairs[: rng.randint(0, len(pairs))]:
+            assert one_step.try_merge(i, j) == plain.try_merge(i, j)
+        assert one_step.cover() == plain.cover()
+
+
+def test_bench_random_instance_2_examines_few_unions():
+    """Regression guard: on instance 2 of the ``reduce_random`` benchmark
+    (251 states) the sweep on the base masks examines 19,042 unions, on
+    the one-step masks 4,983."""
+    g, s = _bench_random_instance(2)
+    assert s.n == 251
+    _, report = reduce_heuristic(g, s)
+    assert report.steps <= 6_000
+    assert report.cover == _plain_mask_sweep(g, s)[0]

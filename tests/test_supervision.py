@@ -18,9 +18,16 @@ from supred.supervision import (
     control_equivalent,
     is_normal,
     loop_controllable,
+    successor_incompatibility,
 )
 
-from tests.generators import loose_instance
+from tests.generators import (
+    loose_instance,
+    random_alphabet,
+    random_automaton,
+    random_feasible_supervisor,
+    random_plant,
+)
 
 
 def _names(alphabet, mask):
@@ -70,6 +77,28 @@ def test_feasibility_rejects_moving_unobservable():
 def test_feasibility_tank_supervisor(tank):
     _, s = tank
     assert check_control_feasibility(s) == (True, None)
+
+
+def test_feasibility_witness_is_the_least_moving_transition():
+    """The witness is the least violating (state, event) in index order,
+    whatever order ``trans`` arrives in."""
+    rng = random.Random(47)
+    violated = 0
+    for _ in range(60):
+        alphabet = random_alphabet(rng, max_events=4, require_unobservable=True)
+        a = random_automaton(rng, alphabet, max_states=6)
+        items = list(a.trans.items())
+        rng.shuffle(items)
+        s = Automaton("S", alphabet, a.states, a.initial, a.marked, dict(items))
+        moving = sorted((q, e, t) for (q, e), t in items
+                        if not alphabet.events[e].observable and t != q)
+        expected = (True, None)
+        if moving:
+            q, e, t = moving[0]
+            expected = (False, (s.states[q], alphabet.name(e), s.states[t]))
+            violated += len(moving) > 1
+        assert check_control_feasibility(s) == expected
+    assert violated >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +320,80 @@ def test_closed_incompatibility_follows_a_chain():
     closed = closed_incompatibility(s, masks)
     pairs = {(i, j) for i in range(6) for j in range(i) if closed[i] >> j & 1}
     assert pairs == {(5, 2), (4, 1), (3, 0)}
+
+
+def _one_round(s, masks):
+    """One round of the implication chart over a pair table: a pair is
+    marked when the base masks mark it or some event defined at both
+    states leads to a pair the base masks mark."""
+    marked = set()
+    for i in range(s.n):
+        for j in range(s.n):
+            if masks[i] >> j & 1:
+                marked.add((i, j))
+                continue
+            for e in range(len(s.alphabet)):
+                ti, tj = s.step(i, e), s.step(j, e)
+                if ti is not None and tj is not None and masks[ti] >> tj & 1:
+                    marked.add((i, j))
+                    break
+    return [sum(1 << j for j in range(s.n) if (i, j) in marked) for i in range(s.n)]
+
+
+def _assert_one_step_masks(s, masks):
+    one_step = successor_incompatibility(s, masks)
+    assert one_step == _one_round(s, masks)
+    closed = closed_incompatibility(s, masks)
+    for i in range(s.n):
+        assert masks[i] & ~one_step[i] == 0
+        assert one_step[i] & ~closed[i] == 0
+        for j in range(s.n):
+            assert one_step[i] >> j & 1 == one_step[j] >> i & 1
+    return one_step
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_automaton_with_masks())
+def test_successor_incompatibility_is_one_round_of_the_chart(case):
+    _assert_one_step_masks(*case)
+
+
+def test_successor_incompatibility_on_seeded_supervisors():
+    """Control-data masks of seeded loose instances and of 40-80 state
+    partial-observation supervisors; the one-step masks must add pairs on
+    some of them."""
+    widened = 0
+    for seed in range(40):
+        g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+        masks = compatibility_relation(control_data(g, s)).masks
+        widened += _assert_one_step_masks(s, masks) != list(masks)
+    rng = random.Random(13)
+    checked = 0
+    while checked < 4:
+        alphabet = random_alphabet(rng, max_events=5, require_unobservable=True)
+        g = random_plant(rng, alphabet, max_states=10, uncontrollable_complete=True)
+        try:
+            s = random_feasible_supervisor(rng, alphabet, max_states=80, full_gamma=True)
+        except ValueError:  # too few observable events for a spanning tree
+            continue
+        if s.n < 40:
+            continue
+        masks = compatibility_relation(control_data(g, s)).masks
+        widened += _assert_one_step_masks(s, masks) != list(masks)
+        checked += 1
+    assert widened >= 10
+
+
+def test_successor_incompatibility_stops_after_one_step():
+    # the chain of test_closed_incompatibility_follows_a_chain: one round
+    # marks (z1, z4) but not (z0, z3), which the closure reaches
+    alphabet = Alphabet([Event("e", True, True)])
+    trans = {(0, 0): 1, (1, 0): 2, (3, 0): 4, (4, 0): 5}
+    s = Automaton("S", alphabet, [f"z{q}" for q in range(6)], 0, [], trans)
+    masks = [0, 0, 1 << 5, 0, 0, 1 << 2]
+    one_step = successor_incompatibility(s, masks)
+    pairs = {(i, j) for i in range(6) for j in range(i) if one_step[i] >> j & 1}
+    assert pairs == {(5, 2), (4, 1)}
 
 
 # ---------------------------------------------------------------------------
