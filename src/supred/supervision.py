@@ -159,6 +159,9 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
     indicators come from a walk of the reachable part of the closed loop,
     inspecting the plant component of every visited product state.
     """
+    # Its own pair walk, not Lockstep(g, s, s): control data is about half
+    # of a heuristic reduction, and the triple walk took 96 ms against 65 ms
+    # summed over the 16 bench reduce supervisors (2-vCPU VM).
     check_same_alphabet(g, s)
     enabled = [s.enabled(q) for q in range(s.n)]
     disabled = [0] * s.n
@@ -224,7 +227,7 @@ def successor_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
     of equal-mask states: the states whose ``e``-successor is incompatible
     with a target ``t`` are found per (event, group of ``t``), combined
     from ``into[e][group]``, the sources whose ``e``-successor lies in each
-    group.
+    group.  :func:`closed_incompatibility` runs these rounds to a fixpoint.
     """
     group_of_mask: dict[int, int] = {}
     group: list[int] = []
@@ -263,27 +266,13 @@ def closed_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
     incompatible when some event defined at both states takes it to an
     incompatible pair, until nothing changes.  A cover cell holding both
     states would force their successors into one cell, so no control cover
-    has a cell holding a pair the closure adds.  Each incompatible pair is
-    propagated once, backwards through per-event predecessor bitmasks."""
-    pred = [[0] * s.n for _ in range(len(s.alphabet))]  # pred[e][t]: states with e-successor t
-    for (q, e), t in s.trans.items():
-        pred[e][t] |= 1 << q
+    has a cell holding a pair the closure adds.  It is rounds of
+    :func:`successor_incompatibility` run to a fixpoint; the merge
+    heuristic keeps one round: on the bench's 100-300-state supervisors the
+    fixpoint took 14-119 ms against a 0.3-11 ms merge sweep (2-vCPU VM)."""
     closed = list(masks)
-    work = [(a, b) for a in range(s.n) for b in range(a + 1) if masks[a] >> b & 1]
-    while work:
-        a, b = work.pop()
-        for into in pred:
-            sources = into[a]
-            while sources:
-                p = (sources & -sources).bit_length() - 1
-                sources &= sources - 1
-                new = into[b] & ~closed[p]
-                closed[p] |= new
-                while new:
-                    r = (new & -new).bit_length() - 1
-                    new &= new - 1
-                    closed[r] |= 1 << p
-                    work.append((p, r))
+    while (widened := successor_incompatibility(s, closed)) != closed:
+        closed = widened
     return closed
 
 

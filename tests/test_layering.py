@@ -16,3 +16,27 @@ def test_no_private_cross_module_imports():
                 offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} import {a.name}"
                               for a in node.names if a.name.startswith("_")]
     assert not offenders, offenders
+
+
+def test_no_unused_imports():
+    """Every name a module (other than the package ``__init__``) imports is
+    read somewhere in it or re-exported through its ``__all__``."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported |= {elt.value for elt in node.value.elts}
+        offenders += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
+    assert not offenders, offenders
+

@@ -518,6 +518,20 @@ def test_characterize_matches_enumeration_oracle():
         done += 1
 
 
+def test_characterize_reads_states_not_names():
+    """A copy of SUPER with every state renamed gives the masks SUPER
+    gives: the members are the closed-loop states walked with each state,
+    not looked up by name."""
+    for seed in range(20):
+        g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+        sup = build_super(g, s)
+        renamed = Automaton("renamed", sup.alphabet, [f"r{q}" for q in range(sup.n)],
+                            sup.initial, sorted(sup.marked), sup.trans)
+        for z in range(sup.n):
+            assert (characterize_super_state(g, s, renamed, z)
+                    == characterize_super_state(g, s, sup, z))
+
+
 def test_characterize_unknown_state(tank):
     g, s = tank
     sup = build_super(g, s)
