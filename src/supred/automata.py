@@ -36,6 +36,7 @@ __all__ = [
     "is_des_epimorphic",
     "is_des_isomorphic",
     "Lockstep",
+    "separating_string",
     "control_equivalent",
     "language_equivalent",
 ]
@@ -135,7 +136,9 @@ class Automaton:
 
     States are addressed by index; ``states`` holds their names.  The map
     ``trans`` sends ``(state, event)`` pairs to target states and is
-    deterministic by construction.
+    deterministic by construction.  ``succ`` is the same map as one dense
+    table, built once: ``succ[q * m + e]`` is the target of state ``q`` on
+    event ``e`` for ``m`` events, or -1 where undefined.
     """
 
     def __init__(
@@ -171,15 +174,19 @@ class Automaton:
         if self.marked and not (0 <= min(self.marked) and max(self.marked) < n):
             raise ValueError("marked state out of range")
         m = len(self.alphabet)
-        # per-state transition lists in canonical (alphabet) event order;
-        # the range check rides along and raises for the first bad item
+        # per-state transition lists in canonical (alphabet) event order and
+        # the dense table; the range check rides along and raises for the
+        # first bad item
         out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         enabled = [0] * n
+        succ = [-1] * (n * m)
         for (q, e), t in self.trans.items():
             if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
                 raise ValueError(f"transition ({q},{e})->{t} out of range")
             out[q].append((e, t))
             enabled[q] |= 1 << e
+            succ[q * m + e] = t
+        self.succ: list[int] = succ
         for row in out:
             row.sort()  # one linear pass when trans arrives in key order
         self._out: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out))
@@ -190,7 +197,13 @@ class Automaton:
         return len(self.states)
 
     def step(self, state: int, event: int) -> Optional[int]:
-        return self.trans.get((state, event))
+        """The target of ``state`` on ``event``, or None where undefined or
+        either index is out of range."""
+        m = len(self.alphabet.events)
+        if not (0 <= event < m and 0 <= state < len(self.states)):
+            return None
+        t = self.succ[state * m + event]
+        return None if t < 0 else t
 
     def out(self, state: int) -> tuple[tuple[int, int], ...]:
         """Outgoing (event, target) pairs at ``state``, in event order."""
@@ -210,10 +223,9 @@ class Automaton:
         """Follow ``string`` (event indices); None if a step is undefined."""
         q = self.initial if start is None else start
         for e in string:
-            nxt = self.trans.get((q, e))
-            if nxt is None:
+            q = self.step(q, e)
+            if q is None:
                 return None
-            q = nxt
         return q
 
     def renamed(self, name: str) -> "Automaton":
@@ -522,31 +534,28 @@ def sync_product_pairs(
     product state.  The product is reachable by construction and its state
     order is BFS discovery order, so it is already trim."""
     check_same_alphabet(a, b)
-    start = (a.initial, b.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    names = [f"({a.states[start[0]]},{b.states[start[1]]})"]
+    m, nb = len(a.alphabet), b.n
+    a_out, b_succ = a._out, b.succ
+    a_states, b_states = a.states, b.states
+    # a pair is coded as the int qa * nb + qb; order doubles as the queue
+    index = {a.initial * nb + b.initial: 0}
+    order = [(a.initial, b.initial)]
+    names = [f"({a_states[a.initial]},{b_states[b.initial]})"]
     trans: dict[tuple[int, int], int] = {}
-    queue = deque([start])
-    while queue:
-        qa, qb = queue.popleft()
-        src = index[(qa, qb)]
-        for e, ta in a.out(qa):
-            tb = b.step(qb, e)
-            if tb is None:
+    for src, (qa, qb) in enumerate(order):
+        base = qb * m
+        for e, ta in a_out[qa]:
+            tb = b_succ[base + e]
+            if tb < 0:
                 continue
-            key = (ta, tb)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-                names.append(f"({a.states[ta]},{b.states[tb]})")
-                queue.append(key)
-            trans[(src, e)] = index[key]
-    marked = [
-        index[(qa, qb)]
-        for (qa, qb) in order
-        if qa in a.marked and qb in b.marked
-    ]
+            code = ta * nb + tb
+            dst = index.get(code)
+            if dst is None:
+                dst = index[code] = len(order)
+                order.append((ta, tb))
+                names.append(f"({a_states[ta]},{b_states[tb]})")
+            trans[(src, e)] = dst
+    marked = [i for i, (qa, qb) in enumerate(order) if qa in a.marked and qb in b.marked]
     product = Automaton(name or f"{a.name}||{b.name}", a.alphabet, distinct_names(names), 0,
                         marked, trans)
     return product, order
@@ -584,6 +593,7 @@ def subset_construction_with_members(
     """
     unobs = a.alphabet.unobservable
     obs = sorted(a.alphabet.observable)
+    succ, m = a.succ, len(a.alphabet)
     start = _unobservable_closure(a, frozenset([a.initial]), unobs)
     index: dict[frozenset[int], int] = {start: 0}
     order: list[frozenset[int]] = [start]
@@ -593,8 +603,8 @@ def subset_construction_with_members(
         subset = queue.popleft()
         src = index[subset]
         for e in obs:
-            move = {a.step(q, e) for q in subset}
-            move.discard(None)
+            move = {succ[q * m + e] for q in subset}
+            move.discard(-1)
             if not move:
                 continue
             target = _unobservable_closure(a, frozenset(move), unobs)
@@ -606,7 +616,7 @@ def subset_construction_with_members(
         # unobservable events reappear as selfloops wherever some member
         # state of the subset is a source of that event
         for u in sorted(unobs):
-            if any(a.step(q, u) is not None for q in subset):
+            if any(succ[q * m + u] >= 0 for q in subset):
                 trans[(src, u)] = src
     names = distinct_names(["+".join(sorted(a.states[q] for q in subset)) for subset in order])
     marked = [i for i, subset in enumerate(order) if subset & a.marked]
@@ -648,13 +658,15 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
     check_same_alphabet(a, b)
     _require_reachable(a, "is_des_epimorphic")
     _require_reachable(b, "is_des_epimorphic")
+    m, a_succ, b_succ = len(a.alphabet), a.succ, b.succ
     theta: dict[int, int] = {a.initial: b.initial}
     queue = deque([a.initial])
     while queue:
         x = queue.popleft()
+        base = theta[x] * m
         for e, x2 in a.out(x):
-            y2 = b.step(theta[x], e)
-            if y2 is None:
+            y2 = b_succ[base + e]
+            if y2 < 0:
                 return MorphismResult(False)
             if x2 in theta:
                 if theta[x2] != y2:
@@ -670,7 +682,7 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
     for x, y in theta.items():
         preimage.setdefault(y, []).append(x)
     for (y, e) in b.trans:
-        if not any(a.step(x, e) is not None for x in preimage[y]):
+        if not any(a_succ[x * m + e] >= 0 for x in preimage[y]):
             return MorphismResult(False)
     return MorphismResult(True, theta)
 
@@ -689,31 +701,40 @@ class Lockstep:
     three define.  Iterating yields ``(node, x, qa, qb)`` once per triple,
     where ``node`` numbers the triples in visiting order.  The order is that
     of the reachable pairs of ``(g||a)||b``, but no product automaton is
-    built.
+    built; successors are read from the dense ``succ`` tables.
 
-    Each node keeps only its BFS ``depth`` and the ``parent`` node and
-    ``event`` it was first reached by; :meth:`string` rebuilds the string
-    from them.  Events go in alphabet order, so that string is a shortest
-    one, ties broken by alphabet order.  Every iteration walks afresh.
+    Node ``i`` is the triple ``(xs[i], qas[i], qbs[i])``; it keeps besides
+    only its BFS ``depth`` and the ``parent`` node and ``event`` it was
+    first reached by, and :meth:`string` rebuilds the string from them.
+    Events go in alphabet order, so that string is a shortest one, ties
+    broken by alphabet order.  Every iteration walks afresh.  Once one has
+    run to the end, ``done`` is True and the arrays hold every triple, so a
+    second reader scans them instead of walking again (:meth:`finish`).
     """
 
     def __init__(self, g: Automaton, a: Automaton, b: Automaton):
         check_same_alphabet(g, a)
         check_same_alphabet(g, b)
         self.g, self.a, self.b = g, a, b
+        self.xs: list[int] = []
+        self.qas: list[int] = []
+        self.qbs: list[int] = []
         self.parent: list[int] = []
         self.event: list[int] = []
         self.depth: list[int] = []
+        self.done = False
 
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
         g, a, b = self.g, self.a, self.b
-        na, nb = a.n, b.n
-        g_out, a_trans, b_trans = g._out, a.trans, b.trans
+        m, na, nb = len(g.alphabet), a.n, b.n
+        g_out, a_succ, b_succ = g._out, a.succ, b.succ
         a_enabled, b_enabled = a._enabled, b._enabled
         # a triple is coded as the int (x * na + qa) * nb + qb
         seen = {(g.initial * na + a.initial) * nb + b.initial}
-        xs, qas, qbs = [g.initial], [a.initial], [b.initial]
+        xs, qas, qbs = self.xs, self.qas, self.qbs
         parent, event, depth = self.parent, self.event, self.depth
+        self.done = False
+        xs[:], qas[:], qbs[:] = [g.initial], [a.initial], [b.initial]
         parent[:], event[:], depth[:] = [-1], [-1], [0]
         node = 0
         while node < len(xs):
@@ -722,10 +743,11 @@ class Lockstep:
             shared = a_enabled[qa] & b_enabled[qb]
             if shared:
                 d = depth[node] + 1
+                base_a, base_b = qa * m, qb * m
                 for e, xt in g_out[x]:
                     if shared >> e & 1:
-                        ta = a_trans[(qa, e)]
-                        tb = b_trans[(qb, e)]
+                        ta = a_succ[base_a + e]
+                        tb = b_succ[base_b + e]
                         code = (xt * na + ta) * nb + tb
                         if code not in seen:
                             seen.add(code)
@@ -736,6 +758,15 @@ class Lockstep:
                             event.append(e)
                             depth.append(d)
             node += 1
+        self.done = True
+
+    def finish(self) -> "Lockstep":
+        """Walk to the end unless an iteration already has; returns the
+        walk, whose arrays then hold every triple."""
+        if not self.done:
+            for _ in self:
+                pass
+        return self
 
     def string(self, node: int) -> tuple[int, ...]:
         """The first string (event indices) reaching ``node``."""
@@ -747,17 +778,14 @@ class Lockstep:
         return tuple(reversed(back))
 
 
-def control_equivalent(
-    g: Automaton, a: Automaton, b: Automaton
-) -> tuple[bool, Optional[list[str]]]:
-    """Whether L(g||a) = L(g||b) and Lm(g||a) = Lm(g||b), read off
-    :class:`Lockstep`: marking must agree inside the plant at every triple,
-    and no event the plant offers may be defined by just one of ``a`` and
-    ``b``.  On failure returns a shortest separating string, ties broken by
-    alphabet order."""
-    walk = Lockstep(g, a, b)
-    if a is b:
-        return True, None
+def separating_string(walk: Lockstep) -> Optional[list[str]]:
+    """A shortest string, ties broken by alphabet order, that separates the
+    closed loops of the two automata of ``walk`` with its plant: marking
+    disagrees inside the plant after it, or the plant offers an event after
+    it that just one of them defines.  None when there is none.  The walk
+    is iterated and left one depth past the first witness, so it is
+    complete when None comes back."""
+    g, a, b = walk.g, walk.a, walk.b
     # The walk meets strings of one length in shortlex order, so the first
     # witness of each kind and length is the least of its kind and length.
     witnesses: dict[tuple[int, bool], tuple[int, tuple[int, ...]]] = {}
@@ -775,10 +803,24 @@ def control_equivalent(
         if witnesses and limit is None:
             limit = min(witnesses)[0]
     if not witnesses:
-        return True, None
+        return None
     least = min((len(w), w) for w in (walk.string(node) + tail
                                        for node, tail in witnesses.values()))[1]
-    return False, [g.alphabet.name(e) for e in least]
+    return [g.alphabet.name(e) for e in least]
+
+
+def control_equivalent(
+    g: Automaton, a: Automaton, b: Automaton
+) -> tuple[bool, Optional[list[str]]]:
+    """Whether L(g||a) = L(g||b) and Lm(g||a) = Lm(g||b), read off
+    :class:`Lockstep`: marking must agree inside the plant at every triple,
+    and no event the plant offers may be defined by just one of ``a`` and
+    ``b``.  On failure returns the :func:`separating_string`."""
+    walk = Lockstep(g, a, b)
+    if a is b:
+        return True, None
+    string = separating_string(walk)
+    return string is None, string
 
 
 def language_equivalent(

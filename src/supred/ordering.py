@@ -11,13 +11,13 @@ below every other member of the equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .automata import (Automaton, Lockstep, check_same_alphabet, control_equivalent,
-                       is_des_isomorphic, subset_construction, sync_product)
+                       is_des_isomorphic, separating_string, subset_construction, sync_product)
 from .errors import PreconditionError
 from .reduction import DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible
-from .supervision import ControlData, control_data, is_normal
+from .supervision import ControlData, control_data, control_data_from_pairs, is_normal
 
 __all__ = [
     "OrderWitness",
@@ -56,38 +56,63 @@ def finer_than(
     clauses depend only on the reached state pair, so the walk decides the
     string quantification finitely and returns a shortest violating
     string, ties broken by alphabet order.
+
+    When ``s`` is ``s1`` or ``s2`` that one walk is the only one: it
+    decides the other candidate's equivalence and gives both candidates'
+    control data.  A third reference costs two more walks, one per
+    equivalence check.
     """
     check_same_alphabet(g, s1)
-    for label, cand in (("s1", s1), ("s2", s2)):
-        equal, counterexample = control_equivalent(g, s, cand)
-        if not equal:
-            raise PreconditionError(
-                "control-equivalence",
-                f"{label} is not control equivalent to the reference (separating string {counterexample})",
-            )
-    return _finer(g, s1, s2, control_data(g, s1), control_data(g, s2))
+    if s is s1 or s is s2:
+        # checks both alphabets in the order the two equivalence checks did
+        walk = Lockstep(g, s1, s2)
+        if s1 is not s2:
+            counterexample = separating_string(walk)
+            if counterexample is not None:
+                _refuse_inequivalent("s2" if s is s1 else "s1", counterexample)
+    else:
+        for label, cand in (("s1", s1), ("s2", s2)):
+            equal, counterexample = control_equivalent(g, s, cand)
+            if not equal:
+                _refuse_inequivalent(label, counterexample)
+        walk = Lockstep(g, s1, s2)
+    return _finer(g, walk)[0]
 
 
-def _finer(
-    g: Automaton, s1: Automaton, s2: Automaton, data1: ControlData, data2: ControlData
-) -> OrderWitness:
-    """The fineness walk of :func:`finer_than` over candidates already
-    known to be control equivalent to the reference, given their control
-    data."""
-    walk = Lockstep(g, s1, s2)
-    for node, _, z1, z2 in walk:
+def _refuse_inequivalent(label: str, counterexample: list[str]) -> NoReturn:
+    raise PreconditionError(
+        "control-equivalence",
+        f"{label} is not control equivalent to the reference (separating string {counterexample})",
+    )
+
+
+def _finer(g: Automaton, walk: Lockstep) -> tuple[OrderWitness, ControlData, ControlData]:
+    """The fineness verdict of :func:`finer_than` on the walk of plant and
+    two candidates already known to be control equivalent, and both
+    candidates' control data.  The projections of the walked triples are
+    then exactly the reachable pairs of each candidate's closed loop, so
+    the data come from the walk's arrays; the clauses are scanned in node
+    order, so the first violating node has the least string."""
+    walk.finish()
+    s1, s2, xs, z1s, z2s = walk.a, walk.b, walk.xs, walk.qas, walk.qbs
+    data1 = control_data_from_pairs(g, s1, zip(xs, z1s))
+    data2 = control_data_from_pairs(g, s2, zip(xs, z2s))
+    en1, dis1, ms1, mg1 = data1.enabled, data1.disabled, data1.marked_s, data1.marked_g
+    en2, dis2, ms2, mg2 = data2.enabled, data2.disabled, data2.marked_s, data2.marked_g
+    for node, (z1, z2) in enumerate(zip(z1s, z2s)):
         failed = None
-        if data1.enabled[z1] & ~data2.enabled[z2]:
+        if en1[z1] & ~en2[z2]:
             failed = "enabled"
-        elif data1.disabled[z1] & ~data2.disabled[z2]:
+        elif dis1[z1] & ~dis2[z2]:
             failed = "disabled"
-        elif data1.marked_s[z1] and not data2.marked_s[z2]:
+        elif ms1[z1] and not ms2[z2]:
             failed = "markedS"
-        elif data1.marked_g[z1] and not data2.marked_g[z2]:
+        elif mg1[z1] and not mg2[z2]:
             failed = "markedG"
         if failed is not None:
-            return OrderWitness(False, ([g.alphabet.name(e) for e in walk.string(node)], failed))
-    return OrderWitness(True)
+            string = [g.alphabet.name(e) for e in walk.string(node)]
+            return OrderWitness(False, (string, failed)), data1, data2
+    return OrderWitness(True), data1, data2
 
 
 def verify_super_is_finest(g: Automaton, s: Automaton, s_prime: Automaton) -> OrderWitness:
@@ -120,8 +145,7 @@ def compare_reductions(
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
             raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
-    data1, data2 = control_data(g, s1), control_data(g, s2)
-    order = _finer(g, s1, s2, data1, data2)
+    order, data1, data2 = _finer(g, Lockstep(g, s1, s2))
     if not order.verdict:
         raise PreconditionError(
             "fineness", f"s1 is not finer than s2 (clause {order.counterexample[1]})"

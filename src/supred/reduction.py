@@ -23,7 +23,7 @@ from .automata import (
     control_equivalent,
     distinct_names,
     subset_construction,
-    sync_product,
+    sync_product_pairs,
 )
 from .errors import CoverError, InfeasibleSupervisorError, PreconditionError, SearchCapError
 from .supervision import (
@@ -32,6 +32,7 @@ from .supervision import (
     closed_incompatibility,
     compatibility_relation,
     control_data,
+    control_data_from_pairs,
     is_normal,
     loop_controllable,
     successor_incompatibility,
@@ -248,23 +249,37 @@ def require_feasible(
     Returns the control data of ``s``, which the second check computes
     unless ``data`` already holds it.
     """
+    _require_selfloop_unobservables(s)
+    if data is None:
+        data = control_data(g, s)
+    _require_loop_controllable(s, data)
+    return data
+
+
+def _require_selfloop_unobservables(s: Automaton) -> None:
     ok, witness = check_control_feasibility(s)
     if not ok:
         raise InfeasibleSupervisorError("feasibility", witness)
-    if data is None:
-        data = control_data(g, s)
+
+
+def _require_loop_controllable(s: Automaton, data: ControlData) -> None:
     z = data.uncontrollable_disabler()
     if z is not None:
         raise InfeasibleSupervisorError("controllability", s.states[z])
-    return data
 
 
 def build_super(g: Automaton, s: Automaton) -> Automaton:
     """The finest supervisor with the closed-loop behaviour of ``s``:
     subset construction over the reachable closed loop, with unobservable
-    events reinserted as selfloops.  Fails on an infeasible supervisor."""
-    require_feasible(g, s)
-    return subset_construction(sync_product(g, s), name="SUPER")
+    events reinserted as selfloops.  Fails on an infeasible supervisor,
+    with the errors of :func:`require_feasible`: the structural check runs
+    first, then loop controllability is read off the state pairs of the
+    closed loop the construction builds anyway, so ``G||S`` is walked
+    once."""
+    _require_selfloop_unobservables(s)
+    loop, pairs = sync_product_pairs(g, s)
+    _require_loop_controllable(s, control_data_from_pairs(g, s, pairs))
+    return subset_construction(loop, name="SUPER")
 
 
 def characterize_super_state(
@@ -364,11 +379,9 @@ class _MergePartition:
         self.size = [1] * n
         self.members = [1 << q for q in range(n)]
         self.incompatible = list(masks)
-        # representative successor of root r under event e at r * m + e
-        succ = [-1] * (n * m)
-        for (q, e), t in s.trans.items():
-            succ[q * m + e] = t
-        self.succ = succ
+        # representative successor of root r under event e at r * m + e;
+        # a copy, since unions write to it
+        self.succ = list(s.succ)
         self.steps = 0
 
     def find(self, x: int) -> int:
@@ -560,14 +573,15 @@ class _ExactSearch:
         cells: list[set[int]] = []
         cell_masks: list[int] = []
         assign = [-1] * self.n
+        succ, m = self.s.succ, len(self.s.alphabet)
 
         def closure_ok() -> bool:
             for cell in cells:
-                for e in range(len(self.s.alphabet)):
+                for e in range(m):
                     target_cell = -1
                     for z in cell:
-                        t = self.s.step(z, e)
-                        if t is None:
+                        t = succ[z * m + e]
+                        if t < 0:
                             continue
                         if target_cell == -1:
                             target_cell = assign[t]

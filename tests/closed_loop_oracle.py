@@ -3,7 +3,9 @@
 These are the versions of ``control_equivalent``, ``is_normal``,
 ``finer_than``, ``compare_reductions``, ``compare_full_vs_partial`` and
 ``extract_cover_from_simsup`` that re-trimmed every synchronous product and
-built the closed loop ``G||S`` anew for each question they asked.  The
+built the closed loop ``G||S`` anew for each question they asked, and the
+``build_super`` that walked ``G||S`` for its feasibility gate and again
+for the product it determinises.  The
 bodies are unchanged apart from the public names of the alphabet check and
 the exact-search core, and they call each other as before.  The fineness
 walk in ``finer_than`` reads the name-set control data of
@@ -37,6 +39,7 @@ from supred.reduction import (
     Cover,
     reduce_exact_core as _reduce_exact_core,
     reduce_exact_minimum,
+    require_feasible,
 )
 from supred.supervision import check_control_feasibility, control_data, loop_controllable
 
@@ -233,3 +236,8 @@ def extract_cover_from_simsup(
                 "normality", f"simsup state {simsup.states[y]!r} is never reached by the closed loop"
             )
     return Cover.from_cells(cell_of_simsup)
+
+
+def build_super(g: Automaton, s: Automaton) -> Automaton:
+    require_feasible(g, s)
+    return subset_construction(sync_product(g, s), name="SUPER")

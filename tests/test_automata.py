@@ -167,6 +167,24 @@ def test_constructor_matches_per_item_checks(case):
         assert tuple(a.enabled(q) for q in range(a.n)) == enabled
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_constructor_arguments())
+def test_dense_table_matches_trans(case):
+    """``succ`` is ``trans`` as one dense table, and ``step`` and ``run``
+    read it as they read the dict, out-of-range indices included."""
+    m, states, initial, marked, trans, _ = case
+    alphabet = Alphabet([Event(f"e{e}", True, True) for e in range(m)])
+    a = Automaton("A", alphabet, states, initial, marked, trans)
+    assert len(a.succ) == a.n * m
+    for q in range(a.n):
+        for e in range(m):
+            assert a.succ[q * m + e] == a.trans.get((q, e), -1)
+            assert a.step(q, e) == a.trans.get((q, e))
+            assert a.run([e], start=q) == a.trans.get((q, e))
+    for q, e in [(-1, 0), (a.n, 0), (0, -1), (0, m)]:
+        assert a.step(q, e) is None and a.run([e], start=q) is None
+
+
 # ---------------------------------------------------------------------------
 # parsing and serialization
 

@@ -9,6 +9,7 @@ from itertools import product
 
 from supred.automata import (
     Alphabet,
+    Automaton,
     Event,
     parse_automaton,
     serialize_automaton,
@@ -68,6 +69,7 @@ def _assert_same_checks(g, s, cands):
         _assert_same(is_normal, oracle.is_normal, g, a, b)
         _assert_same(finer_than, oracle.finer_than, g, s, a, b)
         _assert_same(finer_than, oracle.finer_than, g, a, a, b)
+        _assert_same(finer_than, oracle.finer_than, g, b, a, b)
     for a in cands:
         try:
             sup = build_super(g, a)
@@ -130,6 +132,39 @@ def test_full_vs_partial_matches_oracle():
             _assert_same(compare_full_vs_partial, oracle.compare_full_vs_partial, g, x, y)
             _assert_same(control_equivalent, oracle.control_equivalent, g, x, y)
             _assert_same(finer_than, oracle.finer_than, g, x, x, y)
+
+
+def _serialized(build):
+    return lambda g, s: serialize_automaton(build(g, s))
+
+
+def test_build_super_matches_oracle():
+    """Same SUPER or same refusal as the version that gated on a control
+    data walk of its own before building ``G||S``: supervisors drawn
+    without the loop-controllability filter, each also with an
+    unobservable selfloop moved (structurally infeasible) and over a
+    mismatched alphabet."""
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        alphabet = random_alphabet(rng, max_events=4, require_unobservable=seed % 2 == 0)
+        g = random_plant(rng, alphabet, max_states=6)
+        s = random_feasible_supervisor(rng, alphabet, max_states=6)
+        cands = [s, _mismatched(s)]
+        loops = [(q, e) for (q, e), t in s.trans.items() if e in alphabet.unobservable]
+        if loops and s.n > 1:
+            q, e = rng.choice(loops)
+            moved = dict(s.trans)
+            moved[(q, e)] = (q + 1) % s.n
+            infeasible = Automaton("M", alphabet, s.states, s.initial, s.marked, moved)
+            cands += [infeasible, _mismatched(infeasible)]
+        for cand in cands:
+            got = _outcome(_serialized(build_super), g, cand)
+            assert got == _outcome(_serialized(oracle.build_super), g, cand)
+            outcomes.add(got[0] if got[0] == "returned" else got[2].split(":")[0])
+    assert outcomes == {"returned", "supervisor fails the feasibility check",
+                        "supervisor fails the controllability check",
+                        "automata 'G' and 'X' have different alphabets"}
 
 
 def _assert_product_is_trim(g, s):

@@ -1,6 +1,6 @@
 """Module layering: no ``supred`` module imports another module's private
-names; what one module needs from another is part of that module's public
-surface."""
+names or reads another object's private attributes; what one module needs
+from another is part of that module's public surface."""
 
 import ast
 import pathlib
@@ -15,6 +15,23 @@ def test_no_private_cross_module_imports():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 offenders += [f"{path.name}: from {'.' * node.level}{node.module or ''} import {a.name}"
                               for a in node.names if a.name.startswith("_")]
+    assert not offenders, offenders
+
+
+def test_no_private_attribute_reads_across_objects():
+    """Outside ``automata.py``, which owns the automaton's private tables,
+    no module reads an underscore attribute of an object other than
+    ``self``: what a reader needs, such as ``Automaton.succ`` or the arrays
+    ``Lockstep`` keeps, is public surface."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "automata.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr.startswith("_") and not node.attr.endswith("__")
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders, offenders
 
 

@@ -161,12 +161,16 @@ def test_compare_reductions_computes_control_data_once_per_candidate(
     g, s1, s2 = ordering_example
     seen = []
 
-    def counting(plant, s):
-        seen.append(s.name)
-        return control_data(plant, s)
+    def counting(compute):
+        def wrapper(plant, s, *pairs):
+            seen.append(s.name)
+            return compute(plant, s, *pairs)
+        return wrapper
 
+    # control data comes from a walk of its own or from the fineness walk
     for module in (supred.ordering, supred.reduction):
-        monkeypatch.setattr(module, "control_data", counting)
+        for name in ("control_data", "control_data_from_pairs"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
     assert compare_reductions(g, s1, s1, s2) == (2, 3, True)
     assert seen == ["S1", "S2"]
 
