@@ -197,13 +197,7 @@ class Automaton:
         return len(self.states)
 
     def step(self, state: int, event: int) -> Optional[int]:
-        """The target of ``state`` on ``event``, or None where undefined or
-        either index is out of range."""
-        m = len(self.alphabet.events)
-        if not (0 <= event < m and 0 <= state < len(self.states)):
-            return None
-        t = self.succ[state * m + event]
-        return None if t < 0 else t
+        return self.trans.get((state, event))
 
     def out(self, state: int) -> tuple[tuple[int, int], ...]:
         """Outgoing (event, target) pairs at ``state``, in event order."""
@@ -223,9 +217,10 @@ class Automaton:
         """Follow ``string`` (event indices); None if a step is undefined."""
         q = self.initial if start is None else start
         for e in string:
-            q = self.step(q, e)
-            if q is None:
+            nxt = self.trans.get((q, e))
+            if nxt is None:
                 return None
+            q = nxt
         return q
 
     def renamed(self, name: str) -> "Automaton":
@@ -708,8 +703,8 @@ class Lockstep:
     first reached by, and :meth:`string` rebuilds the string from them.
     Events go in alphabet order, so that string is a shortest one, ties
     broken by alphabet order.  Every iteration walks afresh.  Once one has
-    run to the end, ``done`` is True and the arrays hold every triple, so a
-    second reader scans them instead of walking again (:meth:`finish`).
+    run to the end the arrays hold every triple, so a second reader scans
+    them instead of walking again.
     """
 
     def __init__(self, g: Automaton, a: Automaton, b: Automaton):
@@ -722,7 +717,6 @@ class Lockstep:
         self.parent: list[int] = []
         self.event: list[int] = []
         self.depth: list[int] = []
-        self.done = False
 
     def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
         g, a, b = self.g, self.a, self.b
@@ -733,7 +727,6 @@ class Lockstep:
         seen = {(g.initial * na + a.initial) * nb + b.initial}
         xs, qas, qbs = self.xs, self.qas, self.qbs
         parent, event, depth = self.parent, self.event, self.depth
-        self.done = False
         xs[:], qas[:], qbs[:] = [g.initial], [a.initial], [b.initial]
         parent[:], event[:], depth[:] = [-1], [-1], [0]
         node = 0
@@ -758,15 +751,6 @@ class Lockstep:
                             event.append(e)
                             depth.append(d)
             node += 1
-        self.done = True
-
-    def finish(self) -> "Lockstep":
-        """Walk to the end unless an iteration already has; returns the
-        walk, whose arrays then hold every triple."""
-        if not self.done:
-            for _ in self:
-                pass
-        return self
 
     def string(self, node: int) -> tuple[int, ...]:
         """The first string (event indices) reaching ``node``."""

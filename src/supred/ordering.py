@@ -57,25 +57,22 @@ def finer_than(
     string quantification finitely and returns a shortest violating
     string, ties broken by alphabet order.
 
-    When ``s`` is ``s1`` or ``s2`` that one walk is the only one: it
-    decides the other candidate's equivalence and gives both candidates'
-    control data.  A third reference costs two more walks, one per
-    equivalence check.
+    That walk is the only one when ``s`` is ``s1`` or ``s2``, and a third
+    reference costs one more, which checks ``s1``.  The separating string
+    of two closed loops is the least string in the symmetric differences
+    of their languages, so once ``s`` is control equivalent to one
+    candidate, the walk separates the other from it by the same string as
+    from ``s``.  The walk also gives both candidates' control data.
     """
     check_same_alphabet(g, s1)
-    if s is s1 or s is s2:
-        # checks both alphabets in the order the two equivalence checks did
-        walk = Lockstep(g, s1, s2)
-        if s1 is not s2:
-            counterexample = separating_string(walk)
-            if counterexample is not None:
-                _refuse_inequivalent("s2" if s is s1 else "s1", counterexample)
-    else:
-        for label, cand in (("s1", s1), ("s2", s2)):
-            equal, counterexample = control_equivalent(g, s, cand)
-            if not equal:
-                _refuse_inequivalent(label, counterexample)
-        walk = Lockstep(g, s1, s2)
+    if s is not s1 and s is not s2:
+        equal, counterexample = control_equivalent(g, s, s1)
+        if not equal:
+            _refuse_inequivalent("s1", counterexample)
+    walk = Lockstep(g, s1, s2)
+    counterexample = separating_string(walk)
+    if counterexample is not None:
+        _refuse_inequivalent("s1" if s is s2 else "s2", counterexample)
     return _finer(g, walk)[0]
 
 
@@ -87,13 +84,12 @@ def _refuse_inequivalent(label: str, counterexample: list[str]) -> NoReturn:
 
 
 def _finer(g: Automaton, walk: Lockstep) -> tuple[OrderWitness, ControlData, ControlData]:
-    """The fineness verdict of :func:`finer_than` on the walk of plant and
-    two candidates already known to be control equivalent, and both
-    candidates' control data.  The projections of the walked triples are
-    then exactly the reachable pairs of each candidate's closed loop, so
-    the data come from the walk's arrays; the clauses are scanned in node
-    order, so the first violating node has the least string."""
-    walk.finish()
+    """The fineness verdict of :func:`finer_than` on the completed walk of
+    plant and two control-equivalent candidates, and both candidates'
+    control data.  The projections of the walked triples are then exactly
+    the reachable pairs of each candidate's closed loop, so the data come
+    from the walk's arrays; the clauses are scanned in node order, so the
+    first violating node has the least string."""
     s1, s2, xs, z1s, z2s = walk.a, walk.b, walk.xs, walk.qas, walk.qbs
     data1 = control_data_from_pairs(g, s1, zip(xs, z1s))
     data2 = control_data_from_pairs(g, s2, zip(xs, z2s))
@@ -135,8 +131,13 @@ def compare_reductions(
     fineness-ordered supervisors.  Under those hypotheses the finer one can
     never need more cells, so ``ordered`` is expected true."""
     for label, cand in (("s1", s1), ("s2", s2)):
-        equal, counterexample = control_equivalent(g, s, cand)
-        if not equal:
+        if label == "s1":
+            _, counterexample = control_equivalent(g, s, s1)
+        else:
+            # s1 is control equivalent to s, as in finer_than
+            walk = Lockstep(g, s1, s2)
+            counterexample = separating_string(walk)
+        if counterexample is not None:
             raise PreconditionError(
                 "control-equivalence", f"{label}: separating string {counterexample}"
             )
@@ -145,7 +146,7 @@ def compare_reductions(
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
             raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
-    order, data1, data2 = _finer(g, Lockstep(g, s1, s2))
+    order, data1, data2 = _finer(g, walk)
     if not order.verdict:
         raise PreconditionError(
             "fineness", f"s1 is not finer than s2 (clause {order.counterexample[1]})"

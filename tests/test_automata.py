@@ -171,7 +171,7 @@ def test_constructor_matches_per_item_checks(case):
 @given(_constructor_arguments())
 def test_dense_table_matches_trans(case):
     """``succ`` is ``trans`` as one dense table, and ``step`` and ``run``
-    read it as they read the dict, out-of-range indices included."""
+    agree with it, out-of-range indices included."""
     m, states, initial, marked, trans, _ = case
     alphabet = Alphabet([Event(f"e{e}", True, True) for e in range(m)])
     a = Automaton("A", alphabet, states, initial, marked, trans)

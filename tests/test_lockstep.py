@@ -143,25 +143,21 @@ def test_lockstep_matches_the_path_tuple_oracle():
 @given(st.integers(0, 2**32 - 1), st.integers(0, 20))
 def test_lockstep_keeps_the_triples_it_yielded(seed, stop):
     """After a full iteration the arrays hold the yielded triples in node
-    order and ``finish`` does not walk again; an iteration cut short
-    leaves the walk unfinished, and ``finish`` then walks afresh."""
+    order; an iteration cut short and then a fresh one leave the same
+    arrays."""
     rng = random.Random(seed)
     alphabet = random_alphabet(rng, max_events=4)
     g = _with_unreachable(rng, random_plant(rng, alphabet, max_states=6))
     a = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
     b = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
     walk = Lockstep(g, a, b)
-    assert not walk.done
     yielded = list(walk)
-    assert walk.done
     assert list(zip(range(len(walk.xs)), walk.xs, walk.qas, walk.qbs)) == yielded
-    kept = walk.xs
-    assert walk.finish() is walk and walk.xs is kept and len(kept) == len(yielded)
     for node, _, _, _ in walk:
         if node == stop:
             break
-    assert walk.done == (stop >= len(yielded))
-    walk.finish()
+    for _ in walk:
+        pass
     assert list(zip(range(len(walk.xs)), walk.xs, walk.qas, walk.qbs)) == yielded
 
 
