@@ -45,9 +45,8 @@ cover = Cover.from_cells([{0, 1, 2}, {3}])
 ok, violation = validate_cover(s, data, cover)
 print(f"cover {{z0,z1,z2}} {{z3}} valid: {ok}")
 
-quotient, choice = induce_quotient(s, data, cover)
-print(f"induced supervisor: {quotient.n} states "
-      f"(ambiguous targets along the way: {choice.had_alternatives()})")
+quotient = induce_quotient(s, data, cover)
+print(f"induced supervisor: {quotient.n} states")
 equal, _ = control_equivalent(g, s, quotient)
 print(f"control equivalent to the original: {equal}\n")
 

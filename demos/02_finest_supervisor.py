@@ -46,6 +46,6 @@ print("cover on the finest supervisor that produces it:")
 cover = extract_cover_from_simsup(sup, reduced, g, s)
 for cell in cover.cells:
     print("  cell:", sorted(sup.states[z] for z in cell))
-quotient, _ = induce_quotient(sup, control_data(g, sup), cover)
+quotient = induce_quotient(sup, control_data(g, sup), cover)
 print("quotient isomorphic to the reduced supervisor:",
       is_des_isomorphic(quotient, reduced).verdict)

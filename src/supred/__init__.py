@@ -45,7 +45,6 @@ from .ordering import (
 )
 from .reduction import (
     Cover,
-    QuotientChoice,
     ReductionReport,
     build_super,
     characterize_super_state,

@@ -59,9 +59,9 @@ class PreconditionError(SupredError):
 
 
 class SearchCapError(SupredError):
-    """Exact search refused: the supervisor exceeds the state cap."""
+    """A search refused: the supervisor exceeds the state cap of ``search``."""
 
-    def __init__(self, size, cap):
+    def __init__(self, size, cap, search="exact search"):
         self.size = size
         self.cap = cap
-        super().__init__(f"exact search cap exceeded: {size} states > cap {cap}")
+        super().__init__(f"{search} cap exceeded: {size} states > cap {cap}")

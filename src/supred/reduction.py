@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .automata import (
@@ -40,7 +40,6 @@ from .supervision import (
 
 __all__ = [
     "Cover",
-    "QuotientChoice",
     "ReductionReport",
     "validate_cover",
     "induce_quotient",
@@ -52,9 +51,13 @@ __all__ = [
     "characterize_super_state",
     "generate_equivalent_supervisor",
     "DEFAULT_EXACT_CAP",
+    "EQUIVALENT_DRAW_CAP",
 ]
 
 DEFAULT_EXACT_CAP = 10
+# generate_equivalent_supervisor shuffles all n(n-1)/2 state pairs of SUPER:
+# 15 MiB and about 1.5 s at this size (2-vCPU VM), gigabytes at 10k-20k states
+EQUIVALENT_DRAW_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -91,18 +94,6 @@ class Cover:
 
 
 @dataclass
-class QuotientChoice:
-    """Per (cell, event) record of the chosen target cell and whether other
-    valid targets existed (the construction then picked the lowest canonical
-    index)."""
-
-    choices: dict[tuple[int, int], tuple[int, bool]] = field(default_factory=dict)
-
-    def had_alternatives(self) -> bool:
-        return any(multiple for _, multiple in self.choices.values())
-
-
-@dataclass
 class ReductionReport:
     """Sizes, the cover found, and ``steps``: the work count of the
     reducer.  The heuristic counts the unions it examined (one
@@ -136,12 +127,15 @@ def validate_cover(
 
 def _cover_targets(
     s: Automaton, data: ControlData, c: Cover
-) -> tuple[Optional[tuple], list[list[tuple[int, list[int]]]]]:
-    """:func:`validate_cover`'s checks in one pass that also keeps, per
-    cell, the ``(event, valid target cells)`` pairs in event order.
-    Returns the first violation, pairs before events, or None and the
-    targets.  A cell that contains a target set holds each of its members,
-    so the cells holding its lowest member are the only candidates."""
+) -> tuple[Optional[tuple], dict[tuple[int, int], int]]:
+    """:func:`validate_cover`'s checks in one pass that also picks the
+    target cell of every (cell, event) pair: the cell itself for an
+    unobservable event whose targets it holds, so that selfloops stay
+    selfloops and the quotient keeps observation feasibility, and the
+    lowest valid cell otherwise.  Returns the first violation, pairs
+    before events, or None and the quotient's transitions.  A cell that
+    contains a target set holds each of its members, so the cells holding
+    its lowest member are the only candidates."""
     n = s.n
     if not c.cells:
         raise CoverError("cover has no cells")
@@ -166,37 +160,42 @@ def _cover_targets(
             clash = (masks[z1] & cell_mask) >> (z1 + 1)
             if clash:
                 z2 = z1 + (clash & -clash).bit_length()
-                return ("pair", i, (s.states[z1], s.states[z2])), []
+                return ("pair", i, (s.states[z1], s.states[z2])), {}
     cells_of: list[list[int]] = [[] for _ in range(n)]
     for j, cell in enumerate(c.cells):
         for z in cell:
             cells_of[z].append(j)
     m = len(s.alphabet)
-    rows = []
-    for i, cell in enumerate(c.cells):
+    unobs = s.alphabet.unobservable
+    trans: dict[tuple[int, int], int] = {}
+    for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
         if len(cell) == 1:  # every cell holding a lone target is valid
             (z,) = cell
-            rows.append([(e, cells_of[t]) for e, t in s.out(z)])
+            for e, t in s.out(z):
+                trans[(i, e)] = i if t == z and e in unobs else cells_of[t][0]
             continue
         targets = [0] * m
         for z in cell:
             for e, t in s.out(z):
                 targets[e] |= 1 << t
-        row = []
         for e, tb in enumerate(targets):
             if not tb:
                 continue
-            valid = [j for j in cells_of[(tb & -tb).bit_length() - 1] if not tb & ~cell_masks[j]]
-            if not valid:
-                return ("event", i, s.alphabet.name(e)), []
-            row.append((e, valid))
-        rows.append(row)
-    return None, rows
+            if e in unobs and not tb & ~cell_mask:
+                trans[(i, e)] = i
+                continue
+            for j in cells_of[(tb & -tb).bit_length() - 1]:
+                if not tb & ~cell_masks[j]:
+                    trans[(i, e)] = j
+                    break
+            else:
+                return ("event", i, s.alphabet.name(e)), {}
+    return None, trans
 
 
 def induce_quotient(
     s: Automaton, data: ControlData, c: Cover, name: Optional[str] = None
-) -> tuple[Automaton, QuotientChoice]:
+) -> Automaton:
     """Quotient supervisor over a valid control cover.
 
     States are the cover cells; the initial cell is the first one
@@ -206,32 +205,17 @@ def induce_quotient(
     coincides with intersecting the marked set, and it keeps the quotient
     control-equivalent even when a supervisor carries a marked state the
     closed loop never marks.  Where several target cells are valid for a
-    (cell, event) pair the lowest canonical index wins, and the choice
-    record notes that alternatives existed.
+    (cell, event) pair the lowest canonical index wins, except that an
+    unobservable selfloop stays a selfloop.
     """
-    violation, rows = _cover_targets(s, data, c)
+    violation, trans = _cover_targets(s, data, c)
     if violation is not None:
         raise CoverError(f"invalid control cover: {violation}")
     cells = c.cells
-    unobs = s.alphabet.unobservable
-    trans: dict[tuple[int, int], int] = {}
-    choice = QuotientChoice()
-    for i, row in enumerate(rows):
-        for e, valid in row:
-            # an unobservable event selflooped in the input must stay a
-            # selfloop, or the quotient would lose observation feasibility;
-            # otherwise the lowest canonical index wins
-            if e in unobs and i in valid:
-                chosen = i
-            else:
-                chosen = valid[0]
-            trans[(i, e)] = chosen
-            choice.choices[(i, e)] = (chosen, len(valid) > 1)
     initial = next(i for i, cell in enumerate(cells) if s.initial in cell)
     marked = [i for i, cell in enumerate(cells) if any(data.marked_s[z] for z in cell)]
     names = distinct_names(["+".join(sorted(s.states[z] for z in cell)) for cell in cells])
-    quotient = Automaton(name or f"{s.name}-quotient", s.alphabet, names, initial, marked, trans)
-    return quotient, choice
+    return Automaton(name or f"{s.name}-quotient", s.alphabet, names, initial, marked, trans)
 
 
 def require_feasible(
@@ -514,7 +498,7 @@ def reduce_heuristic(g: Automaton, s: Automaton) -> tuple[Automaton, ReductionRe
     partition = _MergePartition(s, successor_incompatibility(s, compatibility_relation(data).masks))
     partition.sweep()
     cover, steps = partition.cover(), partition.steps
-    quotient, _ = induce_quotient(s, data, cover, name=f"{s.name}-reduced")
+    quotient = induce_quotient(s, data, cover, name=f"{s.name}-reduced")
     report = ReductionReport(s.n, quotient.n, cover, steps, "heuristic")
     return quotient, report
 
@@ -522,8 +506,12 @@ def reduce_heuristic(g: Automaton, s: Automaton) -> tuple[Automaton, ReductionRe
 def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Automaton:
     """A random member of the control-equivalence class of ``s``: the
     quotient of the finest supervisor by a randomly grown control
-    congruence.  Deterministic for a given 64-bit seed."""
+    congruence.  Deterministic for a given 64-bit seed.  Refuses with
+    :class:`SearchCapError` when SUPER exceeds :data:`EQUIVALENT_DRAW_CAP`
+    states."""
     sup = build_super(g, s)
+    if sup.n > EQUIVALENT_DRAW_CAP:
+        raise SearchCapError(sup.n, EQUIVALENT_DRAW_CAP, "equivalent-supervisor draw")
     data = control_data(g, sup)
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
     n = sup.n
@@ -533,8 +521,7 @@ def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Aut
     rng.shuffle(codes)
     attempts = rng.randint(0, len(codes))
     cover, _ = _congruence_from_merges(sup, data, (divmod(c, n) for c in codes[:attempts]))
-    quotient, _ = induce_quotient(sup, data, cover, name=f"{s.name}-equiv-{seed}")
-    return quotient
+    return induce_quotient(sup, data, cover, name=f"{s.name}-equiv-{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +745,7 @@ def reduce_exact_core(
             cells = search.find_cover(k)
         if cells is not None:
             cover = Cover.from_cells(cells)
-            quotient, _ = induce_quotient(s, data, cover, name=f"{s.name}-min")
+            quotient = induce_quotient(s, data, cover, name=f"{s.name}-min")
             report = ReductionReport(s.n, quotient.n, cover, search.steps, f"exact-{mode}")
             return quotient, report
     raise AssertionError("singleton cover is always valid")  # pragma: no cover

@@ -156,34 +156,20 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
     """Extract the four control-data functions of ``s`` against plant ``g``.
 
     The enabled sets are structural; the disabled sets and both marking
-    indicators come from a walk of the reachable part of the closed loop,
-    inspecting the plant component of every visited product state.
+    indicators are read by :func:`control_data_from_pairs` off the pairs of
+    plant and supervisor states a walk of the reachable closed loop visits.
     """
-    # Its own pair walk, not Lockstep(g, s, s): control data is about half
-    # of a heuristic reduction, and summed over the 16 bench reduce
-    # supervisors the pair walk takes 34 ms against 55 ms for the triple
-    # walk.  Reading the dense table with int-coded pairs, rather than the
-    # dict with tuple pairs, took the 13 random ones from 61 to 39 ms
-    # (2-vCPU VM, medians of interleaved runs).  The data are accumulated
-    # during the walk: a walk followed by control_data_from_pairs cost
-    # about 4 us more per call on the 119 small exact_small instances
-    # (1.8 against 1.3 ms in all) and was no faster on the large ones.
+    # Its own pair walk, not Lockstep(g, s, s): over the 16 bench reduce
+    # supervisors, walk and accumulation take 22 ms against 36 ms when
+    # control_data_from_pairs reads Lockstep's triples (best of 15, 2-vCPU VM).
     check_same_alphabet(g, s)
     m, ns = len(s.alphabet), s.n
     succ = s.succ
     enabled = [s.enabled(z) for z in range(ns)]
-    g_marked = g.marked
-    offered = [0] * ns
-    marked_g = [False] * ns
-    visited = [False] * ns
     # a pair is seen as the int x * ns + z; xs and zs double as the queue
     seen = {g.initial * ns + s.initial}
     xs, zs = [g.initial], [s.initial]
     for x, z in zip(xs, zs):
-        visited[z] = True
-        offered[z] |= g.enabled(x)
-        if x in g_marked:
-            marked_g[z] = True
         allowed = enabled[z]
         if allowed:
             base = z * m
@@ -195,7 +181,7 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
                         seen.add(code)
                         xs.append(xt)
                         zs.append(zt)
-    return _control_data(s, enabled, offered, marked_g, visited)
+    return control_data_from_pairs(g, s, zip(xs, zs))
 
 
 def control_data_from_pairs(
@@ -218,15 +204,7 @@ def control_data_from_pairs(
         offered[z] |= g_enabled[x]
         if x in g_marked:
             marked_g[z] = True
-    return _control_data(s, [s.enabled(z) for z in range(n)], offered, marked_g, visited)
-
-
-def _control_data(
-    s: Automaton, enabled: list[int], offered: list[int], marked_g: list[bool],
-    visited: list[bool],
-) -> ControlData:
-    """Control data from what the plant offers at each state of ``s`` over
-    the closed loop, and whether a plant-marked pair holds it."""
+    enabled = [s.enabled(z) for z in range(n)]
     return ControlData(
         supervisor=s,
         enabled=enabled,

@@ -7,7 +7,10 @@ built the closed loop ``G||S`` anew for each question they asked, and the
 ``build_super`` that walked ``G||S`` for its feasibility gate and again
 for the product it determinises.  The
 bodies are unchanged apart from the public names of the alphabet check and
-the exact-search core, and they call each other as before.  The fineness
+the exact-search core, and they call each other as before; one check was
+added: ``extract_cover_from_simsup`` checks ``super_``'s alphabet against
+the plant after its normality check, where the library's walk
+``Lockstep(g, super_, simsup)`` raises.  The fineness
 walk in ``finer_than`` reads the name-set control data of
 ``tests/name_set_oracle.py``, since the library's now holds bitmasks, and
 ``control_equivalent`` compares the two products with the frozen pair walk
@@ -209,6 +212,7 @@ def extract_cover_from_simsup(
     normal, witness = is_normal(g, s, simsup)
     if not normal:
         raise PreconditionError("normality", str(witness))
+    _check_same_alphabet(g, super_)
 
     product, _ = sync_product_pairs(g, s)
     cell_of_simsup: list[set[int]] = [set() for _ in range(simsup.n)]

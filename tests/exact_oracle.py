@@ -268,7 +268,7 @@ def reduce_exact_core(
             cells = search.find_cover(k)
         if cells is not None:
             cover = Cover.from_cells(cells)
-            quotient, _ = induce_quotient(s, data, cover, name=f"{s.name}-min")
+            quotient = induce_quotient(s, data, cover, name=f"{s.name}-min")
             report = ReductionReport(s.n, quotient.n, cover, search.steps, f"exact-{mode}")
             return quotient, report
     raise AssertionError("singleton cover is always valid")  # pragma: no cover

@@ -166,5 +166,5 @@ def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Aut
     rng.shuffle(pairs)
     attempts = rng.randint(0, len(pairs))
     cover, _ = _library_congruence(sup, data, pairs[:attempts])
-    quotient, _ = induce_quotient(sup, data, cover, name=f"{s.name}-equiv-{seed}")
+    quotient = induce_quotient(sup, data, cover, name=f"{s.name}-equiv-{seed}")
     return quotient

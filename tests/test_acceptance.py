@@ -97,7 +97,7 @@ def test_tank_reduction():
         cover = Cover.from_cells([{0, 1, 2}, {3}])
         ok, violation = validate_cover(s, data, cover)
         assert ok, violation
-        quotient, _ = induce_quotient(s, data, cover)
+        quotient = induce_quotient(s, data, cover)
         assert quotient.n == 2
         assert check_control_feasibility(quotient)[0]
         assert loop_controllable(g, quotient)[0]
@@ -127,7 +127,7 @@ def test_quotient_construction_suite():
             data = control_data(g, sup)
             cover = _random_cover_on(rng, sup, data)
             assert validate_cover(sup, data, cover)[0]
-            quotient, _ = induce_quotient(sup, data, cover)
+            quotient = induce_quotient(sup, data, cover)
             assert quotient.n == len(cover)
             ok, witness = check_control_existence(quotient)
             assert ok, witness
@@ -160,7 +160,7 @@ def test_cover_extraction_suite():
                 cover = extract_cover_from_simsup(sup, simsup, g, s)
                 ok, violation = validate_cover(sup, control_data(g, sup), cover)
                 assert ok, violation
-                quotient, _ = induce_quotient(sup, control_data(g, sup), cover)
+                quotient = induce_quotient(sup, control_data(g, sup), cover)
                 assert is_des_isomorphic(quotient, simsup).verdict
                 accepted += 1
         assert accepted >= 100

@@ -2,9 +2,11 @@
 
 import io
 import json
+import time
 
 from supred.automata import parse_automaton
 from supred.cli import run
+from supred.reduction import EQUIVALENT_DRAW_CAP
 from supred.supervision import control_equivalent
 
 from tests.conftest import FIXTURES
@@ -128,6 +130,28 @@ def test_reduce_seeded_sample(tmp_path):
     assert result.exit_code == 0
     (sampled,) = parse_automaton(out_file.read_text())
     assert 1 <= sampled.n <= 4
+
+
+def test_reduce_seeded_sample_refuses_large_super(tmp_path):
+    """The draw shuffles every state pair of SUPER, so above the cap
+    ``--seed`` refuses with exit 4 before drawing: here SUPER is a plant
+    chain of one state more than the cap."""
+    n = EQUIVALENT_DRAW_CAP + 1
+    states = " ".join(f"x{i}" for i in range(n))
+    trans = "\n".join(f"x{i} a x{i + 1}" for i in range(n - 1))
+    chain = tmp_path / "chain.aut"
+    chain.write_text(
+        f"automaton G\nevents 1\na c o\nstates {n}\n{states}\ninitial x0\nmarked 0\n"
+        f"trans {n - 1}\n{trans}\nend\n"
+        "automaton S\nevents 1\na c o\nstates 1\nz\ninitial z\nmarked 0\n"
+        "trans 1\nz a z\nend\n"
+    )
+    start = time.perf_counter()
+    result, _, err = invoke("reduce", "-g", f"{chain}:G", "-s", f"{chain}:S", "--seed", "7")
+    assert time.perf_counter() - start < 10
+    assert result.exit_code == 4
+    assert err == (f"error: equivalent-supervisor draw cap exceeded: "
+                   f"{n} states > cap {EQUIVALENT_DRAW_CAP}\n")
 
 
 def test_verify_equiv_true():

@@ -76,9 +76,8 @@ def _assert_same_checks(g, s, cands):
         except (SupredError, ValueError):
             continue
         # the other candidates as ``super_`` reach the refusal of a closed
-        # loop leaving it; the mismatched one is refused on its alphabet,
-        # which the oracle never checked
-        for super_, b in product([sup, *cands[:-1]], cands):
+        # loop leaving it, and the mismatched one the alphabet check
+        for super_, b in product([sup, *cands], cands):
             _assert_same(extract_cover_from_simsup, oracle.extract_cover_from_simsup,
                          super_, b, g, a)
 
@@ -89,8 +88,9 @@ def test_checks_match_oracle_on_candidate_sets():
 
 
 def test_checks_match_oracle_on_mismatched_plant():
-    g, s, cands = _candidates(3)
-    _assert_same_checks(_mismatched(g), s, cands)
+    for seed in range(25):
+        g, s, cands = _candidates(seed)
+        _assert_same_checks(_mismatched(g), s, cands)
 
 
 def test_compare_reductions_matches_oracle():

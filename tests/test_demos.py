@@ -21,6 +21,7 @@ def test_demo_runs(name, capsys):
 
 def test_single_tank_demo_reduces_to_two_states(capsys):
     out = _run("01_single_tank_reduction.py", capsys)
+    assert "induced supervisor: 2 states" in out.splitlines()
     assert ("The merge heuristic finds the same reduction automatically: "
             "4 -> 2 states (2 unions examined).") in out.splitlines()
 

@@ -57,3 +57,21 @@ def test_no_unused_imports():
         offenders += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
     assert not offenders, offenders
 
+
+
+def test_every_private_definition_is_read():
+    """Every private (``_name``) function, method or class defined in the
+    package is read somewhere in it, as a name or an attribute: a helper
+    that nothing calls any more is deleted, not left behind."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    offenders = [f"{where}: {name}" for name, where in defined if name not in read]
+    assert not offenders, offenders

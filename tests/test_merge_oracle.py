@@ -59,7 +59,7 @@ def _assert_same_heuristic(g, s):
 
 
 def _assert_same_quotient(s, data, cover):
-    quotient, _ = induce_quotient(s, data, cover, name="Q")
+    quotient = induce_quotient(s, data, cover, name="Q")
     reference = merge_oracle.induce_quotient_by_scan(s, data, cover, "Q")
     assert serialize_automaton(quotient) == serialize_automaton(reference)
 

@@ -91,7 +91,7 @@ def test_cover_canonical_order():
 def test_tank_quotient_matches_published_reduction(tank):
     g, s = tank
     data = control_data(g, s)
-    quotient, choice = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
+    quotient = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
     assert quotient.n == 2
     assert check_control_feasibility(quotient)[0]
     assert loop_controllable(g, quotient)[0]
@@ -104,7 +104,7 @@ def test_tank_quotient_matches_published_reduction(tank):
 def test_singleton_quotient_isomorphic(tank):
     g, s = tank
     data = control_data(g, s)
-    quotient, _ = induce_quotient(s, data, Cover.from_cells([{z} for z in range(s.n)]))
+    quotient = induce_quotient(s, data, Cover.from_cells([{z} for z in range(s.n)]))
     assert is_des_isomorphic(quotient, s).verdict
 
 
@@ -114,7 +114,7 @@ def test_quotient_size_equals_cover_size():
         g, s = strict_instance(rng)
         sup = build_super(g, s)
         data = control_data(g, sup)
-        quotient, _ = induce_quotient(sup, data, Cover.from_cells([{z} for z in range(sup.n)]))
+        quotient = induce_quotient(sup, data, Cover.from_cells([{z} for z in range(sup.n)]))
         assert quotient.n == sup.n
 
 
@@ -182,18 +182,18 @@ def test_extract_identity(tank):
     cover = extract_cover_from_simsup(sup, sup, g, s)
     assert cover.cells == tuple(frozenset({z}) for z in range(sup.n))
     data = control_data(g, sup)
-    quotient, _ = induce_quotient(sup, data, cover)
+    quotient = induce_quotient(sup, data, cover)
     assert is_des_isomorphic(quotient, sup).verdict
 
 
 def test_extract_tank_quotient(tank):
     g, s = tank
     data = control_data(g, s)
-    simsup, _ = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
+    simsup = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
     sup = build_super(g, s)
     cover = extract_cover_from_simsup(sup, simsup, g, s)
     assert sorted(len(c) for c in cover.cells) == [1, 3]
-    quotient, _ = induce_quotient(sup, control_data(g, sup), cover)
+    quotient = induce_quotient(sup, control_data(g, sup), cover)
     assert is_des_isomorphic(quotient, simsup).verdict
 
 
@@ -248,7 +248,7 @@ def test_extract_roundtrip_on_normal_quotients():
         cover = extract_cover_from_simsup(sup, simsup, g, s)
         ok, violation = validate_cover(sup, control_data(g, sup), cover)
         assert ok, violation
-        quotient, _ = induce_quotient(sup, control_data(g, sup), cover)
+        quotient = induce_quotient(sup, control_data(g, sup), cover)
         assert is_des_isomorphic(quotient, simsup).verdict
         done += 1
 
@@ -262,7 +262,7 @@ def test_heuristic_tank_reaches_published_size(tank):
     reduced, report = reduce_heuristic(g, s)
     assert report.output_size == 2 and reduced.n == 2
     data = control_data(g, s)
-    expected, _ = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
+    expected = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
     assert is_des_isomorphic(reduced, expected).verdict
 
 

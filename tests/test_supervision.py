@@ -462,7 +462,7 @@ def test_control_equivalent_tank_quotient(tank):
 
     g, s = tank
     data = control_data(g, s)
-    quotient, _ = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
+    quotient = induce_quotient(s, data, Cover.from_cells([{0, 1, 2}, {3}]))
     assert control_equivalent(g, s, quotient) == (True, None)
 
 
