@@ -531,7 +531,7 @@ def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Aut
 def _greedy_incompatible_states(masks: Sequence[int]) -> list[int]:
     """Greedily grown set of pairwise-incompatible states."""
     n = len(masks)
-    order = sorted(range(n), key=lambda i: bin(masks[i]).count("1"), reverse=True)
+    order = sorted(range(n), key=lambda i: masks[i].bit_count(), reverse=True)
     clique: list[int] = []
     for i in order:
         if all(masks[i] >> j & 1 for j in clique):
@@ -625,7 +625,7 @@ class _ExactSearch:
                     grow(cell | 1 << z, incompat | self.masks[z], rest[i + 1:])
 
         grow(1 << m, self.masks[m], candidates)
-        out.sort(key=lambda c: -bin(c).count("1"))
+        out.sort(key=lambda c: -c.bit_count())
         return out
 
     def find_cover(self, k: int) -> Optional[list[set[int]]]:
@@ -636,7 +636,14 @@ class _ExactSearch:
         covered later, and a pending target set reaching below it can
         never be received later.  A pending target set is itself a
         candidate cell, so its own minimum is the highest minimum any
-        receiver can have."""
+        receiver can have.
+
+        A target set is pending while no chosen cell holds it.  Each node
+        gets its parent's pending list and updates it for the one cell
+        just chosen, in O(|pending| + |Σ|·k) instead of a rebuild in
+        O(k²·|Σ|).  That gives the same sets: the chosen cells only grow
+        along a path, so a parent's pending set leaves only when the new
+        cell holds it, and only the new cell's target sets are new."""
         n_events = len(self.s.alphabet)
         full = (1 << self.n) - 1
         # Built per call, not kept across k or built in __init__: find_cover
@@ -644,11 +651,12 @@ class _ExactSearch:
         # on 197 of 199 seeded loose ones, and building eagerly raised the
         # exact_small call_p90_s from 1.0-1.2 ms to 1.5-1.6 ms.
         by_min = [self._candidate_cells(m) for m in range(self.n)]
-        max_cell = max((bin(c).count("1") for row in by_min for c in row), default=1)
+        max_cell = max((c.bit_count() for row in by_min for c in row), default=1)
         clique_mask = sum(1 << z for z in self.clique)
         targets_of: dict[int, tuple[int, ...]] = {}
 
         def cell_targets(cell: int) -> tuple[int, ...]:
+            """The cell's non-empty per-event target sets."""
             cached = targets_of.get(cell)
             if cached is None:
                 rows = [0] * n_events
@@ -658,29 +666,34 @@ class _ExactSearch:
                     c &= c - 1
                     for e, t in self.s.out(z):
                         rows[e] |= 1 << t
-                targets_of[cell] = cached = tuple(rows)
+                targets_of[cell] = cached = tuple(tb for tb in rows if tb)
             return cached
 
         chosen: list[int] = []
 
-        def dfs(last_min: int, last_cell: int, covered: int) -> bool:
+        def dfs(last_min: int, last_cell: int, covered: int, inherited: list[int]) -> bool:
             self.steps += 1
-            pending = []
-            for cell in chosen:
-                for tb in cell_targets(cell):
-                    if tb and not any(tb & ~held == 0 for held in chosen):
-                        pending.append(tb)
+            # last_cell is the cell just chosen (0 at the root)
+            pending = [tb for tb in inherited if tb & ~last_cell]
+            for tb in cell_targets(last_cell):
+                for held in chosen:
+                    if tb & ~held == 0:
+                        break
+                else:
+                    pending.append(tb)
             if len(chosen) == k:
                 return covered == full and not pending
             # future cells have min member >= last_min: no pending target
             # set and no uncovered state may lie below it
-            if any(tb & ((1 << last_min) - 1) for tb in pending):
-                return False
+            below = (1 << last_min) - 1
+            for tb in pending:
+                if tb & below:
+                    return False
             uncovered = full & ~covered
             remaining = k - len(chosen)
-            if bin(uncovered).count("1") > remaining * max_cell:
+            if uncovered.bit_count() > remaining * max_cell:
                 return False
-            if bin(uncovered & clique_mask).count("1") > remaining:
+            if (uncovered & clique_mask).bit_count() > remaining:
                 return False
             if uncovered:
                 lowest_uncovered = (uncovered & -uncovered).bit_length() - 1
@@ -696,12 +709,12 @@ class _ExactSearch:
                     if m == last_min and cell <= last_cell:
                         continue
                     chosen.append(cell)
-                    if dfs(m, cell, covered | cell):
+                    if dfs(m, cell, covered | cell, pending):
                         return True
                     chosen.pop()
             return False
 
-        if dfs(0, 0, 0):
+        if dfs(0, 0, 0, []):
             return [{z for z in range(self.n) if cell >> z & 1} for cell in chosen]
         return None
 

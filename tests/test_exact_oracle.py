@@ -1,16 +1,23 @@
-"""Differential tests: the exact search on the successor-closed
-incompatibility masks against the reference search in
-``tests/exact_oracle.py``, which looks one step ahead on the base masks.
-Both must return the same cover in both modes wherever the reference
-finishes within its node budget."""
+"""Differential tests for the exact search.
 
+Against ``tests/exact_oracle.py``, which looks one step ahead on the base
+masks, the search must return the same cover in both modes.  Against
+``tests/cover_oracle.py``, which rebuilds the pending target sets at every
+node, the cover search must return the same cover and visit the same
+nodes.  Both hold wherever the reference finishes within its node
+budget."""
+
+import pathlib
 import random
 
+from supred.automata import parse_automaton
 from supred.reduction import reduce_exact_core
 from supred.supervision import control_data
 
-from tests import exact_oracle
+from tests import cover_oracle, exact_oracle
 from tests.generators import loose_instance
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 # About 0.1-0.3 s of the reference search; every instance it cannot finish
 # within this many nodes is skipped.
@@ -47,3 +54,41 @@ def test_same_covers_on_larger_plants():
                  for i in range(40)]
     skipped = _assert_same_covers(instances)
     assert len(skipped) <= 5, skipped
+
+
+def _assert_same_cover_search(instances):
+    """Same cover, size and node count in cover mode as the search that
+    rebuilds its pending sets; returns the seeds it could not finish."""
+    skipped = []
+    for seed, (g, s) in instances:
+        data = control_data(g, s)
+        try:
+            _, expected = cover_oracle.reduce_exact_core(s, data, "cover", s.n, BUDGET)
+        except cover_oracle.NodeBudgetExceeded:
+            skipped.append(seed)
+            continue
+        _, report = reduce_exact_core(s, data, "cover", s.n)
+        assert (report.cover, report.output_size, report.steps) == \
+            (expected.cover, expected.output_size, expected.steps), seed
+    return skipped
+
+
+def test_same_cover_search_on_exact_small_family():
+    instances = [(i, loose_instance(random.Random(i), max_plant=8, max_sup=10, max_events=5))
+                 for i in (*range(120), 255)]
+    skipped = _assert_same_cover_search(instances)
+    assert len(skipped) <= 5, skipped
+
+
+def test_same_cover_search_on_larger_plants():
+    instances = [(i, loose_instance(random.Random(i), max_plant=10, max_sup=10))
+                 for i in range(1000, 1040)]
+    skipped = _assert_same_cover_search(instances)
+    assert len(skipped) <= 5, skipped
+
+
+def test_same_cover_search_on_fixtures():
+    g, s1, s2 = parse_automaton((FIXTURES / "ordering.aut").read_text())
+    g91, s91, g255, s255 = parse_automaton((FIXTURES / "exact_blowup.aut").read_text())
+    instances = [("S1", (g, s1)), ("S2", (g, s2)), ("S91", (g91, s91)), ("S255", (g255, s255))]
+    assert _assert_same_cover_search(instances) == []
