@@ -17,19 +17,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import (
-    Automaton,
-    Lockstep,
-    control_equivalent,
-    distinct_names,
-    subset_construction,
-    sync_product_pairs,
-)
+from .automata import Automaton, Lockstep, control_equivalent, distinct_names
 from .errors import CoverError, InfeasibleSupervisorError, PreconditionError, SearchCapError
 from .supervision import (
     ControlData,
     check_control_feasibility,
     closed_incompatibility,
+    closed_loop_pairs,
     compatibility_relation,
     control_data,
     control_data_from_pairs,
@@ -257,13 +251,100 @@ def build_super(g: Automaton, s: Automaton) -> Automaton:
     subset construction over the reachable closed loop, with unobservable
     events reinserted as selfloops.  Fails on an infeasible supervisor,
     with the errors of :func:`require_feasible`: the structural check runs
-    first, then loop controllability is read off the state pairs of the
-    closed loop the construction builds anyway, so ``G||S`` is walked
-    once."""
+    first, then loop controllability is read off the pairs of
+    :func:`~supred.supervision.closed_loop_pairs`.
+
+    No product automaton is built.  Once every unobservable transition of
+    ``s`` is a selfloop, the state of ``s`` after a closed-loop string
+    depends only on the string's observed projection, so every subset of
+    closed-loop pairs the construction reaches is ``{z} × X``: a SUPER
+    state is the key ``(z, X)``, with ``X`` a bitmask of plant states.  An
+    observable event ``e`` leads to ``(zt, X')``, ``zt`` the ``e``-successor
+    of ``z`` and ``X'`` the closure of the plant's ``e``-successors of
+    ``X`` under the unobservable events ``zt`` selfloops.  States, their
+    order and their names are those of the subset construction of
+    :func:`~supred.automata.sync_product_pairs`: member names are the
+    product's pair names ``(x,z)``, made distinct in the product's order.
+    """
     _require_selfloop_unobservables(s)
-    loop, pairs = sync_product_pairs(g, s)
-    _require_loop_controllable(s, control_data_from_pairs(g, s, pairs))
-    return subset_construction(loop, name="SUPER")
+    xs, zs = closed_loop_pairs(g, s)
+    _require_loop_controllable(s, control_data_from_pairs(g, s, zip(xs, zs)))
+    m, ns = len(s.alphabet), s.n
+    g_succ, s_succ = g.succ, s.succ
+    g_states, s_states = g.states, s.states
+    pair_names = distinct_names([f"({g_states[x]},{s_states[z]})" for x, z in zip(xs, zs)])
+    pair_name = dict(zip([x * ns + z for x, z in zip(xs, zs)], pair_names))
+    unobs_mask = sum(1 << u for u in s.alphabet.unobservable)
+    obs = sorted(s.alphabet.observable)
+    unobs = sorted(s.alphabet.unobservable)
+    g_enabled = [g.enabled(x) for x in range(g.n)]
+    # Per set of unobservable events, per event e: the closure under the set
+    # of each plant state's e-successor (0 where undefined).  steps_into[z]
+    # is the table of the set z selfloops, filled on first use.
+    tables: dict[int, list[list[int]]] = {}
+    steps_into: list[Optional[list[list[int]]]] = [None] * ns
+
+    def steps_at(z: int) -> list[list[int]]:
+        events = s.enabled(z) & unobs_mask
+        table = tables.get(events)
+        if table is None:
+            closure = [_closure(g, x, events) for x in range(g.n)]
+            table = tables[events] = [[closure[t] if t >= 0 else 0 for t in g_succ[e::m]]
+                                      for e in range(m)]
+        steps_into[z] = table
+        return table
+
+    start = (s.initial, _closure(g, g.initial, s.enabled(s.initial) & unobs_mask))
+    index = {start: 0}
+    order = [start]
+    names: list[str] = []
+    trans: dict[tuple[int, int], int] = {}
+    for src, (z, subset) in enumerate(order):
+        members = []
+        offered = 0  # the events some member plant state defines
+        while subset:
+            low = subset & -subset
+            x = low.bit_length() - 1
+            members.append(x)
+            offered |= g_enabled[x]
+            subset ^= low
+        base = z * m
+        for e in obs:
+            zt = s_succ[base + e]
+            if zt < 0 or not offered >> e & 1:
+                continue
+            step = (steps_into[zt] or steps_at(zt))[e]
+            target = 0
+            for x in members:
+                target |= step[x]
+            key = (zt, target)
+            dst = index.get(key)
+            if dst is None:
+                dst = index[key] = len(order)
+                order.append(key)
+            trans[(src, e)] = dst
+        # an unobservable event selfloops where s defines it and some
+        # member plant state does
+        for u in unobs:
+            if offered >> u & 1 and s_succ[base + u] >= 0:
+                trans[(src, u)] = src
+        names.append("+".join(sorted([pair_name[x * ns + z] for x in members])))
+    g_marked = sum(1 << x for x in g.marked)
+    marked = [i for i, (z, subset) in enumerate(order) if z in s.marked and subset & g_marked]
+    return Automaton("SUPER", s.alphabet, distinct_names(names), 0, marked, trans)
+
+
+def _closure(g: Automaton, x: int, events: int) -> int:
+    """The bitmask of the plant states that strings of the events in
+    bitmask ``events`` lead ``x`` to, ``x`` included."""
+    reached = 1 << x
+    stack = [x]
+    while stack:
+        for e, t in g.out(stack.pop()):
+            if events >> e & 1 and not reached >> t & 1:
+                reached |= 1 << t
+                stack.append(t)
+    return reached
 
 
 def characterize_super_state(

@@ -5,7 +5,8 @@ These are the versions of ``control_equivalent``, ``is_normal``,
 ``extract_cover_from_simsup`` that re-trimmed every synchronous product and
 built the closed loop ``G||S`` anew for each question they asked, and the
 ``build_super`` that walked ``G||S`` for its feasibility gate and again
-for the product it determinises.  The
+for the product it determinises over ``frozenset`` subsets, where the
+library builds SUPER on (supervisor state, plant-state bitmask) pairs.  The
 bodies are unchanged apart from the public names of the alphabet check and
 the exact-search core, and they call each other as before; one check was
 added: ``extract_cover_from_simsup`` checks ``super_``'s alphabet against

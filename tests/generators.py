@@ -222,3 +222,22 @@ def scale_pair(rng: random.Random, core_states: int, factor: int) -> tuple[Autom
     big = inflated_supervisor(core, factor)
     assert big.n == core_states * factor
     return g, big
+
+
+def partial_observation_pair(seed: int) -> tuple[Automaton, Automaton]:
+    """A 100-300 state partial-observation supervisor against a 10-20 state
+    plant: the draw of the ``reduce_random`` benchmark workload, by instance
+    seed.  Seeds 0-4 give SUPERs of 177 to 1,057 states; seeds 5, 8, 10 and
+    13 give 10.9k-32.3k."""
+    rng = random.Random(seed)
+    while True:
+        alphabet = random_alphabet(rng, max_events=5, require_unobservable=True)
+        g = random_plant(rng, alphabet, max_states=20, uncontrollable_complete=True)
+        if g.n < 10:
+            continue
+        try:
+            s = random_feasible_supervisor(rng, alphabet, max_states=300, full_gamma=True)
+        except ValueError:  # too few observable events for a spanning tree
+            continue
+        if s.n >= 100:
+            return g, s

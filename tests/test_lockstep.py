@@ -230,10 +230,10 @@ def test_closed_loop_checks_build_no_product(product_calls):
     compared = 0
     for seed in range(20):
         g, s = loose_instance(random.Random(seed), max_plant=6, max_sup=6, max_events=4)
-        sup = build_super(g, s)
-        equiv = generate_equivalent_supervisor(g, s, seed)
         loop = sync_product(g, s)
         del product_calls[:]
+        sup = build_super(g, s)
+        equiv = generate_equivalent_supervisor(g, s, seed)
         control_equivalent(g, s, equiv)
         supred.language_equivalent(loop, loop)
         is_normal(g, s, equiv)

@@ -26,6 +26,7 @@ from supred.supervision import (
 from tests import merge_oracle
 from tests.generators import (
     loose_instance,
+    partial_observation_pair,
     random_alphabet,
     random_feasible_supervisor,
     random_plant,
@@ -251,23 +252,6 @@ def _plain_mask_sweep(g, s):
     return partition.cover(), partition.steps
 
 
-def _bench_random_instance(seed):
-    """The draw of the 100-300 state partial-observation pairs of the
-    ``reduce_random`` benchmark workload, by instance seed."""
-    rng = random.Random(seed)
-    while True:
-        alphabet = random_alphabet(rng, max_events=5, require_unobservable=True)
-        g = random_plant(rng, alphabet, max_states=20, uncontrollable_complete=True)
-        if g.n < 10:
-            continue
-        try:
-            s = random_feasible_supervisor(rng, alphabet, max_states=300, full_gamma=True)
-        except ValueError:  # too few observable events for a spanning tree
-            continue
-        if s.n >= 100:
-            return g, s
-
-
 def test_one_step_sweep_matches_plain_mask_sweep():
     """Every bit the one-step masks add is a pair no congruence may join,
     so the sweep refuses the same merges and returns the same cover."""
@@ -308,7 +292,7 @@ def test_bench_random_instance_2_examines_few_unions():
     """Regression guard: on instance 2 of the ``reduce_random`` benchmark
     (251 states) the sweep on the base masks examines 19,042 unions, on
     the one-step masks 4,983."""
-    g, s = _bench_random_instance(2)
+    g, s = partial_observation_pair(2)
     assert s.n == 251
     _, report = reduce_heuristic(g, s)
     assert report.steps <= 6_000

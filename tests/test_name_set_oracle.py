@@ -11,30 +11,8 @@ from supred.reduction import build_super, characterize_super_state
 from supred.supervision import control_data
 
 from tests import name_set_oracle as oracle
-from tests.generators import (
-    loose_instance,
-    random_alphabet,
-    random_feasible_supervisor,
-    random_plant,
-)
+from tests.generators import loose_instance, partial_observation_pair
 from tests.test_closed_loop_oracle import _candidates, _outcome
-
-
-def _random_pair(seed):
-    """A 100-300 state partial-observation supervisor against a 10-20 state
-    plant; seeds 0-4 give SUPERs of 177 to 1,057 states."""
-    rng = random.Random(seed)
-    while True:
-        alphabet = random_alphabet(rng, max_events=5, require_unobservable=True)
-        g = random_plant(rng, alphabet, max_states=20, uncontrollable_complete=True)
-        if g.n < 10:
-            continue
-        try:
-            s = random_feasible_supervisor(rng, alphabet, max_states=300, full_gamma=True)
-        except ValueError:  # too few observable events for a spanning tree
-            continue
-        if s.n >= 100:
-            return g, s
 
 
 def _loose(seed):
@@ -82,7 +60,7 @@ def test_control_data_matches_oracle_on_loose_instances():
 
 def test_control_data_matches_oracle_on_random_pairs():
     for seed in range(5):
-        g, s = _random_pair(seed)
+        g, s = partial_observation_pair(seed)
         _assert_same_control_data(g, s)
         _assert_same_control_data(g, build_super(g, s))
 
@@ -107,6 +85,6 @@ def test_characterize_matches_oracle():
         sup = build_super(g, s)
         _assert_same_characterization(g, s, sup, range(sup.n))
     for seed in range(5):
-        g, s = _random_pair(seed)
+        g, s = partial_observation_pair(seed)
         sup = build_super(g, s)
         _assert_same_characterization(g, s, sup, sorted({0, 1, sup.n // 2, sup.n - 1}))

@@ -11,6 +11,7 @@ from supred.automata import (
     Event,
     is_des_isomorphic,
     parse_automaton,
+    subset_construction_with_members,
     sync_product,
     sync_product_pairs,
     trim_reachable,
@@ -38,7 +39,8 @@ from supred.supervision import (
 )
 
 from tests.conftest import FIXTURES
-from tests.generators import loose_instance, scale_pair, strict_instance
+from tests.generators import (loose_instance, partial_observation_pair, scale_pair,
+                              strict_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +162,35 @@ def test_super_rejects_infeasible():
     bad = Automaton("B", alphabet, ["z0", "z1"], 0, [], {(0, 0): 1})
     with pytest.raises(InfeasibleSupervisorError) as err:
         build_super(g, bad)
+    assert err.value.check == "feasibility"
+
+
+def _supervisor_states_per_subset(g, s):
+    """Per state of the subset construction of ``G||S``, the supervisor
+    states among its members."""
+    loop, pairs = sync_product_pairs(g, s)
+    _, members = subset_construction_with_members(loop)
+    return [{pairs[p][1] for p in subset} for subset in members]
+
+
+def test_super_subsets_hold_one_supervisor_state():
+    """What ``build_super`` rests on: with every unobservable transition of
+    S a selfloop, S's state after a closed-loop string depends only on its
+    observed projection, so each subset of ``G||S`` holds one supervisor
+    state.  A moving unobservable transition breaks this, and
+    ``build_super`` refuses such a supervisor before building anything."""
+    instances = [loose_instance(random.Random(seed), max_plant=6, max_sup=6, max_events=4,
+                                require_unobservable=True) for seed in range(60)]
+    instances += [partial_observation_pair(seed) for seed in range(3)]
+    instances += [scale_pair(random.Random(seed), core_states=8, factor=5) for seed in range(3)]
+    for g, s in instances:
+        assert all(len(zs) == 1 for zs in _supervisor_states_per_subset(g, s))
+    alphabet = Alphabet([Event("u", True, False), Event("o", True, True)])
+    g = Automaton("G", alphabet, ["x0", "x1"], 0, [], {(0, 0): 1, (0, 1): 1})
+    moving = Automaton("M", alphabet, ["z0", "z1"], 0, [], {(0, 0): 1})
+    assert {0, 1} in _supervisor_states_per_subset(g, moving)
+    with pytest.raises(InfeasibleSupervisorError) as err:
+        build_super(g, moving)
     assert err.value.check == "feasibility"
 
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supred.automata import Alphabet, Automaton, Event, sync_product, trim_reachable
+from supred.automata import (Alphabet, Automaton, Event, sync_product, sync_product_pairs,
+                             trim_reachable)
 from supred.supervision import (
     check_control_existence,
     check_control_feasibility,
     closed_incompatibility,
+    closed_loop_pairs,
     compatibility_relation,
     compatible,
     control_data,
@@ -166,6 +168,19 @@ def test_control_data_matches_brute_force():
             assert _names(g.alphabet, data.disabled[z]) == disabled[z], (z, s.states[z])
             assert data.marked_s[z] == marked_s[z]
             assert data.marked_g[z] == marked_g[z]
+
+
+def test_closed_loop_pairs_follow_the_product_order():
+    """The pairs ``control_data`` and ``build_super`` read are the states of
+    ``sync_product_pairs``, in its order, for supervisors and for automata
+    of any shape."""
+    rng = random.Random(47)
+    for _ in range(40):
+        g, s = loose_instance(rng, max_plant=6, max_sup=8, max_events=4)
+        a = random_automaton(rng, s.alphabet, max_states=6)
+        for other in (s, a):
+            xs, zs = closed_loop_pairs(g, other)
+            assert list(zip(xs, zs)) == sync_product_pairs(g, other)[1]
 
 
 def test_control_data_invariants_random():
