@@ -54,7 +54,8 @@ class Event:
 class Alphabet:
     """Ordered event list; the order is the canonical event order.
 
-    Event names must be unique, nonempty and whitespace-free.  Operations
+    Event names must be unique, nonempty, whitespace-free and free of
+    ``#``, which starts a comment in the ``.aut`` format.  Operations
     over automaton pairs require the two alphabets to agree in names,
     attribute bits and order.  Event sets are ``int`` bitmasks over event
     indices (bit ``e`` stands for event ``e``).
@@ -64,7 +65,7 @@ class Alphabet:
         self.events: tuple[Event, ...] = tuple(events)
         self._index: dict[str, int] = {}
         for i, ev in enumerate(self.events):
-            if ev.name.split() != [ev.name]:
+            if ev.name.split() != [ev.name] or "#" in ev.name:
                 raise ValueError(f"bad event name {ev.name!r}")
             if ev.name in self._index:
                 raise ValueError(f"duplicate event name {ev.name!r}")
@@ -134,7 +135,10 @@ def check_same_alphabet(a: "Automaton", b: "Automaton") -> None:
 class Automaton:
     """A named deterministic finite automaton with a partial transition map.
 
-    States are addressed by index; ``states`` holds their names.  The map
+    States are addressed by index; ``states`` holds their names.  The
+    automaton's name and its state names are, as event names are, single
+    whitespace-free tokens without ``#``, so that
+    :func:`serialize_automaton` writes text that parses back.  The map
     ``trans`` sends ``(state, event)`` pairs to target states and is
     deterministic by construction.  ``succ`` is the same map as one dense
     table, built once: ``succ[q * m + e]`` is the target of state ``q`` on
@@ -161,10 +165,14 @@ class Automaton:
             raise ValueError("automaton needs at least one state")
         # bulk checks; the per-item loops run only to name the first fault
         self._index: dict[str, int] = dict(zip(self.states, range(n)))
-        if len(self._index) != n or " ".join(self.states).split() != list(self.states):
+        tokens = [name, *self.states]
+        joined = " ".join(tokens)
+        if len(self._index) != n or "#" in joined or joined.split() != tokens:
+            if name.split() != [name] or "#" in name:
+                raise ValueError(f"bad automaton name {name!r}")
             seen: set[str] = set()
             for s in self.states:
-                if s.split() != [s]:
+                if s.split() != [s] or "#" in s:
                     raise ValueError(f"bad state name {s!r}")
                 if s in seen:
                     raise ValueError(f"duplicate state name {s!r}")
@@ -693,18 +701,16 @@ def is_des_isomorphic(a: Automaton, b: Automaton) -> MorphismResult:
 class Lockstep:
     """Breadth-first walk of the triples ``(x, qa, qb)`` that the plant
     ``g`` and the automata ``a`` and ``b`` reach together on the events all
-    three define.  Iterating yields ``(node, x, qa, qb)`` once per triple,
-    where ``node`` numbers the triples in visiting order.  The order is that
-    of the reachable pairs of ``(g||a)||b``, but no product automaton is
-    built; successors are read from the dense ``succ`` tables.
+    three define, in the order of the reachable pairs of ``(g||a)||b``; no
+    product automaton is built, successors are read from ``succ``.
 
-    Node ``i`` is the triple ``(xs[i], qas[i], qbs[i])``; it keeps besides
-    only its BFS ``depth`` and the ``parent`` node and ``event`` it was
-    first reached by, and :meth:`string` rebuilds the string from them.
-    Events go in alphabet order, so that string is a shortest one, ties
-    broken by alphabet order.  Every iteration walks afresh.  Once one has
-    run to the end the arrays hold every triple, so a second reader scans
-    them instead of walking again.
+    Node ``i`` is the triple ``(xs[i], qas[i], qbs[i])``, first reached from
+    node ``parent[i]`` by ``event[i]``.  Events go in alphabet order, so
+    :meth:`string` rebuilds a shortest string, ties broken by alphabet
+    order.  :meth:`levels` walks afresh, one BFS level at a time; ``starts``
+    holds the first node of each level handed over, so a node's depth is the
+    index of the last start not above it.  After :meth:`run` the arrays hold
+    every triple, and readers scan them.
     """
 
     def __init__(self, g: Automaton, a: Automaton, b: Automaton):
@@ -716,9 +722,11 @@ class Lockstep:
         self.qbs: list[int] = []
         self.parent: list[int] = []
         self.event: list[int] = []
-        self.depth: list[int] = []
+        self.starts: list[int] = []
 
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+    def levels(self) -> Iterator[tuple[int, int]]:
+        """Walk afresh, yielding the node range ``(lo, hi)`` of each level
+        once it is complete and before it is expanded."""
         g, a, b = self.g, self.a, self.b
         m, na, nb = len(g.alphabet), a.n, b.n
         g_out, a_succ, b_succ = g._out, a.succ, b.succ
@@ -726,31 +734,35 @@ class Lockstep:
         # a triple is coded as the int (x * na + qa) * nb + qb
         seen = {(g.initial * na + a.initial) * nb + b.initial}
         xs, qas, qbs = self.xs, self.qas, self.qbs
-        parent, event, depth = self.parent, self.event, self.depth
+        parent, event, starts = self.parent, self.event, self.starts
         xs[:], qas[:], qbs[:] = [g.initial], [a.initial], [b.initial]
-        parent[:], event[:], depth[:] = [-1], [-1], [0]
-        node = 0
-        while node < len(xs):
-            x, qa, qb = xs[node], qas[node], qbs[node]
-            yield node, x, qa, qb
-            shared = a_enabled[qa] & b_enabled[qb]
-            if shared:
-                d = depth[node] + 1
-                base_a, base_b = qa * m, qb * m
-                for e, xt in g_out[x]:
-                    if shared >> e & 1:
-                        ta = a_succ[base_a + e]
-                        tb = b_succ[base_b + e]
-                        code = (xt * na + ta) * nb + tb
-                        if code not in seen:
-                            seen.add(code)
-                            xs.append(xt)
-                            qas.append(ta)
-                            qbs.append(tb)
-                            parent.append(node)
-                            event.append(e)
-                            depth.append(d)
-            node += 1
+        parent[:], event[:], starts[:] = [-1], [-1], []
+        lo, hi = 0, 1
+        while lo < hi:
+            starts.append(lo)
+            yield lo, hi
+            for node, x, qa, qb in zip(range(lo, hi), xs[lo:hi], qas[lo:hi], qbs[lo:hi]):
+                shared = a_enabled[qa] & b_enabled[qb]
+                if shared:
+                    base_a, base_b = qa * m, qb * m
+                    for e, xt in g_out[x]:
+                        if shared >> e & 1:
+                            ta = a_succ[base_a + e]
+                            tb = b_succ[base_b + e]
+                            code = (xt * na + ta) * nb + tb
+                            if code not in seen:
+                                seen.add(code)
+                                xs.append(xt)
+                                qas.append(ta)
+                                qbs.append(tb)
+                                parent.append(node)
+                                event.append(e)
+            lo, hi = hi, len(xs)
+
+    def run(self) -> "Lockstep":
+        """Walk to the end; the arrays then hold every triple."""
+        deque(self.levels(), maxlen=0)
+        return self
 
     def string(self, node: int) -> tuple[int, ...]:
         """The first string (event indices) reaching ``node``."""
@@ -767,25 +779,29 @@ def separating_string(walk: Lockstep) -> Optional[list[str]]:
     closed loops of the two automata of ``walk`` with its plant: marking
     disagrees inside the plant after it, or the plant offers an event after
     it that just one of them defines.  None when there is none.  The walk
-    is iterated and left one depth past the first witness, so it is
-    complete when None comes back."""
+    is driven level by level and left one level past the first witness, so
+    it is complete when None comes back."""
     g, a, b = walk.g, walk.a, walk.b
+    # per state, its events over its marking bit: a and b clash where they
+    # differ inside the plant's
+    gm, am, bm = ([en << 1 | (q in aut.marked) for q, en in enumerate(aut._enabled)]
+                  for aut in (g, a, b))
     # The walk meets strings of one length in shortlex order, so the first
     # witness of each kind and length is the least of its kind and length.
     witnesses: dict[tuple[int, bool], tuple[int, tuple[int, ...]]] = {}
-    depth = walk.depth
-    limit = None
-    for node, x, qa, qb in walk:
-        d = depth[node]
-        if limit is not None and d > limit:
-            break  # no later triple gives a shorter witness
-        if x in g.marked and (qa in a.marked) != (qb in b.marked):
-            witnesses.setdefault((d, False), (node, ()))
-        differ = g.enabled(x) & (a.enabled(qa) ^ b.enabled(qb))
-        if differ:
-            witnesses.setdefault((d + 1, True), (node, ((differ & -differ).bit_length() - 1,)))
-        if witnesses and limit is None:
-            limit = min(witnesses)[0]
+    for d, (lo, hi) in enumerate(walk.levels()):
+        if witnesses and d > min(witnesses)[0]:
+            break  # no later level gives a shorter witness
+        clashes = [gm[x] & (am[qa] ^ bm[qb])
+                   for x, qa, qb in zip(walk.xs[lo:hi], walk.qas[lo:hi], walk.qbs[lo:hi])]
+        if not any(clashes):
+            continue
+        for node, clash in enumerate(clashes, lo):
+            if clash & 1:
+                witnesses.setdefault((d, False), (node, ()))
+            differ = clash >> 1
+            if differ:
+                witnesses.setdefault((d + 1, True), (node, ((differ & -differ).bit_length() - 1,)))
     if not witnesses:
         return None
     least = min((len(w), w) for w in (walk.string(node) + tail

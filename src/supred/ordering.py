@@ -93,22 +93,20 @@ def _finer(g: Automaton, walk: Lockstep) -> tuple[OrderWitness, ControlData, Con
     s1, s2, xs, z1s, z2s = walk.a, walk.b, walk.xs, walk.qas, walk.qbs
     data1 = control_data_from_pairs(g, s1, zip(xs, z1s))
     data2 = control_data_from_pairs(g, s2, zip(xs, z2s))
-    en1, dis1, ms1, mg1 = data1.enabled, data1.disabled, data1.marked_s, data1.marked_g
-    en2, dis2, ms2, mg2 = data2.enabled, data2.disabled, data2.marked_s, data2.marked_g
-    for node, (z1, z2) in enumerate(zip(z1s, z2s)):
-        failed = None
-        if en1[z1] & ~en2[z2]:
-            failed = "enabled"
-        elif dis1[z1] & ~dis2[z2]:
-            failed = "disabled"
-        elif ms1[z1] and not ms2[z2]:
-            failed = "markedS"
-        elif mg1[z1] and not mg2[z2]:
-            failed = "markedG"
-        if failed is not None:
-            string = [g.alphabet.name(e) for e in walk.string(node)]
-            return OrderWitness(False, (string, failed)), data1, data2
-    return OrderWitness(True), data1, data2
+    # per state, the clauses' sets as one int, the first clause lowest:
+    # s1's state holds what s2's state lacks exactly where a clause fails
+    m = len(g.alphabet)
+    packed1, packed2 = ([en | dis << m | ms << 2 * m | mg << 2 * m + 1
+                         for en, dis, ms, mg in zip(d.enabled, d.disabled, d.marked_s, d.marked_g)]
+                        for d in (data1, data2))
+    lacks = [packed1[z1] & ~packed2[z2] for z1, z2 in zip(z1s, z2s)]
+    if not any(lacks):
+        return OrderWitness(True), data1, data2
+    node, bits = next((node, bits) for node, bits in enumerate(lacks) if bits)
+    low = (bits & -bits).bit_length() - 1
+    failed = _CLAUSES[low // m if low < 2 * m else low - 2 * m + 2]
+    string = [g.alphabet.name(e) for e in walk.string(node)]
+    return OrderWitness(False, (string, failed)), data1, data2
 
 
 def verify_super_is_finest(g: Automaton, s: Automaton, s_prime: Automaton) -> OrderWitness:

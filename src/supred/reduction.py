@@ -133,20 +133,20 @@ def _cover_targets(
     n = s.n
     if not c.cells:
         raise CoverError("cover has no cells")
-    covered: set[int] = set()
+    cell_masks, covered = [], 0
     for cell in c.cells:
         if not cell:
             raise CoverError("cover contains an empty cell")
-        for z in cell:
-            if not (0 <= z < n):
-                raise CoverError(f"cover mentions unknown state index {z}")
-        covered |= cell
-    if covered != set(range(n)):
-        missing = sorted(set(range(n)) - covered)
+        if min(cell) < 0 or max(cell) >= n:
+            z = next(z for z in cell if not 0 <= z < n)
+            raise CoverError(f"cover mentions unknown state index {z}")
+        cell_masks.append(mask := sum(1 << z for z in cell))
+        covered |= mask
+    if covered != (1 << n) - 1:
+        missing = [z for z in range(n) if not covered >> z & 1]
         raise CoverError(f"cover misses states {[s.states[z] for z in missing]}")
 
     masks = data.incompatibility_masks()
-    cell_masks = [sum(1 << z for z in cell) for cell in c.cells]
     for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
         if len(cell) == 1:
             continue
@@ -205,11 +205,15 @@ def induce_quotient(
     violation, trans = _cover_targets(s, data, c)
     if violation is not None:
         raise CoverError(f"invalid control cover: {violation}")
-    cells = c.cells
+    cells, states, marked_s = c.cells, s.states, data.marked_s
     initial = next(i for i, cell in enumerate(cells) if s.initial in cell)
-    marked = [i for i, cell in enumerate(cells) if any(data.marked_s[z] for z in cell)]
-    names = distinct_names(["+".join(sorted(s.states[z] for z in cell)) for cell in cells])
-    return Automaton(name or f"{s.name}-quotient", s.alphabet, names, initial, marked, trans)
+    # a lone state names and marks its cell without a join or a scan
+    names = [states[z] if len(cell) == 1 else "+".join(sorted(states[q] for q in cell))
+             for z, cell in zip(map(min, cells), cells)]
+    marked = [i for i, (z, cell) in enumerate(zip(map(min, cells), cells))
+              if marked_s[z] or len(cell) > 1 and any(marked_s[q] for q in cell)]
+    return Automaton(name or f"{s.name}-quotient", s.alphabet, distinct_names(names), initial,
+                     marked, trans)
 
 
 def require_feasible(
@@ -358,8 +362,9 @@ def characterize_super_state(
     require_feasible(g, s)
     if not (0 <= z < super_.n):
         raise ValueError(f"unknown super-state index {z}")
+    walk = Lockstep(g, s, super_).run()
     enabled = disabled = 0
-    for _, x, zs, y in Lockstep(g, s, super_):
+    for x, zs, y in zip(walk.xs, walk.qas, walk.qbs):
         if y == z:
             enabled |= g.enabled(x) & s.enabled(zs)
             disabled |= g.enabled(x) & ~s.enabled(zs)
@@ -391,9 +396,11 @@ def extract_cover_from_simsup(
     if not normal:
         raise PreconditionError("normality", str(witness))
 
+    walk = Lockstep(g, super_, simsup).run()
+    g_en, sup_en, sim_en = ([a.enabled(q) for q in range(a.n)] for a in (g, super_, simsup))
     cell_of_simsup: list[set[int]] = [set() for _ in range(simsup.n)]
-    for _, x, zs, y in Lockstep(g, super_, simsup):
-        if g.enabled(x) & simsup.enabled(y) & ~super_.enabled(zs):
+    for x, zs, y in zip(walk.xs, walk.qas, walk.qbs):
+        if g_en[x] & sim_en[y] & ~sup_en[zs]:
             raise PreconditionError(
                 "control-equivalence",
                 "closed-loop string leaves the candidate supervisor",
@@ -547,7 +554,7 @@ class _MergePartition:
         cells: dict[int, list[int]] = {}
         for q in range(len(self.parent)):
             cells.setdefault(self.find(q), []).append(q)
-        return Cover.from_cells(cells.values())
+        return Cover(tuple(map(frozenset, cells.values())))  # disjoint, by least member
 
 
 def _congruence_from_merges(

@@ -48,13 +48,23 @@ def universal_one_state(alphabet, name="U"):
 # names
 
 
-@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\u00a0b", "a\u3000b", "a\x1cb"])
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\u00a0b", "a\u3000b", "a\x1cb",
+                                  "#", "p#1", "a#"])
 def test_constructors_reject_empty_or_spaced_names(name):
+    """Names are single tokens without ``#``, which starts a comment in the
+    ``.aut`` format: any other name would serialize to text that does not
+    parse back."""
     with pytest.raises(ValueError, match="bad event name"):
         Alphabet([Event(name, True, True)])
     alphabet = Alphabet([Event("a", True, True)])
     with pytest.raises(ValueError, match="bad state name"):
         Automaton("A", alphabet, [name], 0, [], {})
+    with pytest.raises(ValueError, match="bad state name"):
+        Automaton("A", alphabet, ["q", name], 0, [], {})
+    with pytest.raises(ValueError, match="bad automaton name"):
+        Automaton(name, alphabet, ["q"], 0, [], {})
+    with pytest.raises(ValueError, match="bad automaton name"):
+        Automaton("A", alphabet, ["q"], 0, [], {}).renamed(name)
 
 
 @pytest.mark.parametrize("name", ["(x1,z2)", "z1+z2"])
@@ -95,7 +105,7 @@ def _checked_by_item(states, initial, marked, trans, m):
         return "automaton needs at least one state"
     index = {}
     for i, s in enumerate(states):
-        if s.split() != [s]:
+        if s.split() != [s] or "#" in s:
             return f"bad state name {s!r}"
         if s in index:
             return f"duplicate state name {s!r}"
@@ -136,7 +146,7 @@ def _with_one_fault(m, states, initial, marked, trans, where):
     """The arguments with one fault put in each way: a bad, repeated or
     missing state name, or an index just out of range."""
     n = len(states)
-    for name in ["", "a b", "\u3000", states[-1]]:
+    for name in ["", "a b", "\u3000", "a#b", states[-1]]:
         yield m, states[:where] + [name] + states[where:], initial, marked, trans
     yield m, [], initial, marked, trans
     for state in (-1, n):

@@ -5,6 +5,7 @@ product automata and build strings only for witnesses."""
 
 import random
 import tracemalloc
+from bisect import bisect_right
 from collections import deque
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supred
-from supred.automata import (Alphabet, Automaton, Event, Lockstep, sync_product,
-                             sync_product_pairs)
+from supred.automata import (Alphabet, Automaton, Event, Lockstep, separating_string,
+                             sync_product, sync_product_pairs)
 from supred.errors import AlphabetMismatchError
 from supred.ordering import compare_reductions, finer_than
 from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
@@ -80,25 +81,37 @@ def _product_walk(g, a, b):
     return [(*pairs_ga[p], qb) for p, qb in pairs], depth
 
 
+def _walked(walk):
+    """``(node, x, qa, qb, level)`` per triple, read off each level as
+    :meth:`Lockstep.levels` hands it over, before it is expanded."""
+    return [(node, walk.xs[node], walk.qas[node], walk.qbs[node], level)
+            for level, (lo, hi) in enumerate(walk.levels()) for node in range(lo, hi)]
+
+
 def test_lockstep_visits_the_product_in_bfs_order():
     count = 0
     for g, a, b in _triples():
         nodes, _ = _product_walk(g, a, b)
-        walked = list(Lockstep(g, a, b))
-        assert [node for node, _, _, _ in walked] == list(range(len(nodes)))
-        assert [(x, qa, qb) for _, x, qa, qb in walked] == nodes
+        walked = _walked(Lockstep(g, a, b))
+        assert [node for node, _, _, _, _ in walked] == list(range(len(nodes)))
+        assert [(x, qa, qb) for _, x, qa, qb, _ in walked] == nodes
+        walk = Lockstep(g, a, b).run()
+        assert list(zip(walk.xs, walk.qas, walk.qbs)) == nodes
         count += 1
     assert count > 500
 
 
 def test_lockstep_strings_replay_at_bfs_depth():
+    """The level a node is handed over in, the level its start places it
+    in, its product depth and the length of its string agree."""
     for g, a, b in _triples():
         _, depth = _product_walk(g, a, b)
         walk = Lockstep(g, a, b)
-        for node, x, qa, qb in walk:
+        for node, x, qa, qb, level in _walked(walk):
             string = walk.string(node)
             assert (g.run(string), a.run(string), b.run(string)) == (x, qa, qb)
-            assert len(string) == walk.depth[node] == depth[node]
+            assert len(string) == level == depth[node]
+            assert bisect_right(walk.starts, node) - 1 == level
 
 
 def test_lockstep_strings_are_shortlex_least():
@@ -119,8 +132,9 @@ def test_lockstep_strings_are_shortlex_least():
                 if None not in node:
                     first.setdefault(node, w)
             level = [w + (e,) for w in level for e in range(len(alphabet))]
-        walk = Lockstep(g, a, b)
-        walked = {(x, qa, qb): walk.string(node) for node, x, qa, qb in walk}
+        walk = Lockstep(g, a, b).run()
+        walked = {triple: walk.string(node)
+                  for node, triple in enumerate(zip(walk.xs, walk.qas, walk.qbs))}
         for node, w in walked.items():
             if len(w) < 7:
                 assert first[node] == w
@@ -128,37 +142,48 @@ def test_lockstep_strings_are_shortlex_least():
 
 def test_lockstep_matches_the_path_tuple_oracle():
     """Same triples in the same order, same BFS depths, same strings; a
-    second iteration of one walk starts afresh."""
+    second walk of one ``Lockstep`` starts afresh."""
     for g, a, b in _triples():
         expected = [(x, qa, qb, len(path), path)
                     for x, qa, qb, path in lockstep_oracle.lockstep(g, a, b)]
         walk = Lockstep(g, a, b)
         for _ in range(2):
-            got = [(x, qa, qb, walk.depth[node], walk.string(node))
-                   for node, x, qa, qb in walk]
+            got = [(x, qa, qb, level, walk.string(node))
+                   for node, x, qa, qb, level in _walked(walk)]
             assert got == expected
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 20))
 def test_lockstep_keeps_the_triples_it_yielded(seed, stop):
-    """After a full iteration the arrays hold the yielded triples in node
-    order; an iteration cut short and then a fresh one leave the same
-    arrays."""
+    """After a full walk the arrays hold the handed-over triples in node
+    order.  A walk cut short on receiving level ``stop`` holds the levels
+    up to it, unexpanded, and their starts; a fresh walk then leaves the
+    full arrays."""
     rng = random.Random(seed)
     alphabet = random_alphabet(rng, max_events=4)
     g = _with_unreachable(rng, random_plant(rng, alphabet, max_states=6))
     a = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
     b = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
     walk = Lockstep(g, a, b)
-    yielded = list(walk)
-    assert list(zip(range(len(walk.xs)), walk.xs, walk.qas, walk.qbs)) == yielded
-    for node, _, _, _ in walk:
-        if node == stop:
+    walked = _walked(walk)
+    arrays = (walk.xs[:], walk.qas[:], walk.qbs[:], walk.parent[:], walk.event[:])
+    starts = walk.starts[:]
+    assert [(node, x, qa, qb) for node, x, qa, qb, _ in walked] == list(
+        zip(range(len(walk.xs)), walk.xs, walk.qas, walk.qbs))
+    assert starts == [node for node, _, _, _, level in walked
+                      if node == 0 or walked[node - 1][4] != level]
+    for level, (lo, hi) in enumerate(walk.levels()):
+        assert (lo, hi) == (starts[level], (starts + [len(walked)])[level + 1])
+        if level == stop:
             break
-    for _ in walk:
-        pass
-    assert list(zip(range(len(walk.xs)), walk.xs, walk.qas, walk.qbs)) == yielded
+    held = (starts + [len(walked)])[min(stop + 1, len(starts))]
+    assert walk.starts == starts[:min(stop + 1, len(starts))]
+    assert (walk.xs, walk.qas, walk.qbs, walk.parent, walk.event) == tuple(
+        column[:held] for column in arrays)
+    assert walk.run() is walk
+    assert (walk.xs, walk.qas, walk.qbs, walk.parent, walk.event) == arrays
+    assert walk.starts == starts
 
 
 def _chain(n):
@@ -172,8 +197,8 @@ def _chain(n):
 
 
 def test_walks_keep_no_string_per_triple():
-    """The walk keeps a parent, an event and a depth per triple, not a
-    string: a string per triple of a 3,000-state chain took over 30 MB."""
+    """The walk keeps a parent and an event per triple, not a string: a
+    string per triple of a 3,000-state chain took over 30 MB."""
     plant, chain = _chain(3000)
     other = chain.renamed("D")
     tracemalloc.start()
@@ -192,13 +217,36 @@ def test_control_equivalent_rebuilds_a_deep_witness():
     assert control_equivalent(plant, chain, unmarked) == (False, ["a"] * 2999)
 
 
+@pytest.mark.parametrize("depth", [0, 5])
+def test_a_failing_check_stops_one_level_past_its_first_witness(depth):
+    """A marking clash at level ``depth`` is a witness of that length, and
+    the walk stops once level ``depth + 1`` is complete; an event just one
+    side defines at level ``depth`` is a witness one longer, so the walk
+    checks one more level.  Neither walks the 3,000-state closed loop."""
+    plant, chain = _chain(3000)
+    marked = Automaton("M", chain.alphabet, chain.states, 0, [depth, 2999], chain.trans)
+    walk = Lockstep(plant, chain, marked)
+    assert separating_string(walk) == ["a"] * depth
+    assert (walk.qas, walk.starts) == (list(range(depth + 2)), list(range(depth + 2)))
+    assert control_equivalent(plant, chain, marked) == (False, ["a"] * depth)
+
+    alphabet = Alphabet([Event("a", True, True), Event("b", True, True)])
+    plant = Automaton("G", alphabet, ["g"], 0, [0], {(0, 0): 0, (0, 1): 0})
+    chain = Automaton("C", alphabet, chain.states, 0, chain.marked, chain.trans)
+    loop = Automaton("L", alphabet, chain.states, 0, chain.marked,
+                     {**chain.trans, (depth, 1): depth})
+    walk = Lockstep(plant, chain, loop)
+    assert separating_string(walk) == ["a"] * depth + ["b"]
+    assert (walk.qas, walk.starts) == (list(range(depth + 3)), list(range(depth + 3)))
+
+
 def test_control_equivalent_of_an_automaton_with_itself_walks_nothing(monkeypatch):
     g, s = loose_instance(random.Random(0), max_plant=6, max_sup=6, max_events=4)
 
     def no_walk(self):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(Lockstep, "__iter__", no_walk)
+    monkeypatch.setattr(Lockstep, "levels", no_walk)
     assert control_equivalent(g, s, s) == (True, None)
     with pytest.raises(AssertionError):
         control_equivalent(g, s, s.renamed("T"))
