@@ -13,10 +13,10 @@ import pathlib
 from supred import (
     Alphabet,
     Event,
+    build_super,
     compare_full_vs_partial,
     is_des_isomorphic,
     parse_automaton,
-    subset_construction,
     sync_product,
     trim_reachable,
 )
@@ -34,7 +34,9 @@ print("hypothesis checks:")
 loop1 = trim_reachable(sync_product(g, s1))
 print("  S1 is its own closed loop:",
       is_des_isomorphic(s1, loop1).verdict)
-observer2 = subset_construction(trim_reachable(sync_product(g, s2)))
+# S2 is feasible, so SUPER, the finest supervisor of its class, is the
+# subset construction of its closed loop
+observer2 = build_super(g, s2)
 print("  S2 is the subset construction of its closed loop (c hidden):",
       is_des_isomorphic(s2, observer2).verdict)
 

@@ -23,7 +23,6 @@ from .automata import (
     project_string,
     serialize_automata,
     serialize_automaton,
-    subset_construction,
     sync_product,
     trim_reachable,
 )

@@ -3,10 +3,9 @@
 Provides the shared representation (events carry controllable/observable
 bits; transition maps are partial and deterministic), the ``.aut`` text
 format, synchronous product over a common alphabet, reachability trimming,
-natural projection of strings, subset construction under partial
-observation, structure-preserving morphism checks, the lockstep walk of a
-plant with two automata, and control and language equivalence with
-shortest counterexamples.
+natural projection of strings, structure-preserving morphism checks, the
+lockstep walk of a plant with two automata, and control and language
+equivalence with shortest counterexamples.
 """
 
 from __future__ import annotations
@@ -28,11 +27,8 @@ __all__ = [
     "serialize_automaton",
     "serialize_automata",
     "sync_product",
-    "sync_product_pairs",
     "trim_reachable",
     "project_string",
-    "subset_construction",
-    "subset_construction_with_members",
     "is_des_epimorphic",
     "is_des_isomorphic",
     "Lockstep",
@@ -524,18 +520,10 @@ def sync_product(a: Automaton, b: Automaton, name: Optional[str] = None) -> Auto
 
     Both operands must carry the identical alphabet; a transition exists in
     the product exactly when both components define it, and a product state
-    is marked exactly when both components are marked.
+    is marked exactly when both components are marked.  The product is
+    reachable by construction and its state order is BFS discovery order,
+    so it is already trim.
     """
-    product, _ = sync_product_pairs(a, b, name)
-    return product
-
-
-def sync_product_pairs(
-    a: Automaton, b: Automaton, name: Optional[str] = None
-) -> tuple[Automaton, list[tuple[int, int]]]:
-    """Synchronous product plus the (a-state, b-state) pair behind each
-    product state.  The product is reachable by construction and its state
-    order is BFS discovery order, so it is already trim."""
     check_same_alphabet(a, b)
     m, nb = len(a.alphabet), b.n
     a_out, b_succ = a._out, b.succ
@@ -559,9 +547,8 @@ def sync_product_pairs(
                 names.append(f"({a_states[ta]},{b_states[tb]})")
             trans[(src, e)] = dst
     marked = [i for i, (qa, qb) in enumerate(order) if qa in a.marked and qb in b.marked]
-    product = Automaton(name or f"{a.name}||{b.name}", a.alphabet, distinct_names(names), 0,
-                        marked, trans)
-    return product, order
+    return Automaton(name or f"{a.name}||{b.name}", a.alphabet, distinct_names(names), 0,
+                     marked, trans)
 
 
 def project_string(string: Iterable[str], alphabet: Alphabet) -> list[str]:
@@ -571,72 +558,6 @@ def project_string(string: Iterable[str], alphabet: Alphabet) -> list[str]:
         i = alphabet.index(name)
         if alphabet.events[i].observable:
             out.append(name)
-    return out
-
-
-def _unobservable_closure(a: Automaton, seed: frozenset[int], unobs: frozenset[int]) -> frozenset[int]:
-    reached = set(seed)
-    queue = list(seed)
-    while queue:
-        q = queue.pop()
-        for e, t in a.out(q):
-            if e in unobs and t not in reached:
-                reached.add(t)
-                queue.append(t)
-    return frozenset(reached)
-
-
-def subset_construction_with_members(
-    a: Automaton, name: Optional[str] = None
-) -> tuple[Automaton, list[frozenset[int]]]:
-    """Subset construction plus the member set behind each subset state.
-
-    See :func:`subset_construction`; the member lists are needed by callers
-    that characterise subset states in terms of the original automaton.
-    """
-    unobs = a.alphabet.unobservable
-    obs = sorted(a.alphabet.observable)
-    succ, m = a.succ, len(a.alphabet)
-    start = _unobservable_closure(a, frozenset([a.initial]), unobs)
-    index: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    trans: dict[tuple[int, int], int] = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        for e in obs:
-            move = {succ[q * m + e] for q in subset}
-            move.discard(-1)
-            if not move:
-                continue
-            target = _unobservable_closure(a, frozenset(move), unobs)
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            trans[(src, e)] = index[target]
-        # unobservable events reappear as selfloops wherever some member
-        # state of the subset is a source of that event
-        for u in sorted(unobs):
-            if any(succ[q * m + u] >= 0 for q in subset):
-                trans[(src, u)] = src
-    names = distinct_names(["+".join(sorted(a.states[q] for q in subset)) for subset in order])
-    marked = [i for i, subset in enumerate(order) if subset & a.marked]
-    out = Automaton(name or f"det({a.name})", a.alphabet, names, 0, marked, trans)
-    return out, order
-
-
-def subset_construction(a: Automaton, name: Optional[str] = None) -> Automaton:
-    """Determinise over the observable events, with unobservable events
-    reinserted as selfloops at every subset state containing one of their
-    source states.
-
-    The input must be reachable.  The output is deterministic, every
-    transition between distinct states is observable, and a subset state is
-    marked exactly when it contains a marked input state.
-    """
-    out, _ = subset_construction_with_members(a, name)
     return out
 
 

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .automata import (Automaton, Lockstep, check_same_alphabet, control_equivalent,
-                       is_des_isomorphic, separating_string, subset_construction, sync_product)
+                       is_des_isomorphic, separating_string, sync_product)
 from .errors import PreconditionError
-from .reduction import DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible
-from .supervision import ControlData, control_data, control_data_from_pairs, is_normal
+from .reduction import (DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible,
+                        super_from_pairs)
+from .supervision import (ControlData, check_control_feasibility, closed_loop_pairs,
+                          control_data, control_data_from_pairs, is_normal)
 
 __all__ = [
     "OrderWitness",
@@ -167,21 +169,25 @@ def compare_full_vs_partial(
     partial-observation one with the same closed loop.
 
     Hypotheses checked: the full-observation supervisor is isomorphic to
-    its own closed loop, the partial one is isomorphic to the subset
-    construction of its closed loop, and the two are control equivalent.
-    The full-observation side then reduces at least as well.
+    its own closed loop, the partial one has only selfloop unobservable
+    transitions and is isomorphic to the subset construction of its closed
+    loop (:func:`~supred.reduction.super_from_pairs`), and the two are
+    control equivalent.  The full-observation side then reduces at least
+    as well.
 
     A supervisor meant for full observation may track unobservable events
     across distinct states, so no observation-feasibility gate is applied
-    here; the reductions run on the control data alone.
+    to it, and loop controllability is checked on neither side; the
+    reductions run on the control data alone.
     """
-    loop_f = sync_product(g, s_full)
-    loop_p = sync_product(g, s_partial)
-    if not is_des_isomorphic(s_full, loop_f).verdict:
+    check_same_alphabet(g, s_full)
+    check_same_alphabet(g, s_partial)
+    if not is_des_isomorphic(s_full, sync_product(g, s_full)).verdict:
         raise PreconditionError(
             "full-isomorphism", "s_full is not DES-isomorphic to its closed loop"
         )
-    if not is_des_isomorphic(s_partial, subset_construction(loop_p)).verdict:
+    if not (check_control_feasibility(s_partial)[0] and is_des_isomorphic(
+            s_partial, super_from_pairs(g, s_partial, *closed_loop_pairs(g, s_partial))).verdict):
         raise PreconditionError(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",

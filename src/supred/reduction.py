@@ -1,5 +1,6 @@
 """Supervisor reduction: control covers, induced quotient supervisors, the
-canonical finest supervisor built by subset construction, cover extraction
+canonical finest supervisor (the observer of the closed loop, built on
+pairs of supervisor state and plant-state set), cover extraction
 from a smaller equivalent supervisor, a polynomial merge heuristic, and
 exact minimum-cover search.
 
@@ -38,6 +39,7 @@ __all__ = [
     "validate_cover",
     "induce_quotient",
     "build_super",
+    "super_from_pairs",
     "extract_cover_from_simsup",
     "reduce_heuristic",
     "reduce_exact_minimum",
@@ -252,14 +254,26 @@ def _require_loop_controllable(s: Automaton, data: ControlData) -> None:
 
 def build_super(g: Automaton, s: Automaton) -> Automaton:
     """The finest supervisor with the closed-loop behaviour of ``s``:
-    subset construction over the reachable closed loop, with unobservable
-    events reinserted as selfloops.  Fails on an infeasible supervisor,
-    with the errors of :func:`require_feasible`: the structural check runs
-    first, then loop controllability is read off the pairs of
-    :func:`~supred.supervision.closed_loop_pairs`.
+    :func:`super_from_pairs` on the pairs of
+    :func:`~supred.supervision.closed_loop_pairs`.  Fails on an infeasible
+    supervisor, with the errors of :func:`require_feasible`: the structural
+    check runs first, then loop controllability is read off the same pairs.
+    """
+    _require_selfloop_unobservables(s)
+    xs, zs = closed_loop_pairs(g, s)
+    _require_loop_controllable(s, control_data_from_pairs(g, s, zip(xs, zs)))
+    return super_from_pairs(g, s, xs, zs)
 
-    No product automaton is built.  Once every unobservable transition of
-    ``s`` is a selfloop, the state of ``s`` after a closed-loop string
+
+def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -> Automaton:
+    """The subset construction over the observable events of the closed
+    loop whose reachable pairs ``(xs[i], zs[i])`` are those of
+    :func:`~supred.supervision.closed_loop_pairs`, with unobservable events
+    reinserted as selfloops.  Every unobservable transition of ``s`` must
+    be a selfloop; loop controllability is not checked.
+
+    No product automaton is built.  With every unobservable transition of
+    ``s`` a selfloop, the state of ``s`` after a closed-loop string
     depends only on the string's observed projection, so every subset of
     closed-loop pairs the construction reaches is ``{z} × X``: a SUPER
     state is the key ``(z, X)``, with ``X`` a bitmask of plant states.  An
@@ -267,12 +281,9 @@ def build_super(g: Automaton, s: Automaton) -> Automaton:
     of ``z`` and ``X'`` the closure of the plant's ``e``-successors of
     ``X`` under the unobservable events ``zt`` selfloops.  States, their
     order and their names are those of the subset construction of
-    :func:`~supred.automata.sync_product_pairs`: member names are the
-    product's pair names ``(x,z)``, made distinct in the product's order.
+    :func:`~supred.automata.sync_product`: member names are the product's
+    pair names ``(x,z)``, made distinct in the product's order.
     """
-    _require_selfloop_unobservables(s)
-    xs, zs = closed_loop_pairs(g, s)
-    _require_loop_controllable(s, control_data_from_pairs(g, s, zip(xs, zs)))
     m, ns = len(s.alphabet), s.n
     g_succ, s_succ = g.succ, s.succ
     g_states, s_states = g.states, s.states

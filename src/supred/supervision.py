@@ -156,7 +156,7 @@ def check_control_feasibility(
 def closed_loop_pairs(g: Automaton, s: Automaton) -> tuple[list[int], list[int]]:
     """The reachable pairs of plant and supervisor states of ``g||s``, as
     two parallel lists: pair ``i`` is ``(xs[i], zs[i])``.  They come in the
-    order of the states of :func:`~supred.automata.sync_product_pairs`
+    order of the states of :func:`~supred.automata.sync_product`
     (breadth first, events in alphabet order), but no product automaton is
     built."""
     # Its own pair walk, not Lockstep(g, s, s): over the 16 bench reduce

@@ -8,7 +8,9 @@ built the closed loop ``G||S`` anew for each question they asked, and the
 for the product it determinises over ``frozenset`` subsets, where the
 library builds SUPER on (supervisor state, plant-state bitmask) pairs.  The
 bodies are unchanged apart from the public names of the alphabet check and
-the exact-search core, and they call each other as before; one check was
+the exact-search core, and they call each other as before (the product
+with pairs and the subset construction, which have left the library, come
+from ``tests/product_oracle.py``); one check was
 added: ``extract_cover_from_simsup`` checks ``super_``'s alphabet against
 the plant after its normality check, where the library's walk
 ``Lockstep(g, super_, simsup)`` raises.  The fineness
@@ -31,9 +33,7 @@ from supred.automata import (
     Automaton,
     check_same_alphabet as _check_same_alphabet,
     is_des_isomorphic,
-    subset_construction,
     sync_product,
-    sync_product_pairs,
     trim_reachable,
 )
 from supred.errors import PreconditionError
@@ -48,6 +48,7 @@ from supred.reduction import (
 from supred.supervision import check_control_feasibility, control_data, loop_controllable
 
 from tests import name_set_oracle
+from tests.product_oracle import subset_construction, sync_product_pairs
 
 
 def control_equivalent(

@@ -17,15 +17,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from supred.automata import (
-    Automaton,
-    check_same_alphabet,
-    subset_construction_with_members,
-    sync_product_pairs,
-)
+from supred.automata import Automaton, check_same_alphabet
 from supred.errors import PreconditionError
 from supred.reduction import require_feasible
 from supred.supervision import ControlData
+
+from tests.product_oracle import subset_construction_with_members, sync_product_pairs
 
 
 def control_data(g: Automaton, s: Automaton) -> ControlData:

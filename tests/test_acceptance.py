@@ -10,12 +10,12 @@ import io
 import json
 import random
 import time
+from pathlib import Path
 
 from supred.automata import (
     is_des_isomorphic,
     parse_automaton,
     serialize_automaton,
-    subset_construction,
     sync_product,
     trim_reachable,
 )
@@ -44,6 +44,7 @@ from supred.supervision import (
 
 from tests.conftest import FIXTURES
 from tests.generators import loose_instance, scale_pair, strict_instance
+from tests.product_oracle import subset_construction
 from tests.test_reduction import (
     _bounded_enumeration_characterization,
     _characterization_names,
@@ -92,7 +93,7 @@ def test_tank_control_data_table():
 def test_tank_reduction():
     """The published two-cell cover reduces the tank supervisor to 2 states."""
     with criterion("tank-reduction", 1.0):
-        g, s = parse_automaton(open(TANK).read())
+        g, s = parse_automaton(Path(TANK).read_text())
         data = control_data(g, s)
         cover = Cover.from_cells([{0, 1, 2}, {3}])
         ok, violation = validate_cover(s, data, cover)
@@ -107,7 +108,7 @@ def test_tank_reduction():
 def test_ordering_example_sizes():
     """Fineness verdict plus exact reduced sizes 2 and 3 on the ordering pair."""
     with criterion("ordering-sizes", 5.0):
-        g, s1, s2 = parse_automaton(open(ORDERING).read())
+        g, s1, s2 = parse_automaton(Path(ORDERING).read_text())
         assert finer_than(g, s1, s1, s2).verdict
         _, r1 = reduce_exact_minimum(g, s1, mode="cover")
         _, r2 = reduce_exact_minimum(g, s2, mode="cover")
@@ -302,7 +303,7 @@ def test_cli_contract():
     with criterion("cli-contract", 30.0):
         # canonical form is a fixed point of parse/serialize
         for path in (TANK, ORDERING):
-            for a in parse_automaton(open(path).read()):
+            for a in parse_automaton(Path(path).read_text()):
                 text = serialize_automaton(a)
                 assert serialize_automaton(parse_automaton(text)[0]) == text
 

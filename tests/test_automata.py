@@ -1,5 +1,6 @@
 """Automata core: format round-trips, product, trimming, projection,
-subset construction, morphisms, language equivalence."""
+morphisms, language equivalence, and the subset construction oracle of
+``tests/product_oracle.py``."""
 
 import random
 
@@ -18,13 +19,13 @@ from supred.automata import (
     parse_automaton,
     project_string,
     serialize_automaton,
-    subset_construction,
     sync_product,
     trim_reachable,
 )
 from supred.errors import AlphabetMismatchError, ParseError
 
 from tests.generators import random_alphabet, random_automaton
+from tests.product_oracle import subset_construction
 
 MINIMAL = """
 automaton M
@@ -400,7 +401,7 @@ def test_project_is_monoid_morphism():
 
 
 # ---------------------------------------------------------------------------
-# subset construction
+# subset construction (the oracle SUPER is checked against)
 
 
 def test_subset_identity_under_full_observation(ordering_example):

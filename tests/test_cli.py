@@ -3,6 +3,7 @@
 import io
 import json
 import time
+from pathlib import Path
 
 from supred.automata import parse_automaton
 from supred.cli import run
@@ -290,7 +291,7 @@ def test_reduce_partition_mode():
 def test_compare_fullpartial_command(tmp_path):
     from supred.automata import Alphabet, Event, serialize_automata
 
-    g, s1, s2 = parse_automaton(open(ORDERING).read())
+    g, s1, s2 = parse_automaton(Path(ORDERING).read_text())
     hidden = Alphabet(
         [Event(e.name, e.controllable, e.observable and e.name != "c") for e in g.alphabet]
     )
@@ -306,6 +307,26 @@ def test_compare_fullpartial_command(tmp_path):
         "compare", "fullpartial", "-g", f"{path}:G", "-sf", f"{path}:S2", "-sp", f"{path}:S1"
     )
     assert result.exit_code == 3 and "full-isomorphism" in err
+
+
+def test_compare_fullpartial_refuses_a_moving_unobservable_transition(tmp_path):
+    """An ``s_partial`` whose unobservable ``u`` moves is refused as
+    ``partial-isomorphism``, reachable or not: SP's ``z2`` is unreachable,
+    and SP has as many states as the observer of its closed loop, so a
+    morphism check would refuse it as ``reachable`` instead."""
+    from supred.automata import Alphabet, Automaton, Event, serialize_automata
+
+    alphabet = Alphabet([Event("a", True, True), Event("u", True, False)])
+    g = Automaton("G", alphabet, ["x0", "x1", "x2"], 0, [2], {(0, 1): 0, (0, 0): 1, (1, 0): 2})
+    sp = Automaton("SP", alphabet, ["z0", "z1", "z2"], 0, [1], {(0, 1): 1, (1, 0): 1})
+    reachable = Automaton("SQ", alphabet, ["z0", "z1"], 0, [1], {(0, 1): 1, (1, 0): 1})
+    path = tmp_path / "moving_u.aut"
+    path.write_text(serialize_automata([g, g.renamed("SF"), sp, reachable]))
+    for partial in ("SP", "SQ"):
+        result, _, err = invoke("compare", "fullpartial", "-g", f"{path}:G",
+                                "-sf", f"{path}:SF", "-sp", f"{path}:{partial}")
+        assert result.exit_code == 3
+        assert "precondition 'partial-isomorphism' violated" in err
 
 
 def test_produced_supervisors_pass_their_own_checks(tmp_path):

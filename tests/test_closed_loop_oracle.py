@@ -5,6 +5,7 @@ rebuild it.  Verdicts, witnesses, covers, exception types and
 exception messages must all agree."""
 
 import random
+from collections import Counter
 from itertools import product
 
 from supred.automata import (
@@ -13,14 +14,15 @@ from supred.automata import (
     Event,
     parse_automaton,
     serialize_automaton,
-    subset_construction,
     sync_product,
     trim_reachable,
 )
 from supred.errors import PreconditionError, SupredError
 from supred.ordering import compare_full_vs_partial, compare_reductions, finer_than
-from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
-from supred.supervision import control_equivalent, is_normal
+from supred.reduction import (build_super, extract_cover_from_simsup,
+                              generate_equivalent_supervisor, super_from_pairs)
+from supred.supervision import (check_control_feasibility, closed_loop_pairs, control_equivalent,
+                                is_normal, loop_controllable)
 
 from tests import closed_loop_oracle as oracle
 from tests.conftest import FIXTURES
@@ -33,6 +35,7 @@ from tests.generators import (
     random_plant,
     scale_pair,
 )
+from tests.product_oracle import subset_construction, sync_product_pairs
 
 
 def _outcome(fn, *args):
@@ -128,11 +131,21 @@ def test_full_vs_partial_matches_oracle():
         full = sync_product(plant, random_automaton(rng, alphabet, max_states=3), name="SF")
         if full.n <= 8:
             systems.append((plant, full, subset_construction(sync_product(plant, full), name="SP")))
+    outcomes = Counter()
     for g, a, b in systems:
         for x, y in product((a, b, _mismatched(a)), repeat=2):
-            _assert_same(compare_full_vs_partial, oracle.compare_full_vs_partial, g, x, y)
+            got = _outcome(compare_full_vs_partial, g, x, y)
+            assert got == _outcome(oracle.compare_full_vs_partial, g, x, y)
+            if got[0] == "returned":
+                outcomes["returned"] += 1
+            elif got[1] is PreconditionError:
+                outcomes[got[2].split("'")[1]] += 1
+            else:
+                outcomes[got[1].__name__] += 1
             _assert_same(control_equivalent, oracle.control_equivalent, g, x, y)
             _assert_same(finer_than, oracle.finer_than, g, x, x, y)
+    assert set(outcomes) == {"returned", "full-isomorphism", "partial-isomorphism",
+                             "control-equivalence", "AlphabetMismatchError"}, outcomes
 
 
 def _serialized(build):
@@ -212,6 +225,28 @@ def test_build_super_matches_oracle_at_scale():
         _assert_same_super(*partial_observation_pair(seed))
     for seed in range(3):
         _assert_same_super(*scale_pair(random.Random(seed), core_states=8, factor=25))
+
+
+def test_super_from_pairs_matches_the_subset_construction():
+    """The core of ``build_super`` without its gates, on supervisors whose
+    unobservable transitions are selfloops, loop controllable or not: the
+    same automaton, byte for byte, as the subset construction of the
+    product ``G||S``."""
+    checked = uncontrollable = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        alphabet = random_alphabet(rng, max_events=4, require_unobservable=seed % 2 == 0)
+        g = random_plant(rng, alphabet, max_states=6)
+        for s in (random_automaton(rng, alphabet, max_states=5),
+                  random_feasible_supervisor(rng, alphabet, max_states=5)):
+            if not check_control_feasibility(s)[0]:
+                continue
+            expected = subset_construction(sync_product_pairs(g, s)[0], name="SUPER")
+            got = super_from_pairs(g, s, *closed_loop_pairs(g, s))
+            assert serialize_automaton(got) == serialize_automaton(expected), seed
+            checked += 1
+            uncontrollable += not loop_controllable(g, s)[0]
+    assert checked >= 1000 and uncontrollable >= 500, (checked, uncontrollable)
 
 
 def _assert_product_is_trim(g, s):

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supred
-from supred.automata import (Alphabet, Automaton, Event, Lockstep, separating_string,
-                             sync_product, sync_product_pairs)
+from supred.automata import Alphabet, Automaton, Event, Lockstep, separating_string, sync_product
 from supred.errors import AlphabetMismatchError
-from supred.ordering import compare_reductions, finer_than
+from supred.ordering import compare_full_vs_partial, compare_reductions, finer_than
 from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
 from supred.supervision import control_equivalent, is_normal
 
@@ -28,6 +27,7 @@ from tests.generators import (
     random_feasible_supervisor,
     random_plant,
 )
+from tests.product_oracle import sync_product_pairs
 
 
 def _with_unreachable(rng, a, extra=2):
@@ -259,18 +259,18 @@ def test_control_equivalent_of_an_automaton_with_itself_walks_nothing(monkeypatc
 
 @pytest.fixture
 def product_calls(monkeypatch):
-    """Counts ``sync_product_pairs`` calls made through any ``supred``
-    module that binds it (``sync_product`` calls it too)."""
+    """Counts ``sync_product`` calls made through the ``supred`` modules
+    that bind it (``cli`` reads it off ``supred.automata``); patching a name
+    a module no longer binds raises."""
     calls = []
-    original = sync_product_pairs
+    original = sync_product
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (supred.automata, supred.supervision, supred.ordering, supred.reduction):
-        if hasattr(module, "sync_product_pairs"):
-            monkeypatch.setattr(module, "sync_product_pairs", counting)
+    for module in (supred.automata, supred.ordering):
+        monkeypatch.setattr(module, "sync_product", counting)
     return calls
 
 
@@ -294,3 +294,22 @@ def test_closed_loop_checks_build_no_product(product_calls):
         extract_cover_from_simsup(sup, equiv, g, s)
         assert product_calls == []
     assert compared >= 10
+
+
+def test_full_vs_partial_builds_one_product(product_calls):
+    """``compare_full_vs_partial`` builds the closed loop of ``s_full`` as a
+    product, to test it for isomorphism, and builds no product for
+    ``s_partial``: its observer is built on closed-loop pairs."""
+    checked = 0
+    for seed in range(20):
+        g, s = loose_instance(random.Random(seed), max_plant=6, max_sup=6, max_events=4,
+                              require_unobservable=True)
+        s_full = sync_product(g, s, name="SF")
+        s_partial = build_super(g, s)
+        if max(s_full.n, s_partial.n) > 8:
+            continue
+        del product_calls[:]
+        compare_full_vs_partial(g, s_full, s_partial)
+        assert product_calls == [(g, s_full)]
+        checked += 1
+    assert checked >= 10

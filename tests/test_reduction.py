@@ -11,9 +11,7 @@ from supred.automata import (
     Event,
     is_des_isomorphic,
     parse_automaton,
-    subset_construction_with_members,
     sync_product,
-    sync_product_pairs,
     trim_reachable,
 )
 from supred.errors import (AlphabetMismatchError, CoverError, InfeasibleSupervisorError,
@@ -41,6 +39,7 @@ from supred.supervision import (
 from tests.conftest import FIXTURES
 from tests.generators import (loose_instance, partial_observation_pair, scale_pair,
                               strict_instance)
+from tests.product_oracle import subset_construction_with_members, sync_product_pairs
 
 
 # ---------------------------------------------------------------------------

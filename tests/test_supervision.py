@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supred.automata import (Alphabet, Automaton, Event, sync_product, sync_product_pairs,
-                             trim_reachable)
+from supred.automata import Alphabet, Automaton, Event, sync_product, trim_reachable
 from supred.supervision import (
     check_control_existence,
     check_control_feasibility,
@@ -30,6 +29,7 @@ from tests.generators import (
     random_feasible_supervisor,
     random_plant,
 )
+from tests.product_oracle import sync_product_pairs
 
 
 def _names(alphabet, mask):
@@ -172,8 +172,8 @@ def test_control_data_matches_brute_force():
 
 def test_closed_loop_pairs_follow_the_product_order():
     """The pairs ``control_data`` and ``build_super`` read are the states of
-    ``sync_product_pairs``, in its order, for supervisors and for automata
-    of any shape."""
+    the oracle ``sync_product_pairs``, in its order, for supervisors and
+    for automata of any shape."""
     rng = random.Random(47)
     for _ in range(40):
         g, s = loose_instance(rng, max_plant=6, max_sup=8, max_events=4)
