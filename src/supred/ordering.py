@@ -178,16 +178,20 @@ def compare_full_vs_partial(
     A supervisor meant for full observation may track unobservable events
     across distinct states, so no observation-feasibility gate is applied
     to it, and loop controllability is checked on neither side; the
-    reductions run on the control data alone.
+    reductions run on the control data alone.  A side with unreachable
+    states is refused by its own isomorphism name, whatever its size:
+    every closed loop and every observer is reachable.
     """
     check_same_alphabet(g, s_full)
     check_same_alphabet(g, s_partial)
-    if not is_des_isomorphic(s_full, sync_product(g, s_full)).verdict:
+    if not (s_full.is_reachable()
+            and is_des_isomorphic(s_full, sync_product(g, s_full)).verdict):
         raise PreconditionError(
             "full-isomorphism", "s_full is not DES-isomorphic to its closed loop"
         )
-    if not (check_control_feasibility(s_partial)[0] and is_des_isomorphic(
-            s_partial, super_from_pairs(g, s_partial, *closed_loop_pairs(g, s_partial))).verdict):
+    if not (s_partial.is_reachable() and check_control_feasibility(s_partial)[0]
+            and is_des_isomorphic(
+                s_partial, super_from_pairs(g, s_partial, *closed_loop_pairs(g, s_partial))).verdict):
         raise PreconditionError(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",

@@ -23,6 +23,7 @@ from .errors import CoverError, InfeasibleSupervisorError, PreconditionError, Se
 from .supervision import (
     ControlData,
     check_control_feasibility,
+    close_compatible_rows,
     closed_incompatibility,
     closed_loop_pairs,
     compatibility_relation,
@@ -94,10 +95,14 @@ class ReductionReport:
     """Sizes, the cover found, and ``steps``: the work count of the
     reducer.  The heuristic counts the unions it examined (one
     compatibility check each, committed or not); pairs its masks settle
-    without an attempt are not counted.  Those masks are the one-step
-    masks of :func:`~supred.supervision.successor_incompatibility`, so a
-    pair one event leads to a base-incompatible pair is settled too.  The
-    exact search counts the nodes it visited."""
+    without an attempt are not counted.  Those masks start as the
+    one-step masks of
+    :func:`~supred.supervision.successor_incompatibility`, so a pair one
+    event leads to a base-incompatible pair is settled too, and from the
+    first refused attempt on they are closed under successors, so every
+    pair the implication chart of the cells refuses is settled as well.
+    The closure's own work is not counted.  The exact search counts the
+    nodes it visited."""
 
     input_size: int
     output_size: int
@@ -451,8 +456,10 @@ class _MergePartition:
     how soon an attempt fails, never whether it does.  The same holds for
     the one-step bits of
     :func:`~supred.supervision.successor_incompatibility` the callers seed
-    it with: no congruence holds such a pair without the incompatible
-    successor pair.
+    it with, since no congruence holds such a pair without the
+    incompatible successor pair, and for the bits :meth:`close` adds,
+    since every congruence coarser than the partition that joins two
+    cells joins their successor cells too.
     """
 
     def __init__(self, s: Automaton, masks: Sequence[int]):
@@ -540,16 +547,78 @@ class _MergePartition:
             for e in filled:
                 succ[a * m + e] = -1
 
+    def close(self) -> None:
+        """Mark incompatible every two cells that no congruence coarser than
+        the partition can join: :func:`~supred.supervision.close_compatible_rows`
+        over the cells, then each root's mask takes the members of every
+        cell its row lost.  The roots are the positions, a cell's
+        successors are its representative successors resolved with
+        :meth:`find`, and two cells are compatible when no member of one is
+        in the other's mask.  A cell's root is its member, so a cell whose
+        root is in a mask is incompatible with it, and a lone state's row
+        bits are read off its mask at once: the work grows with the cells
+        and the pairs still compatible, not with the states."""
+        members, incompatible, succ, parent, m = (
+            self.members, self.incompatible, self.succ, self.parent, self.m)
+        roots = []
+        singles = grouped = 0  # the roots of one-state cells and of larger ones
+        rest = (1 << len(members)) - 1
+        while rest:
+            low = rest & -rest
+            r = low.bit_length() - 1
+            while parent[r] != r:
+                r = parent[r]
+            roots.append(r)
+            if members[r] == low:
+                singles |= low
+            else:
+                grouped |= 1 << r
+            rest &= ~members[r]
+        rows: dict[int, int] = {}
+        cell_succ: dict[int, int] = {}
+        for r in roots:
+            clash = incompatible[r]
+            row = singles & ~clash  # holds r itself: a cell is compatible with itself
+            others = grouped & ~clash
+            while others:
+                low = others & -others
+                others ^= low
+                if not clash & members[low.bit_length() - 1]:
+                    row |= low
+            rows[r] = row
+            if row != 1 << r:
+                base = r * m
+                for e in range(m):
+                    t = succ[base + e]
+                    if t >= 0:
+                        while parent[t] != t:
+                            t = parent[t]
+                    cell_succ[base + e] = t
+        for r, kept in close_compatible_rows(cell_succ, m, rows).items():
+            lost = rows[r] ^ kept
+            if lost:
+                widen = lost & singles
+                lost &= grouped
+                while lost:
+                    low = lost & -lost
+                    lost ^= low
+                    widen |= members[low.bit_length() - 1]
+                incompatible[r] |= widen
+
     def sweep(self) -> None:
         """Attempt every pair ``(i, j)``, ``i < j``, in canonical order,
         skipping the pairs the masks settle: ``j`` already in the cell of
         ``i``, or marked incompatible with it.  ``try_merge`` would find the
         former merged and refuse the latter on its first ``&``, so skipping
-        them leaves the cover as the full loop would."""
+        them leaves the cover as the full loop would.  The first refused
+        attempt runs :meth:`close` once: a sweep that refuses nothing never
+        pays for it, and one that refuses early skips the rest of the
+        refusals it would otherwise prove one attempt at a time."""
         members, incompatible = self.members, self.incompatible
         find, try_merge = self.find, self.try_merge
         n = len(members)
         full = (1 << n) - 1
+        closed = False
         for i in range(n):
             above = full & -(2 << i)  # states j > i
             while True:
@@ -558,7 +627,9 @@ class _MergePartition:
                 if not free:
                     break
                 low = free & -free
-                try_merge(i, low.bit_length() - 1)
+                if not try_merge(i, low.bit_length() - 1) and not closed:
+                    self.close()
+                    closed = True
                 above &= -(low << 1)  # states beyond this j
 
     def cover(self) -> Cover:
@@ -588,7 +659,8 @@ def reduce_heuristic(g: Automaton, s: Automaton) -> tuple[Automaton, ReductionRe
 
     Attempts every state pair in canonical order, committing a merge when
     the propagated closure stays compatible; pairs the one-step
-    incompatibility masks already settle are skipped (see
+    incompatibility masks already settle, or their closure under
+    successors once an attempt has been refused, are skipped (see
     :meth:`_MergePartition.sweep`).
     The result is a partition cover, so the quotient never exceeds the
     input size.

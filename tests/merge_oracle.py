@@ -11,17 +11,30 @@ correct, and ``tests/test_merge_oracle.py`` checks that the library returns
 the same covers, verdicts and quotients.  ``generate_equivalent_supervisor``
 is the unchanged version that shuffled a list of all n(n-1)/2 pair tuples;
 it calls the library's merger and quotient, as it did.
+
+``closed_incompatibility`` is the implication chart as rounds of
+``successor_incompatibility`` run until the masks stop changing, and
+``sweep`` is the library's mask-driven sweep before it closed the chart
+over its cells at its first refused attempt; ``tests/test_merge_oracle.py``
+checks that the library closes to the same masks, and sweeps to the same
+cover in no more unions.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from supred.automata import Automaton
 from supred.reduction import Cover, build_super, induce_quotient
 from supred.reduction import _congruence_from_merges as _library_congruence
-from supred.supervision import ControlData, compatibility_relation, compatible, control_data
+from supred.supervision import (
+    ControlData,
+    compatibility_relation,
+    compatible,
+    control_data,
+    successor_incompatibility,
+)
 
 
 class _MergePartition:
@@ -168,3 +181,31 @@ def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Aut
     cover, _ = _library_congruence(sup, data, pairs[:attempts])
     quotient = induce_quotient(sup, data, cover, name=f"{s.name}-equiv-{seed}")
     return quotient
+
+
+def closed_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
+    """Rounds of the one-step implication chart until nothing changes."""
+    closed = list(masks)
+    while (widened := successor_incompatibility(s, closed)) != closed:
+        closed = widened
+    return closed
+
+
+def sweep(partition) -> None:
+    """Attempt every pair ``(i, j)``, ``i < j``, in canonical order on a
+    library ``_MergePartition``, skipping the pairs its masks settle, and
+    never closing the masks under successors."""
+    members, incompatible = partition.members, partition.incompatible
+    find, try_merge = partition.find, partition.try_merge
+    n = len(members)
+    full = (1 << n) - 1
+    for i in range(n):
+        above = full & -(2 << i)  # states j > i
+        while True:
+            r = find(i)
+            free = above & ~(incompatible[r] | members[r])
+            if not free:
+                break
+            low = free & -free
+            try_merge(i, low.bit_length() - 1)
+            above &= -(low << 1)  # states beyond this j

@@ -2,6 +2,7 @@
 masks and the indexed quotient construction against the reference versions
 in ``tests/merge_oracle.py``, on seeded families."""
 
+import copy
 import random
 
 from supred.automata import serialize_automaton
@@ -17,6 +18,7 @@ from supred.reduction import (
     validate_cover,
 )
 from supred.supervision import (
+    closed_incompatibility,
     compatibility_relation,
     compatible,
     control_data,
@@ -125,8 +127,8 @@ def test_failed_merge_marks_cells_incompatible():
 def test_sweep_examines_few_unions():
     """Regression guard on a 200-state inflated supervisor: the canonical
     pair loop examines 17,716 unions (42,067 without learned refusals),
-    the mask-driven sweep 232 on the base masks and 210 on the one-step
-    masks."""
+    the mask-driven sweep 232 on the base masks, 210 on the one-step masks
+    and 196 when it also closes them at its first refused attempt."""
     g, s = scale_pair(random.Random(0), 8, 25)
     _, report = reduce_heuristic(g, s)
     assert report.steps <= 25_000
@@ -245,10 +247,11 @@ def test_cover_verdicts_match_oracle():
 
 
 def _plain_mask_sweep(g, s):
-    """The sweep seeded with the base incompatibility masks, as
-    ``reduce_heuristic`` ran it before the one-step masks."""
+    """The oracle sweep seeded with the base incompatibility masks, as
+    ``reduce_heuristic`` ran it before the one-step masks and before it
+    closed them at its first refusal."""
     partition = _MergePartition(s, compatibility_relation(control_data(g, s)).masks)
-    partition.sweep()
+    merge_oracle.sweep(partition)
     return partition.cover(), partition.steps
 
 
@@ -291,9 +294,106 @@ def test_one_step_masks_keep_shuffled_merge_outcomes():
 def test_bench_random_instance_2_examines_few_unions():
     """Regression guard: on instance 2 of the ``reduce_random`` benchmark
     (251 states) the sweep on the base masks examines 19,042 unions, on
-    the one-step masks 4,983."""
+    the one-step masks 4,983, and 5 when it closes them at its first
+    refused attempt."""
     g, s = partial_observation_pair(2)
     assert s.n == 251
     _, report = reduce_heuristic(g, s)
-    assert report.steps <= 6_000
+    assert report.steps <= 100
     assert report.cover == _plain_mask_sweep(g, s)[0]
+
+
+# ---------------------------------------------------------------------------
+# the chart closed at the first refusal against the oracles
+
+
+def _one_step_partition(g, s):
+    masks = compatibility_relation(control_data(g, s)).masks
+    return _MergePartition(s, successor_incompatibility(s, masks))
+
+
+def test_closed_chart_and_sweep_match_oracles():
+    """On the 13 ``reduce_random`` supervisors, the 3 ``reduce_inflated``
+    ones and 60 loose ones: the closed masks are the oracle's rounds run to
+    a fixpoint, and the sweep that closes at its first refusal returns the
+    oracle sweep's cover in no more unions."""
+    instances = [partial_observation_pair(i) for i in range(13)]
+    instances += [scale_pair(random.Random(i), 8, 25) for i in range(3)]
+    instances += [loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+                  for seed in range(60)]
+    fewer = 0
+    for g, s in instances:
+        masks = compatibility_relation(control_data(g, s)).masks
+        assert closed_incompatibility(s, masks) == merge_oracle.closed_incompatibility(s, masks)
+        closing, plain = _one_step_partition(g, s), _one_step_partition(g, s)
+        closing.sweep()
+        merge_oracle.sweep(plain)
+        assert closing.cover() == plain.cover()
+        assert closing.steps <= plain.steps
+        fewer += closing.steps < plain.steps
+    assert fewer >= 15
+
+
+def _soundness_instances():
+    instances = [scale_pair(random.Random(seed), core_states=8, factor=5) for seed in range(4)]
+    instances += [loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+                  for seed in range(40)]
+    return instances
+
+
+def test_close_marks_only_pairs_a_merge_refuses():
+    """After a random prefix of attempts, every cell pair :meth:`close`
+    newly marks incompatible is refused by ``try_merge`` on a copy of the
+    partition taken before the close."""
+    rng = random.Random(41)
+    marked = 0
+    for g, s in _soundness_instances():
+        partition = _one_step_partition(g, s)
+        pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+        rng.shuffle(pairs)
+        for i, j in pairs[: rng.randint(0, len(pairs) // 20)]:
+            partition.try_merge(i, j)
+        before = copy.deepcopy(partition)
+        roots = sorted({partition.find(q) for q in range(s.n)})
+        partition.close()
+        assert partition.cover() == before.cover()
+        for a in roots:
+            for b in roots:
+                if a >= b or partition.incompatible[a] & partition.members[b] == 0:
+                    continue
+                assert partition.incompatible[b] & partition.members[a]
+                if before.incompatible[a] & before.members[b]:
+                    continue
+                scratch = copy.deepcopy(before)
+                assert not scratch.try_merge(a, b)
+                marked += 1
+    assert marked >= 100
+
+
+def test_sweep_closes_once_at_its_first_refusal():
+    """``close`` runs once in a sweep that refuses an attempt, right after
+    the first refusal, and never in a sweep that refuses none."""
+    kinds = set()
+    for g, s in _soundness_instances():
+        partition = _one_step_partition(g, s)
+        events = []
+        try_merge, close = partition.try_merge, partition.close
+
+        def counted_try_merge(i, j):
+            committed = try_merge(i, j)
+            events.append("commit" if committed else "refuse")
+            return committed
+
+        def counted_close():
+            events.append("close")
+            close()
+
+        partition.try_merge, partition.close = counted_try_merge, counted_close
+        partition.sweep()
+        if "refuse" in events:
+            first = events.index("refuse")
+            assert events.count("close") == 1 and events[first + 1] == "close"
+        else:
+            assert "close" not in events
+        kinds.add("refuse" in events)
+    assert kinds == {True, False}

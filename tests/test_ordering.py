@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from supred.automata import Alphabet, Event
+from supred.automata import Alphabet, Automaton, Event, sync_product
 from supred.errors import InfeasibleSupervisorError, PreconditionError
 from supred.ordering import (
     compare_full_vs_partial,
@@ -217,3 +217,29 @@ def test_full_vs_partial_names_failed_hypothesis(ordering_example):
     with pytest.raises(PreconditionError) as err:
         compare_full_vs_partial(g, s2, s1)
     assert err.value.name == "full-isomorphism"
+
+
+def _with_unreachable(a, extra):
+    """``a`` plus ``extra`` states that nothing leads to."""
+    states = list(a.states) + [f"dead{i}" for i in range(extra)]
+    return Automaton(a.name, a.alphabet, states, a.initial, sorted(a.marked), dict(a.trans))
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_full_vs_partial_refuses_unreachable_sides_by_their_isomorphism_name(extra):
+    """A side with unreachable states is refused by its own isomorphism
+    name, whether it has as many states as its closed loop or observer
+    (``extra`` 2, where the morphism check would refuse it as
+    ``reachable``) or not (``extra`` 1)."""
+    alphabet = Alphabet([Event("a", True, True)])
+    g = Automaton("G", alphabet, ["x0", "x1", "x2"], 0, [2], {(0, 0): 1, (1, 0): 2})
+    loop = Automaton("S", alphabet, ["z0"], 0, [0], {(0, 0): 0})
+    chain = sync_product(g, loop, name="SF")  # its own closed loop and observer
+    assert chain.n == 3
+    assert compare_full_vs_partial(g, chain, chain) == (1, 1, True)
+    padded = _with_unreachable(loop, extra)
+    for s_full, s_partial, name in ((padded, chain, "full-isomorphism"),
+                                    (chain, padded, "partial-isomorphism")):
+        with pytest.raises(PreconditionError) as err:
+            compare_full_vs_partial(g, s_full, s_partial)
+        assert err.value.name == name
