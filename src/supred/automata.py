@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatchError, ParseError, PreconditionError
@@ -138,7 +139,9 @@ class Automaton:
     ``trans`` sends ``(state, event)`` pairs to target states and is
     deterministic by construction.  ``succ`` is the same map as one dense
     table, built once: ``succ[q * m + e]`` is the target of state ``q`` on
-    event ``e`` for ``m`` events, or -1 where undefined.
+    event ``e`` for ``m`` events, or -1 where undefined.  The rows of
+    :meth:`out` are built from ``trans`` on first read, so ``trans`` must
+    not be edited after construction.
     """
 
     def __init__(
@@ -178,23 +181,30 @@ class Automaton:
         if self.marked and not (0 <= min(self.marked) and max(self.marked) < n):
             raise ValueError("marked state out of range")
         m = len(self.alphabet)
-        # per-state transition lists in canonical (alphabet) event order and
-        # the dense table; the range check rides along and raises for the
-        # first bad item
-        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        # the dense table and the enabled masks; the range check rides along
+        # and raises for the first bad item
         enabled = [0] * n
         succ = [-1] * (n * m)
         for (q, e), t in self.trans.items():
             if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
                 raise ValueError(f"transition ({q},{e})->{t} out of range")
-            out[q].append((e, t))
             enabled[q] |= 1 << e
             succ[q * m + e] = t
         self.succ: list[int] = succ
+        self._enabled: tuple[int, ...] = tuple(enabled)
+
+    @cached_property
+    def _out(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-state transition lists in canonical (alphabet) event order,
+        built on first read: the walks that read an automaton as their
+        plant need them, and the reachability and morphism checks, but no
+        supervisor-side reader."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for (q, e), t in self.trans.items():
+            out[q].append((e, t))
         for row in out:
             row.sort()  # one linear pass when trans arrives in key order
-        self._out: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, out))
-        self._enabled: tuple[int, ...] = tuple(enabled)
+        return tuple(map(tuple, out))
 
     @property
     def n(self) -> int:
@@ -370,7 +380,17 @@ def _parse_block(ts: _TokenStream) -> Automaton:
 
     ts.expect("marked")
     n_marked = ts.count("marked states")
-    marked = [resolve_state("marked state") for _ in range(n_marked)]
+    # Likewise: a short list or an unknown name leaves it to the token loop.
+    start = ts.pos
+    chunk = ts.tokens[start:start + n_marked]
+    try:
+        marked = [state_index[s] for s in chunk]
+    except KeyError:
+        marked = []
+    if len(marked) == n_marked:
+        ts.pos = start + n_marked
+    else:
+        marked = [resolve_state("marked state") for _ in range(n_marked)]
 
     ts.expect("trans")
     n_trans = ts.count("transitions")
@@ -439,8 +459,9 @@ def serialize_automaton(a: Automaton) -> str:
     lines.append(" ".join(["marked", str(len(marked))] + [a.states[q] for q in marked]))
     items = sorted(a.trans.items())
     lines.append(f"trans {len(items)}")
+    states, events = a.states, a.alphabet.names
     for (q, e), t in items:
-        lines.append(f"{a.states[q]} {a.alphabet.name(e)} {a.states[t]}")
+        lines.append(f"{states[q]} {events[e]} {states[t]}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

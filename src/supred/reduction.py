@@ -166,19 +166,21 @@ def _cover_targets(
     for j, cell in enumerate(c.cells):
         for z in cell:
             cells_of[z].append(j)
-    m = len(s.alphabet)
+    m, succ = len(s.alphabet), s.succ
     unobs = s.alphabet.unobservable
     trans: dict[tuple[int, int], int] = {}
     for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
         if len(cell) == 1:  # every cell holding a lone target is valid
             (z,) = cell
-            for e, t in s.out(z):
-                trans[(i, e)] = i if t == z and e in unobs else cells_of[t][0]
+            for e, t in enumerate(succ[z * m:(z + 1) * m]):
+                if t >= 0:
+                    trans[(i, e)] = i if t == z and e in unobs else cells_of[t][0]
             continue
         targets = [0] * m
         for z in cell:
-            for e, t in s.out(z):
-                targets[e] |= 1 << t
+            for e, t in enumerate(succ[z * m:(z + 1) * m]):
+                if t >= 0:
+                    targets[e] |= 1 << t
         for e, tb in enumerate(targets):
             if not tb:
                 continue
@@ -815,7 +817,7 @@ class _ExactSearch:
         O(k²·|Σ|).  That gives the same sets: the chosen cells only grow
         along a path, so a parent's pending set leaves only when the new
         cell holds it, and only the new cell's target sets are new."""
-        n_events = len(self.s.alphabet)
+        n_events, succ = len(self.s.alphabet), self.s.succ
         full = (1 << self.n) - 1
         # Built per call, not kept across k or built in __init__: find_cover
         # runs at most once per search on the 120 exact_small instances and
@@ -835,8 +837,9 @@ class _ExactSearch:
                 while c:
                     z = (c & -c).bit_length() - 1
                     c &= c - 1
-                    for e, t in self.s.out(z):
-                        rows[e] |= 1 << t
+                    for e, t in enumerate(succ[z * n_events:(z + 1) * n_events]):
+                        if t >= 0:
+                            rows[e] |= 1 << t
                 targets_of[cell] = cached = tuple(tb for tb in rows if tb)
             return cached
 

@@ -286,9 +286,8 @@ def successor_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
             per_group.append(hits)
         sources.append(per_group)
     widened = list(masks)
-    for p in range(s.n):
-        for e, t in s.out(p):
-            widened[p] |= sources[e][group[t]]
+    for (p, e), t in s.trans.items():
+        widened[p] |= sources[e][group[t]]
     return widened
 
 

@@ -129,15 +129,20 @@ def _checked_by_item(states, initial, marked, trans, m):
 @st.composite
 def _constructor_arguments(draw):
     """Valid states, initial state, marked states and a transition map in
-    any key order."""
-    m = draw(st.integers(1, 3))
+    any key order, over up to three events (none included), with some
+    states left without transitions."""
+    m = draw(st.integers(0, 3))
     states = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "(a,b)", "z1+z2"]),
                            min_size=1, max_size=5, unique=True))
     n = len(states)
     initial = draw(st.integers(0, n - 1))
     marked = draw(st.lists(st.integers(0, n - 1), max_size=3))
-    trans = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
-                                 st.integers(0, n - 1), max_size=12))
+    trans = {}
+    if m:
+        trans = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                                     st.integers(0, n - 1), max_size=12))
+    idle = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    trans = {(q, e): t for (q, e), t in trans.items() if q not in idle}
     trans = dict(draw(st.permutations(list(trans.items()))))
     where = draw(st.integers(0, n))
     return m, states, initial, marked, trans, where
@@ -173,9 +178,18 @@ def test_constructor_matches_per_item_checks(case):
             continue
         a = Automaton("A", alphabet, states, initial, marked, trans)
         index, rows, enabled = expected
+        succ = [-1] * (len(states) * m)
+        for q, row in enumerate(rows):
+            for e, t in row:
+                succ[q * m + e] = t
         assert [a.state_index(s) for s in index] == list(index.values())
+        assert "_out" not in vars(a)  # rows are built on first read
+        assert a.succ == succ
         assert tuple(a.out(q) for q in range(a.n)) == rows
         assert tuple(a.enabled(q) for q in range(a.n)) == enabled
+        rows_first = Automaton("A", alphabet, states, initial, marked, trans)
+        assert tuple(rows_first.out(q) for q in range(rows_first.n)) == rows
+        assert rows_first.succ == succ
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

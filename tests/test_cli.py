@@ -197,6 +197,12 @@ def test_verify_cover():
         "verify", "cover", "-g", f"{TANK}:G", "-s", f"{TANK}:S", "--cells", "z0,z1"
     )
     assert result.exit_code == 3  # malformed: not a cover
+    # an unknown state name is the library's bare ValueError: exit 3, not 2
+    result, payload = invoke_json(
+        "verify", "cover", "-g", f"{TANK}:G", "-s", f"{TANK}:S", "--cells", "z0,nope"
+    )
+    assert result.exit_code == 3 and payload["verdict"] is None
+    assert payload["witness"] == "unknown state 'nope' in automaton 'S'"
 
 
 def test_compare_order():

@@ -16,6 +16,7 @@ from supred.automata import (
 )
 from supred.errors import (AlphabetMismatchError, CoverError, InfeasibleSupervisorError,
                            PreconditionError, SearchCapError)
+from supred.ordering import finer_than
 from supred.reduction import (
     Cover,
     build_super,
@@ -602,3 +603,51 @@ def test_generate_outputs_equivalent():
         for seed in range(5):
             out = generate_equivalent_supervisor(g, s, seed)
             assert control_equivalent(g, s, out) == (True, None)
+
+
+# ---------------------------------------------------------------------------
+# which automata build transition rows
+
+
+def _row_traffic_pairs():
+    """Plant/supervisor pairs no other test has walked: the fixtures read
+    anew, three bench-sized random supervisors (SUPERs of 177-251 states)
+    and three ``exact_small`` bench instances on which the cover search
+    runs.  The flag says whether the exact search fits them."""
+    for name in ("tank.aut", "ordering.aut"):
+        g, s, *_ = parse_automaton((FIXTURES / name).read_text())
+        yield g, s, True
+    for seed in (1, 2, 4):
+        yield (*partial_observation_pair(seed), False)
+    for seed in (1, 21, 30):
+        yield (*loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5),
+               True)
+
+
+def test_only_plants_build_transition_rows(monkeypatch):
+    """``Automaton.out`` rows are built on first read, and only walks that
+    read an automaton as their plant read them: after SUPER, the fineness
+    and equivalence checks, normality and both reducers, no supervisor,
+    SUPER or quotient holds rows.  A new supervisor-side reader of ``out``
+    fails here instead of building rows for every SUPER."""
+    built = []
+    init = Automaton.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Automaton, "__init__", recording_init)
+    for g, s, exact in _row_traffic_pairs():
+        assert "_out" not in vars(s)
+        built.clear()
+        sup = build_super(g, s)
+        assert finer_than(g, s, sup, s).verdict
+        assert control_equivalent(g, s, sup) == (True, None)
+        assert is_normal(g, s, sup)[0]
+        outputs = [sup, reduce_heuristic(g, s)[0]]
+        if exact:
+            outputs += [reduce_exact_minimum(g, s, mode=mode)[0]
+                        for mode in ("cover", "partition")]
+        assert "_out" in vars(g)
+        assert all(a is g for a in [s, *outputs, *built] if "_out" in vars(a))
