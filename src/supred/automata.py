@@ -139,9 +139,9 @@ class Automaton:
     ``trans`` sends ``(state, event)`` pairs to target states and is
     deterministic by construction.  ``succ`` is the same map as one dense
     table, built once: ``succ[q * m + e]`` is the target of state ``q`` on
-    event ``e`` for ``m`` events, or -1 where undefined.  The rows of
-    :meth:`out` are built from ``trans`` on first read, so ``trans`` must
-    not be edited after construction.
+    event ``e`` for ``m`` events, or -1 where undefined.  The per-state
+    rows ``out_rows`` (one at a time: :meth:`out`) are built from ``trans``
+    on first read, so ``trans`` must not be edited after construction.
     """
 
     def __init__(
@@ -194,11 +194,10 @@ class Automaton:
         self._enabled: tuple[int, ...] = tuple(enabled)
 
     @cached_property
-    def _out(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def out_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-state transition lists in canonical (alphabet) event order,
         built on first read: the walks that read an automaton as their
-        plant need them, and the reachability and morphism checks, but no
-        supervisor-side reader."""
+        plant need them, but no supervisor-side reader."""
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for (q, e), t in self.trans.items():
             out[q].append((e, t))
@@ -215,7 +214,7 @@ class Automaton:
 
     def out(self, state: int) -> tuple[tuple[int, int], ...]:
         """Outgoing (event, target) pairs at ``state``, in event order."""
-        return self._out[state]
+        return self.out_rows[state]
 
     def enabled(self, state: int) -> int:
         """Bitmask of the events defined at ``state``, computed once."""
@@ -500,13 +499,14 @@ def distinct_names(names: list[str]) -> list[str]:
 def _reachable_set(a: Automaton) -> list[int]:
     """States reachable from the initial state, in BFS discovery order
     (events taken in alphabet order)."""
+    m, succ = len(a.alphabet), a.succ
     order = [a.initial]
     seen = {a.initial}
     queue = deque([a.initial])
     while queue:
         q = queue.popleft()
-        for _, t in a.out(q):
-            if t not in seen:
+        for t in succ[q * m:(q + 1) * m]:
+            if t >= 0 and t not in seen:
                 seen.add(t)
                 order.append(t)
                 queue.append(t)
@@ -547,7 +547,7 @@ def sync_product(a: Automaton, b: Automaton, name: Optional[str] = None) -> Auto
     """
     check_same_alphabet(a, b)
     m, nb = len(a.alphabet), b.n
-    a_out, b_succ = a._out, b.succ
+    a_out, b_succ = a.out_rows, b.succ
     a_states, b_states = a.states, b.states
     # a pair is coded as the int qa * nb + qb; order doubles as the queue
     index = {a.initial * nb + b.initial: 0}
@@ -609,7 +609,9 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
     while queue:
         x = queue.popleft()
         base = theta[x] * m
-        for e, x2 in a.out(x):
+        for e, x2 in enumerate(a_succ[x * m:(x + 1) * m]):
+            if x2 < 0:
+                continue
             y2 = b_succ[base + e]
             if y2 < 0:
                 return MorphismResult(False)
@@ -671,7 +673,7 @@ class Lockstep:
         once it is complete and before it is expanded."""
         g, a, b = self.g, self.a, self.b
         m, na, nb = len(g.alphabet), a.n, b.n
-        g_out, a_succ, b_succ = g._out, a.succ, b.succ
+        g_out, a_succ, b_succ = g.out_rows, a.succ, b.succ
         a_enabled, b_enabled = a._enabled, b._enabled
         # a triple is coded as the int (x * na + qa) * nb + qb
         seen = {(g.initial * na + a.initial) * nb + b.initial}

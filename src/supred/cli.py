@@ -4,7 +4,8 @@ Every library operation is reachable from one subcommand working on
 ``.aut`` files.  An argument of the form ``path`` names a file holding a
 single automaton; ``path:name`` selects one automaton out of a multi-block
 file.  Exit codes: 0 success (and any verdict true), 1 well-formed run with
-a false verdict, 2 usage or parse error, 3 precondition violation
+a false verdict, 2 usage or parse error (an unreadable input or an
+unwritable ``-o`` file included), 3 precondition violation
 (alphabet mismatch, infeasible supervisor, nondeterminism), 4 search cap
 exceeded.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -162,8 +165,18 @@ def _load(spec: str) -> am.Automaton:
 def _emit_artifact(a: am.Automaton, out: Optional[str], emit) -> Optional[str]:
     text = am.serialize_automaton(a)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # Overwrite in place, then cut the stale tail: O_TRUNC on a file
+        # holding data makes ext4 (auto_da_alloc) start writeback on close,
+        # which costs more than a small reduction.  A pipe, tty or
+        # /dev/null cannot be truncated.  Not atomic, not synced.
+        try:
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc}") from None
         return out
     emit(text.rstrip("\n"))
     return None

@@ -165,13 +165,13 @@ def closed_loop_pairs(g: Automaton, s: Automaton) -> tuple[list[int], list[int]]
     # control_data_from_pairs reads Lockstep's triples (best of 15, 2-vCPU VM).
     check_same_alphabet(g, s)
     m, ns = len(s.alphabet), s.n
-    succ = s.succ
+    g_out, succ = g.out_rows, s.succ
     # a pair is seen as the int x * ns + z; xs and zs double as the queue
     seen = {g.initial * ns + s.initial}
     xs, zs = [g.initial], [s.initial]
     for x, z in zip(xs, zs):
         base = z * m
-        for e, xt in g.out(x):
+        for e, xt in g_out[x]:
             zt = succ[base + e]
             if zt >= 0:
                 code = xt * ns + zt

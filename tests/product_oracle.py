@@ -30,7 +30,7 @@ def sync_product_pairs(
     order is BFS discovery order, so it is already trim."""
     check_same_alphabet(a, b)
     m, nb = len(a.alphabet), b.n
-    a_out, b_succ = a._out, b.succ
+    a_out, b_succ = a.out_rows, b.succ
     a_states, b_states = a.states, b.states
     # a pair is coded as the int qa * nb + qb; order doubles as the queue
     index = {a.initial * nb + b.initial: 0}

@@ -183,7 +183,7 @@ def test_constructor_matches_per_item_checks(case):
             for e, t in row:
                 succ[q * m + e] = t
         assert [a.state_index(s) for s in index] == list(index.values())
-        assert "_out" not in vars(a)  # rows are built on first read
+        assert "out_rows" not in vars(a)  # rows are built on first read
         assert a.succ == succ
         assert tuple(a.out(q) for q in range(a.n)) == rows
         assert tuple(a.enabled(q) for q in range(a.n)) == enabled

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import time
 from pathlib import Path
 
@@ -489,3 +490,76 @@ def test_product_and_super_name_colliding_pairs_apart(tmp_path):
         g, s, out = _written(tmp_path, PRODUCT_COLLISION, argv)
         assert out.states == ("(p,q,r)", "(p,q,r)~1", "(p,q,q,r)")
         assert control_equivalent(g, s, out) == (True, None)
+
+
+def _truncating_write(path, text):
+    """The writer ``-o`` used to have, kept as the oracle: open with
+    O_TRUNC, then write."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def test_artifact_writer_matches_the_truncating_writer(tmp_path):
+    """``-o`` overwrites in place and cuts the stale tail, leaving the bytes
+    the truncating writer leaves: on a fresh path, over a longer and a
+    shorter file, and twice in a row on one path."""
+    from supred.automata import serialize_automaton
+    from supred.cli import _emit_artifact
+
+    with open(TANK, encoding="utf-8") as fh:
+        g, s = parse_automaton(fh.read())
+    big, small = serialize_automaton(g), serialize_automaton(s)
+    cases = {
+        "fresh": (None, [s]),
+        "longer": ("x" * 5000, [s]),
+        "shorter": ("a\n", [g]),
+        "twice": (None, [g, s]),
+    }
+    assert len(small) < len(big) < 5000
+    for name, (before, written) in cases.items():
+        new, old = tmp_path / f"{name}.new.aut", tmp_path / f"{name}.old.aut"
+        if before is not None:
+            new.write_text(before, encoding="utf-8")
+            old.write_text(before, encoding="utf-8")
+        for a in written:
+            assert _emit_artifact(a, str(new), None) == str(new)
+            _truncating_write(old, serialize_automaton(a))
+        assert new.read_bytes() == old.read_bytes(), name
+        assert new.stat().st_mode == old.stat().st_mode, name
+
+
+def test_artifact_to_a_device_that_cannot_be_truncated():
+    result, _, err = invoke("reduce", "-g", f"{TANK}:G", "-s", f"{TANK}:S", "-o", os.devnull)
+    assert result.exit_code == 0, err
+
+
+def test_artifact_is_not_opened_with_o_trunc(tmp_path, monkeypatch):
+    """Opening with O_TRUNC cuts a file holding data to zero before it is
+    written, which on ext4 makes close() start writeback; ``-o`` must not
+    pay for that."""
+    out_file = tmp_path / "r.aut"
+    out_file.write_text("x" * 5000, encoding="utf-8")
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        if os.fspath(path) == str(out_file):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    result, _, err = invoke("reduce", "-g", f"{TANK}:G", "-s", f"{TANK}:S", "-o", str(out_file))
+    monkeypatch.undo()
+    assert result.exit_code == 0, err
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    (reduced,) = parse_automaton(out_file.read_text(encoding="utf-8"))
+    assert reduced.n == 2
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path):
+    """A missing directory or a directory as ``-o`` exits 2 with the same
+    five-key JSON line as an unreadable input, not with a traceback."""
+    for out_file in (tmp_path / "no_such_dir" / "r.aut", tmp_path):
+        result, payload = invoke_json("reduce", "-g", f"{TANK}:G", "-s", f"{TANK}:S",
+                                      "-o", str(out_file))
+        assert result.exit_code == 2
+        assert payload["witness"].startswith(f"cannot write {str(out_file)!r}: ")

@@ -16,7 +16,7 @@ from supred.automata import (
 )
 from supred.errors import (AlphabetMismatchError, CoverError, InfeasibleSupervisorError,
                            PreconditionError, SearchCapError)
-from supred.ordering import finer_than
+from supred.ordering import compare_full_vs_partial, finer_than
 from supred.reduction import (
     Cover,
     build_super,
@@ -627,9 +627,11 @@ def _row_traffic_pairs():
 def test_only_plants_build_transition_rows(monkeypatch):
     """``Automaton.out`` rows are built on first read, and only walks that
     read an automaton as their plant read them: after SUPER, the fineness
-    and equivalence checks, normality and both reducers, no supervisor,
-    SUPER or quotient holds rows.  A new supervisor-side reader of ``out``
-    fails here instead of building rows for every SUPER."""
+    and equivalence checks, normality, both reducers, the reachability and
+    isomorphism checks and the full-against-partial comparison, no
+    supervisor, SUPER, product or quotient holds rows.  A new
+    supervisor-side reader of ``out`` fails here instead of building rows
+    for every SUPER."""
     built = []
     init = Automaton.__init__
 
@@ -639,15 +641,17 @@ def test_only_plants_build_transition_rows(monkeypatch):
 
     monkeypatch.setattr(Automaton, "__init__", recording_init)
     for g, s, exact in _row_traffic_pairs():
-        assert "_out" not in vars(s)
+        assert "out_rows" not in vars(s)
         built.clear()
         sup = build_super(g, s)
         assert finer_than(g, s, sup, s).verdict
         assert control_equivalent(g, s, sup) == (True, None)
         assert is_normal(g, s, sup)[0]
+        assert is_des_isomorphic(sup, trim_reachable(sup)).verdict
         outputs = [sup, reduce_heuristic(g, s)[0]]
         if exact:
             outputs += [reduce_exact_minimum(g, s, mode=mode)[0]
                         for mode in ("cover", "partition")]
-        assert "_out" in vars(g)
-        assert all(a is g for a in [s, *outputs, *built] if "_out" in vars(a))
+            assert compare_full_vs_partial(g, sync_product(g, s, name="SF"), sup)[2]
+        assert "out_rows" in vars(g)
+        assert all(a is g for a in [s, *outputs, *built] if "out_rows" in vars(a))
