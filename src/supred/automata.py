@@ -140,8 +140,8 @@ class Automaton:
     deterministic by construction.  ``succ`` is the same map as one dense
     table, built once: ``succ[q * m + e]`` is the target of state ``q`` on
     event ``e`` for ``m`` events, or -1 where undefined.  The per-state
-    rows ``out_rows`` (one at a time: :meth:`out`) are built from ``trans``
-    on first read, so ``trans`` must not be edited after construction.
+    rows ``out_rows`` are built from ``trans`` on first read, so ``trans``
+    must not be edited after construction.
     """
 
     def __init__(
@@ -195,8 +195,8 @@ class Automaton:
 
     @cached_property
     def out_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-state transition lists in canonical (alphabet) event order,
-        built on first read: the walks that read an automaton as their
+        """Per-state (event, target) lists in canonical (alphabet) event
+        order, built on first read: the walks that read an automaton as their
         plant need them, but no supervisor-side reader."""
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for (q, e), t in self.trans.items():
@@ -211,10 +211,6 @@ class Automaton:
 
     def step(self, state: int, event: int) -> Optional[int]:
         return self.trans.get((state, event))
-
-    def out(self, state: int) -> tuple[tuple[int, int], ...]:
-        """Outgoing (event, target) pairs at ``state``, in event order."""
-        return self.out_rows[state]
 
     def enabled(self, state: int) -> int:
         """Bitmask of the events defined at ``state``, computed once."""

@@ -359,10 +359,10 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
 def _closure(g: Automaton, x: int, events: int) -> int:
     """The bitmask of the plant states that strings of the events in
     bitmask ``events`` lead ``x`` to, ``x`` included."""
-    reached = 1 << x
+    rows, reached = g.out_rows, 1 << x
     stack = [x]
     while stack:
-        for e, t in g.out(stack.pop()):
+        for e, t in rows[stack.pop()]:
             if events >> e & 1 and not reached >> t & 1:
                 reached |= 1 << t
                 stack.append(t)

@@ -77,7 +77,7 @@ def is_normal(
         p, y = queue.popleft()
         if p in loop.marked and y in sp.marked:
             marked_hit.add(y)
-        for e, pt in loop.out(p):
+        for e, pt in loop.out_rows[p]:
             yt = sp.step(y, e)
             if yt is None:
                 continue
@@ -127,7 +127,7 @@ def finer_than(
         if failed is not None:
             string = [g.alphabet.name(e) for e in path]
             return OrderWitness(False, (string, failed))
-        for e, pt in loop.out(p):
+        for e, pt in loop.out_rows[p]:
             t1 = s1.step(z1, e)
             t2 = s2.step(z2, e)
             if t1 is None or t2 is None:
@@ -224,7 +224,7 @@ def extract_cover_from_simsup(
     while queue:
         p, zs, y = queue.pop()
         cell_of_simsup[y].add(zs)
-        for e, pt in product.out(p):
+        for e, pt in product.out_rows[p]:
             zt = super_.step(zs, e)
             yt = simsup.step(y, e)
             if zt is None or yt is None:

@@ -154,7 +154,7 @@ class _ExactSearch:
                 while c:
                     z = (c & -c).bit_length() - 1
                     c &= c - 1
-                    for e, t in self.s.out(z):
+                    for e, t in self.s.out_rows[z]:
                         rows[e] |= 1 << t
                 targets_of[cell] = cached = tuple(rows)
             return cached

@@ -49,7 +49,7 @@ class _ExactSearch:
         self.budget = budget
         self.n = s.n
         self.masks = data.incompatibility_masks()
-        self.succ = [s.out(q) for q in range(s.n)]
+        self.succ = [s.out_rows[q] for q in range(s.n)]
         self.steps = 0
 
     # -- partitions ---------------------------------------------------

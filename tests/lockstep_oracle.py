@@ -30,7 +30,7 @@ def lockstep(
         path = paths[node]
         yield x, qa, qb, path
         shared = a.enabled(qa) & b.enabled(qb)
-        for e, xt in g.out(x):
+        for e, xt in g.out_rows[x]:
             if shared >> e & 1:
                 nxt = (xt, a.trans[(qa, e)], b.trans[(qb, e)])
                 if nxt not in paths:

@@ -6,7 +6,7 @@ of event names (control data, state characterisation) or of event indices
 (language equivalence), before the library moved to event-index bitmasks.
 The bodies are unchanged apart from one thing: where they called
 ``s.enabled(q)``, which now returns a bitmask, they build the frozenset
-``frozenset(e for e, _ in s.out(q))`` that it used to return.  The
+``frozenset(e for e, _ in s.out_rows[q])`` that it used to return.  The
 private reachability check ``language_equivalent`` calls is copied too.
 ``tests/test_name_set_oracle.py`` checks that the library's masks decode to
 the same names and that its verdicts and witnesses are the same.
@@ -28,7 +28,7 @@ from tests.product_oracle import subset_construction_with_members, sync_product_
 def control_data(g: Automaton, s: Automaton) -> ControlData:
     check_same_alphabet(g, s)
     names = g.alphabet.names
-    s_enabled = [frozenset(e for e, _ in s.out(q)) for q in range(s.n)]
+    s_enabled = [frozenset(e for e, _ in s.out_rows[q]) for q in range(s.n)]
     enabled = [frozenset(names[e] for e in events) for events in s_enabled]
     disabled: list[set[str]] = [set() for _ in range(s.n)]
     marked_s = [False] * s.n
@@ -45,7 +45,7 @@ def control_data(g: Automaton, s: Automaton) -> ControlData:
             marked_g[z] = True
             if z in s.marked:
                 marked_s[z] = True
-        for e, xt in g.out(x):
+        for e, xt in g.out_rows[x]:
             if e in s_enabled[z]:
                 nxt = (xt, s.trans[(z, e)])
                 if nxt not in seen:
@@ -83,7 +83,7 @@ def language_equivalent(
         path = paths[(qa, qb)]
         if (qa in a.marked) != (qb in b.marked):
             witnesses.append((len(path), path))
-        ea, eb = frozenset(e for e, _ in a.out(qa)), frozenset(e for e, _ in b.out(qb))
+        ea, eb = frozenset(e for e, _ in a.out_rows[qa]), frozenset(e for e, _ in b.out_rows[qb])
         if ea != eb:
             for e in sorted(ea ^ eb):
                 witnesses.append((len(path) + 1, path + (e,)))
@@ -112,11 +112,11 @@ def characterize_super_state(
     enabled: set[str] = set()
     disabled: set[str] = set()
     for member in members[idx]:
-        for e, _ in product.out(member):
+        for e, _ in product.out_rows[member]:
             enabled.add(names[e])
         x, zs = pairs[member]
-        s_enabled = frozenset(e for e, _ in s.out(zs))
-        for e, _ in g.out(x):
+        s_enabled = frozenset(e for e, _ in s.out_rows[zs])
+        for e, _ in g.out_rows[x]:
             if e not in s_enabled:
                 disabled.add(names[e])
     return frozenset(enabled), frozenset(disabled)

@@ -61,7 +61,7 @@ def _unobservable_closure(a: Automaton, seed: frozenset[int], unobs: frozenset[i
     queue = list(seed)
     while queue:
         q = queue.pop()
-        for e, t in a.out(q):
+        for e, t in a.out_rows[q]:
             if e in unobs and t not in reached:
                 reached.add(t)
                 queue.append(t)

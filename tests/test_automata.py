@@ -185,10 +185,10 @@ def test_constructor_matches_per_item_checks(case):
         assert [a.state_index(s) for s in index] == list(index.values())
         assert "out_rows" not in vars(a)  # rows are built on first read
         assert a.succ == succ
-        assert tuple(a.out(q) for q in range(a.n)) == rows
+        assert tuple(a.out_rows[q] for q in range(a.n)) == rows
         assert tuple(a.enabled(q) for q in range(a.n)) == enabled
         rows_first = Automaton("A", alphabet, states, initial, marked, trans)
-        assert tuple(rows_first.out(q) for q in range(rows_first.n)) == rows
+        assert tuple(rows_first.out_rows[q] for q in range(rows_first.n)) == rows
         assert rows_first.succ == succ
 
 

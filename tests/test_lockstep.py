@@ -73,7 +73,7 @@ def _product_walk(g, a, b):
     queue = deque([0])
     while queue:
         p = queue.popleft()
-        for _, t in gab.out(p):
+        for _, t in gab.out_rows[p]:
             if t not in seen:
                 seen.add(t)
                 depth[t] = depth[p] + 1

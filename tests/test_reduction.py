@@ -467,7 +467,7 @@ def _bounded_enumeration_characterization(g, s, observation, bound):
         nxt = []
         for p, k in frontier:
             d = dist[(p, k)]
-            for e, pt in product.out(p):
+            for e, pt in product.out_rows[p]:
                 if e in unobs:
                     key = (pt, k)
                 elif k < len(observation) and e == observation[k]:
@@ -482,10 +482,10 @@ def _bounded_enumeration_characterization(g, s, observation, bound):
     names = g.alphabet.names
     enabled, disabled = set(), set()
     for p in reached:
-        for e, _ in product.out(p):
+        for e, _ in product.out_rows[p]:
             enabled.add(names[e])
         x, z = pairs[p]
-        for e, _ in g.out(x):
+        for e, _ in g.out_rows[x]:
             if s.step(z, e) is None:
                 disabled.add(names[e])
     return frozenset(enabled), frozenset(disabled)
@@ -503,7 +503,7 @@ def _observations_per_super_state(sup):
     queue = [sup.initial]
     while queue:
         q = queue.pop(0)
-        for e, t in sup.out(q):
+        for e, t in sup.out_rows[q]:
             if t != q and t not in observations:
                 observations[t] = observations[q] + (e,)
                 queue.append(t)

@@ -453,7 +453,7 @@ def test_tank_closed_loop_language():
     seen, stack = {g.initial}, [g.initial]
     while stack:
         x = stack.pop()
-        for e, t in g.out(x):
+        for e, t in g.out_rows[x]:
             if e == heh:
                 plant_reaches_overflow = True
             if t not in seen:
