@@ -55,18 +55,24 @@ class Alphabet:
     ``#``, which starts a comment in the ``.aut`` format.  Operations
     over automaton pairs require the two alphabets to agree in names,
     attribute bits and order.  Event sets are ``int`` bitmasks over event
-    indices (bit ``e`` stands for event ``e``).
+    indices (bit ``e`` stands for event ``e``); ``uncontrollable_mask``
+    and ``unobservable_mask`` are two of them, computed once.
     """
 
     def __init__(self, events: Iterable[Event]):
         self.events: tuple[Event, ...] = tuple(events)
         self._index: dict[str, int] = {}
+        self.uncontrollable_mask = self.unobservable_mask = 0
         for i, ev in enumerate(self.events):
             if ev.name.split() != [ev.name] or "#" in ev.name:
                 raise ValueError(f"bad event name {ev.name!r}")
             if ev.name in self._index:
                 raise ValueError(f"duplicate event name {ev.name!r}")
             self._index[ev.name] = i
+            if not ev.controllable:
+                self.uncontrollable_mask |= 1 << i
+            if not ev.observable:
+                self.unobservable_mask |= 1 << i
 
     def __len__(self) -> int:
         return len(self.events)
@@ -192,6 +198,7 @@ class Automaton:
             succ[q * m + e] = t
         self.succ: list[int] = succ
         self._enabled: tuple[int, ...] = tuple(enabled)
+        self._enabled_in: dict[int, int] = {}
 
     @cached_property
     def out_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -215,6 +222,21 @@ class Automaton:
     def enabled(self, state: int) -> int:
         """Bitmask of the events defined at ``state``, computed once."""
         return self._enabled[state]
+
+    def enabled_in(self, states: int) -> int:
+        """Bitmask of the events defined at some state of the bitmask
+        ``states``, computed once per bitmask of two states or more."""
+        if not states & (states - 1):  # no state or one
+            return self._enabled[states.bit_length() - 1] if states else 0
+        union = self._enabled_in.get(states)
+        if union is None:
+            union, rest, enabled = 0, states, self._enabled
+            while rest:
+                low = rest & -rest
+                union |= enabled[low.bit_length() - 1]
+                rest ^= low
+            self._enabled_in[states] = union
+        return union
 
     def state_index(self, name: str) -> int:
         try:
@@ -644,8 +666,14 @@ class Lockstep:
     three define, in the order of the reachable pairs of ``(g||a)||b``; no
     product automaton is built, successors are read from ``succ``.
 
-    Node ``i`` is the triple ``(xs[i], qas[i], qbs[i])``, first reached from
-    node ``parent[i]`` by ``event[i]``.  Events go in alphabet order, so
+    Each pair ``(qa, qb)`` the walk reaches gets an id ``p``, in order of
+    first reach: ``pair_a[p]`` and ``pair_b[p]`` are its states and
+    ``reached[p]`` is the bitmask of the plant states walked with it.  Node
+    ``i`` is the triple ``(xs[i], pair_a[pairs[i]], pair_b[pairs[i]])``
+    (``qas`` and ``qbs`` list those states per node), first reached from
+    node ``parent[i]`` by ``event[i]``.  Facts that depend on the pair
+    alone are read once per pair, and facts about the plant once per
+    distinct ``reached`` set.  Events go in alphabet order, so
     :meth:`string` rebuilds a shortest string, ties broken by alphabet
     order.  :meth:`levels` walks afresh, one BFS level at a time; ``starts``
     holds the first node of each level handed over, so a node's depth is the
@@ -658,45 +686,86 @@ class Lockstep:
         check_same_alphabet(g, b)
         self.g, self.a, self.b = g, a, b
         self.xs: list[int] = []
-        self.qas: list[int] = []
-        self.qbs: list[int] = []
+        self.pairs: list[int] = []
         self.parent: list[int] = []
         self.event: list[int] = []
         self.starts: list[int] = []
+        self.pair_a: list[int] = []
+        self.pair_b: list[int] = []
+        self.reached: list[int] = []
+
+    @property
+    def qas(self) -> list[int]:
+        """The ``a`` state of each node."""
+        pair_a = self.pair_a
+        return [pair_a[p] for p in self.pairs]
+
+    @property
+    def qbs(self) -> list[int]:
+        """The ``b`` state of each node."""
+        pair_b = self.pair_b
+        return [pair_b[p] for p in self.pairs]
 
     def levels(self) -> Iterator[tuple[int, int]]:
         """Walk afresh, yielding the node range ``(lo, hi)`` of each level
         once it is complete and before it is expanded."""
         g, a, b = self.g, self.a, self.b
-        m, na, nb = len(g.alphabet), a.n, b.n
+        m, ng, nb = len(g.alphabet), g.n, b.n
         g_out, a_succ, b_succ = g.out_rows, a.succ, b.succ
         a_enabled, b_enabled = a._enabled, b._enabled
-        # a triple is coded as the int (x * na + qa) * nb + qb
-        seen = {(g.initial * na + a.initial) * nb + b.initial}
-        xs, qas, qbs = self.xs, self.qas, self.qbs
-        parent, event, starts = self.parent, self.event, self.starts
-        xs[:], qas[:], qbs[:] = [g.initial], [a.initial], [b.initial]
-        parent[:], event[:], starts[:] = [-1], [-1], []
+        xs, pairs, parent, event, starts = (self.xs, self.pairs, self.parent, self.event,
+                                            self.starts)
+        pair_a, pair_b, reached = self.pair_a, self.pair_b, self.reached
+        xs[:], pairs[:], parent[:], event[:], starts[:] = [g.initial], [0], [-1], [-1], []
+        pair_a[:], pair_b[:], reached[:] = [a.initial], [b.initial], [1 << g.initial]
+        # Per pair: its successor pair per event, in one flat row filled on
+        # first use (-1 until then), and the table of the plant's steps on
+        # the events both its states define, per plant state x (None until
+        # x meets such a pair): (event, target, target's bit).  Pairs that
+        # share the same events share a table.  A pair (qa, qb) is coded as
+        # qa * nb + qb.
+        tables = {a_enabled[a.initial] & b_enabled[b.initial]: [None] * ng}
+        pair_steps = list(tables.values())
+        unset = [-1] * m
+        succ = unset[:]
+        index = {a.initial * nb + b.initial: 0}
         lo, hi = 0, 1
         while lo < hi:
             starts.append(lo)
             yield lo, hi
-            for node, x, qa, qb in zip(range(lo, hi), xs[lo:hi], qas[lo:hi], qbs[lo:hi]):
-                shared = a_enabled[qa] & b_enabled[qb]
-                if shared:
-                    base_a, base_b = qa * m, qb * m
-                    for e, xt in g_out[x]:
-                        if shared >> e & 1:
-                            ta = a_succ[base_a + e]
-                            tb = b_succ[base_b + e]
-                            code = (xt * na + ta) * nb + tb
-                            if code not in seen:
-                                seen.add(code)
-                                xs.append(xt)
-                                qas.append(ta)
-                                qbs.append(tb)
-                                parent.append(node)
-                                event.append(e)
+            for node, x, p in zip(range(lo, hi), xs[lo:hi], pairs[lo:hi]):
+                steps = pair_steps[p]
+                out = steps[x]
+                if out is None:
+                    shared = a_enabled[pair_a[p]] & b_enabled[pair_b[p]]
+                    out = steps[x] = [(e, xt, 1 << xt) for e, xt in g_out[x]
+                                      if shared >> e & 1]
+                base = p * m
+                for e, xt, bit in out:
+                    t = succ[base + e]
+                    if t < 0:
+                        ta = a_succ[pair_a[p] * m + e]
+                        tb = b_succ[pair_b[p] * m + e]
+                        code = ta * nb + tb
+                        t = index.get(code)
+                        if t is None:
+                            t = index[code] = len(pair_a)
+                            pair_a.append(ta)
+                            pair_b.append(tb)
+                            reached.append(0)
+                            shared = a_enabled[ta] & b_enabled[tb]
+                            steps = tables.get(shared)
+                            if steps is None:
+                                steps = tables[shared] = [None] * ng
+                            pair_steps.append(steps)
+                            succ += unset
+                        succ[base + e] = t
+                    if not reached[t] & bit:
+                        reached[t] |= bit
+                        xs.append(xt)
+                        pairs.append(t)
+                        parent.append(node)
+                        event.append(e)
             lo, hi = hi, len(xs)
 
     def run(self) -> "Lockstep":
@@ -726,14 +795,17 @@ def separating_string(walk: Lockstep) -> Optional[list[str]]:
     # differ inside the plant's
     gm, am, bm = ([en << 1 | (q in aut.marked) for q, en in enumerate(aut._enabled)]
                   for aut in (g, a, b))
+    xs, pairs, pair_a, pair_b = walk.xs, walk.pairs, walk.pair_a, walk.pair_b
+    split: list[int] = []  # per pair, where the rows of its two states differ
     # The walk meets strings of one length in shortlex order, so the first
     # witness of each kind and length is the least of its kind and length.
     witnesses: dict[tuple[int, bool], tuple[int, tuple[int, ...]]] = {}
     for d, (lo, hi) in enumerate(walk.levels()):
         if witnesses and d > min(witnesses)[0]:
             break  # no later level gives a shorter witness
-        clashes = [gm[x] & (am[qa] ^ bm[qb])
-                   for x, qa, qb in zip(walk.xs[lo:hi], walk.qas[lo:hi], walk.qbs[lo:hi])]
+        known = len(split)
+        split += [am[qa] ^ bm[qb] for qa, qb in zip(pair_a[known:], pair_b[known:])]
+        clashes = [gm[x] & split[p] for x, p in zip(xs[lo:hi], pairs[lo:hi])]
         if not any(clashes):
             continue
         for node, clash in enumerate(clashes, lo):

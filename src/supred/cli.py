@@ -136,20 +136,21 @@ def _load(spec: str) -> am.Automaton:
     path, _, selector = spec.rpartition(":")
     if not path:
         path, selector = spec, ""
+    first = path if selector else spec
     try:
-        with open(path if selector else spec, encoding="utf-8") as fh:
+        with open(first, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError:
-        if selector:
-            # maybe the whole spec was a path containing ':'
-            try:
-                with open(spec, encoding="utf-8") as fh:
-                    text = fh.read()
-                selector = ""
-            except OSError as exc:
-                raise UsageError(f"cannot read {spec!r}: {exc}") from None
-        else:
-            raise UsageError(f"cannot read {spec!r}") from None
+    except OSError as exc:
+        if not selector:
+            raise UsageError(f"cannot read {first!r}: {exc}") from None
+        # maybe the whole spec was a path containing ':'; the error names
+        # the file tried first
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError:
+            raise UsageError(f"cannot read {first!r}: {exc}") from None
+        selector = ""
     blocks = am.parse_automaton(text)
     if selector:
         for a in blocks:

@@ -19,7 +19,7 @@ from .errors import PreconditionError
 from .reduction import (DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible,
                         super_from_pairs)
 from .supervision import (ControlData, check_control_feasibility, closed_loop_pairs,
-                          control_data, control_data_from_pairs, is_normal)
+                          control_data, control_data_from_sets, is_normal)
 
 __all__ = [
     "OrderWitness",
@@ -90,21 +90,27 @@ def _finer(g: Automaton, walk: Lockstep) -> tuple[OrderWitness, ControlData, Con
     plant and two control-equivalent candidates, and both candidates'
     control data.  The projections of the walked triples are then exactly
     the reachable pairs of each candidate's closed loop, so the data come
-    from the walk's arrays; the clauses are scanned in node order, so the
-    first violating node has the least string."""
-    s1, s2, xs, z1s, z2s = walk.a, walk.b, walk.xs, walk.qas, walk.qbs
-    data1 = control_data_from_pairs(g, s1, zip(xs, z1s))
-    data2 = control_data_from_pairs(g, s2, zip(xs, z2s))
+    from the plant sets the walk keeps per pair of candidate states.  The
+    clauses depend on that pair alone and are checked once per pair; the
+    witness is the first node of a failing pair, in node order, so it has
+    the least string."""
+    s1, s2 = walk.a, walk.b
+    sets1, sets2 = [0] * s1.n, [0] * s2.n
+    for z1, z2, states in zip(walk.pair_a, walk.pair_b, walk.reached):
+        sets1[z1] |= states
+        sets2[z2] |= states
+    data1 = control_data_from_sets(g, s1, sets1)
+    data2 = control_data_from_sets(g, s2, sets2)
     # per state, the clauses' sets as one int, the first clause lowest:
     # s1's state holds what s2's state lacks exactly where a clause fails
     m = len(g.alphabet)
     packed1, packed2 = ([en | dis << m | ms << 2 * m | mg << 2 * m + 1
                          for en, dis, ms, mg in zip(d.enabled, d.disabled, d.marked_s, d.marked_g)]
                         for d in (data1, data2))
-    lacks = [packed1[z1] & ~packed2[z2] for z1, z2 in zip(z1s, z2s)]
+    lacks = [packed1[z1] & ~packed2[z2] for z1, z2 in zip(walk.pair_a, walk.pair_b)]
     if not any(lacks):
         return OrderWitness(True), data1, data2
-    node, bits = next((node, bits) for node, bits in enumerate(lacks) if bits)
+    node, bits = next((node, lacks[p]) for node, p in enumerate(walk.pairs) if lacks[p])
     low = (bits & -bits).bit_length() - 1
     failed = _CLAUSES[low // m if low < 2 * m else low - 2 * m + 2]
     string = [g.alphabet.name(e) for e in walk.string(node)]
@@ -190,8 +196,8 @@ def compare_full_vs_partial(
             "full-isomorphism", "s_full is not DES-isomorphic to its closed loop"
         )
     if not (s_partial.is_reachable() and check_control_feasibility(s_partial)[0]
-            and is_des_isomorphic(
-                s_partial, super_from_pairs(g, s_partial, *closed_loop_pairs(g, s_partial))).verdict):
+            and is_des_isomorphic(s_partial, super_from_pairs(
+                g, s_partial, *closed_loop_pairs(g, s_partial)[:2])).verdict):
         raise PreconditionError(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",

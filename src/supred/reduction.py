@@ -28,7 +28,7 @@ from .supervision import (
     closed_loop_pairs,
     compatibility_relation,
     control_data,
-    control_data_from_pairs,
+    control_data_from_sets,
     is_normal,
     loop_controllable,
     successor_incompatibility,
@@ -267,8 +267,8 @@ def build_super(g: Automaton, s: Automaton) -> Automaton:
     check runs first, then loop controllability is read off the same pairs.
     """
     _require_selfloop_unobservables(s)
-    xs, zs = closed_loop_pairs(g, s)
-    _require_loop_controllable(s, control_data_from_pairs(g, s, zip(xs, zs)))
+    xs, zs, sets = closed_loop_pairs(g, s)
+    _require_loop_controllable(s, control_data_from_sets(g, s, sets))
     return super_from_pairs(g, s, xs, zs)
 
 
@@ -289,56 +289,66 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
     ``X`` under the unobservable events ``zt`` selfloops.  States, their
     order and their names are those of the subset construction of
     :func:`~supred.automata.sync_product`: member names are the product's
-    pair names ``(x,z)``, made distinct in the product's order.
+    pair names ``(x,z)``, made distinct in the product's order.  A SUPER
+    state's members and offered events are found once per distinct ``X``,
+    and each image ``X'`` once per ``X``, event and set of selflooped
+    events.
     """
     m, ns = len(s.alphabet), s.n
     g_succ, s_succ = g.succ, s.succ
     g_states, s_states = g.states, s.states
-    pair_names = distinct_names([f"({g_states[x]},{s_states[z]})" for x, z in zip(xs, zs)])
-    pair_name = dict(zip([x * ns + z for x, z in zip(xs, zs)], pair_names))
-    unobs_mask = sum(1 << u for u in s.alphabet.unobservable)
+    pair_name = dict(zip([x * ns + z for x, z in zip(xs, zs)], distinct_names(
+        [f"({g_states[x]},{s_states[z]})" for x, z in zip(xs, zs)])))
+    unobs_mask = s.alphabet.unobservable_mask
     obs = sorted(s.alphabet.observable)
     unobs = sorted(s.alphabet.unobservable)
-    g_enabled = [g.enabled(x) for x in range(g.n)]
     # Per set of unobservable events, per event e: the closure under the set
-    # of each plant state's e-successor (0 where undefined).  steps_into[z]
-    # is the table of the set z selfloops, filled on first use.
-    tables: dict[int, list[list[int]]] = {}
-    steps_into: list[Optional[list[list[int]]]] = [None] * ns
+    # of each plant state's e-successor (0 where undefined), and the images
+    # of the plant-state sets met so far.  steps_into[z] is the table of the
+    # set z selfloops, filled on first use.
+    Table = list[tuple[list[int], dict[int, int]]]
+    tables: dict[int, Table] = {}
+    steps_into: list[Optional[Table]] = [None] * ns
 
-    def steps_at(z: int) -> list[list[int]]:
+    def steps_at(z: int) -> Table:
         events = s.enabled(z) & unobs_mask
         table = tables.get(events)
         if table is None:
             closure = [_closure(g, x, events) for x in range(g.n)]
-            table = tables[events] = [[closure[t] if t >= 0 else 0 for t in g_succ[e::m]]
+            table = tables[events] = [([closure[t] if t >= 0 else 0 for t in g_succ[e::m]], {})
                                       for e in range(m)]
         steps_into[z] = table
         return table
 
+    # per plant-state set: its members, and the events some member defines
+    by_set: dict[int, tuple[list[int], int]] = {}
     start = (s.initial, _closure(g, g.initial, s.enabled(s.initial) & unobs_mask))
     index = {start: 0}
     order = [start]
     names: list[str] = []
     trans: dict[tuple[int, int], int] = {}
     for src, (z, subset) in enumerate(order):
-        members = []
-        offered = 0  # the events some member plant state defines
-        while subset:
-            low = subset & -subset
-            x = low.bit_length() - 1
-            members.append(x)
-            offered |= g_enabled[x]
-            subset ^= low
+        found = by_set.get(subset)
+        if found is None:
+            members, rest = [], subset
+            while rest:
+                low = rest & -rest
+                members.append(low.bit_length() - 1)
+                rest ^= low
+            found = by_set[subset] = (members, g.enabled_in(subset))
+        members, offered = found
         base = z * m
         for e in obs:
             zt = s_succ[base + e]
             if zt < 0 or not offered >> e & 1:
                 continue
-            step = (steps_into[zt] or steps_at(zt))[e]
-            target = 0
-            for x in members:
-                target |= step[x]
+            step, images = (steps_into[zt] or steps_at(zt))[e]
+            target = images.get(subset)
+            if target is None:
+                target = 0
+                for x in members:
+                    target |= step[x]
+                images[subset] = target
             key = (zt, target)
             dst = index.get(key)
             if dst is None:
@@ -382,10 +392,11 @@ def characterize_super_state(
         raise ValueError(f"unknown super-state index {z}")
     walk = Lockstep(g, s, super_).run()
     enabled = disabled = 0
-    for x, zs, y in zip(walk.xs, walk.qas, walk.qbs):
+    for zs, y, states in zip(walk.pair_a, walk.pair_b, walk.reached):
         if y == z:
-            enabled |= g.enabled(x) & s.enabled(zs)
-            disabled |= g.enabled(x) & ~s.enabled(zs)
+            offered = g.enabled_in(states)
+            enabled |= offered & s.enabled(zs)
+            disabled |= offered & ~s.enabled(zs)
     return enabled, disabled
 
 
@@ -398,8 +409,8 @@ def extract_cover_from_simsup(
     Each simsup state contributes the cell of finest-supervisor states
     reached by the closed-loop strings that drive simsup to it.  Once
     simsup is known to be control equivalent to ``s``, the cells are read
-    off the triples of plant, ``super_`` and simsup that
-    :class:`~supred.automata.Lockstep` reaches.
+    off the pairs of ``super_`` and simsup states that
+    :class:`~supred.automata.Lockstep` reaches with the plant.
     """
     ok, witness = check_control_feasibility(simsup)
     if not ok:
@@ -415,10 +426,9 @@ def extract_cover_from_simsup(
         raise PreconditionError("normality", str(witness))
 
     walk = Lockstep(g, super_, simsup).run()
-    g_en, sup_en, sim_en = ([a.enabled(q) for q in range(a.n)] for a in (g, super_, simsup))
     cell_of_simsup: list[set[int]] = [set() for _ in range(simsup.n)]
-    for x, zs, y in zip(walk.xs, walk.qas, walk.qbs):
-        if g_en[x] & sim_en[y] & ~sup_en[zs]:
+    for zs, y, states in zip(walk.pair_a, walk.pair_b, walk.reached):
+        if g.enabled_in(states) & simsup.enabled(y) & ~super_.enabled(zs):
             raise PreconditionError(
                 "control-equivalence",
                 "closed-loop string leaves the candidate supervisor",

@@ -22,12 +22,20 @@ through the walk these oracles check.
 ``tests/test_closed_loop_oracle.py`` checks that the library, which walks
 plant and supervisors in lockstep without building a closed loop, gives the
 same verdicts, witnesses and errors.
+
+``closed_loop_pairs`` and ``control_data_from_pairs`` are the pair walk
+the library used before its visited test became one bitmask of plant
+states per supervisor state, and the control-data builder that folded the
+plant's data once per visited pair; their bodies are unchanged apart
+from the alphabet check's name, as above.
+``tests/test_pair_walk_oracle.py`` checks that the library gives the same
+pairs and the same control data.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional
 
 from supred.automata import (
     Automaton,
@@ -45,7 +53,8 @@ from supred.reduction import (
     reduce_exact_minimum,
     require_feasible,
 )
-from supred.supervision import check_control_feasibility, control_data, loop_controllable
+from supred.supervision import (ControlData, check_control_feasibility, control_data,
+                                loop_controllable)
 
 from tests import name_set_oracle
 from tests.product_oracle import subset_construction, sync_product_pairs
@@ -247,3 +256,62 @@ def extract_cover_from_simsup(
 def build_super(g: Automaton, s: Automaton) -> Automaton:
     require_feasible(g, s)
     return subset_construction(sync_product(g, s), name="SUPER")
+
+
+def closed_loop_pairs(g: Automaton, s: Automaton) -> tuple[list[int], list[int]]:
+    """The reachable pairs of plant and supervisor states of ``g||s``, as
+    two parallel lists: pair ``i`` is ``(xs[i], zs[i])``.  They come in the
+    order of the states of :func:`~supred.automata.sync_product`
+    (breadth first, events in alphabet order), but no product automaton is
+    built."""
+    # Its own pair walk, not Lockstep(g, s, s): over the 16 bench reduce
+    # supervisors, walk and accumulation take 19 ms against 32 ms when
+    # control_data_from_pairs reads Lockstep's triples (best of 15, 2-vCPU VM).
+    _check_same_alphabet(g, s)
+    m, ns = len(s.alphabet), s.n
+    g_out, succ = g.out_rows, s.succ
+    # a pair is seen as the int x * ns + z; xs and zs double as the queue
+    seen = {g.initial * ns + s.initial}
+    xs, zs = [g.initial], [s.initial]
+    for x, z in zip(xs, zs):
+        base = z * m
+        for e, xt in g_out[x]:
+            zt = succ[base + e]
+            if zt >= 0:
+                code = xt * ns + zt
+                if code not in seen:
+                    seen.add(code)
+                    xs.append(xt)
+                    zs.append(zt)
+    return xs, zs
+
+
+def control_data_from_pairs(
+    g: Automaton, s: Automaton, pairs: Iterable[tuple[int, int]]
+) -> ControlData:
+    """The control data of ``s`` read off closed-loop pairs ``(x, z)`` of
+    plant and supervisor states: ``pairs`` must hold every reachable pair of
+    ``g||s`` and no other, each at least once.  A state's disabled set is
+    what the plant offers at its pairs and it does not enable; its marking
+    indicators say whether a plant-marked pair holds it, and whether ``s``
+    marks it too."""
+    n = s.n
+    g_enabled = [g.enabled(x) for x in range(g.n)]
+    g_marked = g.marked
+    offered = [0] * n
+    marked_g = [False] * n
+    visited = [False] * n
+    for x, z in pairs:
+        visited[z] = True
+        offered[z] |= g_enabled[x]
+        if x in g_marked:
+            marked_g[z] = True
+    enabled = [s.enabled(z) for z in range(n)]
+    return ControlData(
+        supervisor=s,
+        enabled=enabled,
+        disabled=[o & ~e for o, e in zip(offered, enabled)],
+        marked_s=[hit and z in s.marked for z, hit in enumerate(marked_g)],
+        marked_g=marked_g,
+        reachable_in_loop=visited,
+    )

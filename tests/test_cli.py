@@ -563,3 +563,28 @@ def test_unwritable_output_is_a_usage_error(tmp_path):
                                       "-o", str(out_file))
         assert result.exit_code == 2
         assert payload["witness"].startswith(f"cannot write {str(out_file)!r}: ")
+
+
+def test_unreadable_input_names_the_file_tried_first(tmp_path):
+    """``-g path`` and ``-g path:name`` both exit 2 naming ``path`` with
+    the reason its open failed; the second form also tries the whole spec
+    as a path, but the error is about the file tried first."""
+    missing = str(tmp_path / "no" / "such.aut")
+    for spec in (missing, f"{missing}:G"):
+        result, payload = invoke_json("reduce", "-g", spec, "-s", f"{TANK}:S")
+        assert result.exit_code == 2
+        assert payload["witness"] == (
+            f"cannot read {missing!r}: [Errno 2] No such file or directory: {missing!r}")
+    result, payload = invoke_json("reduce", "-g", f"{TANK}:G", "-s", str(tmp_path))
+    assert result.exit_code == 2
+    assert payload["witness"].startswith(f"cannot read {str(tmp_path)!r}: [Errno 21] ")
+
+
+def test_input_path_with_a_colon_is_read_whole(tmp_path):
+    """A spec whose text after the last ``:`` is no selector is read as a
+    path when the part before it cannot be read."""
+    g_file = tmp_path / "plant:v1"
+    g_file.write_text(Path(TANK).read_text(encoding="utf-8").split("\nautomaton S")[0] + "\n",
+                      encoding="utf-8")
+    result, payload = invoke_json("super", "-g", str(g_file), "-s", f"{TANK}:S")
+    assert result.exit_code == 0, payload

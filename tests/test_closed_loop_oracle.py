@@ -242,7 +242,7 @@ def test_super_from_pairs_matches_the_subset_construction():
             if not check_control_feasibility(s)[0]:
                 continue
             expected = subset_construction(sync_product_pairs(g, s)[0], name="SUPER")
-            got = super_from_pairs(g, s, *closed_loop_pairs(g, s))
+            got = super_from_pairs(g, s, *closed_loop_pairs(g, s)[:2])
             assert serialize_automaton(got) == serialize_automaton(expected), seed
             checked += 1
             uncontrollable += not loop_controllable(g, s)[0]

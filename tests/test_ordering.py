@@ -157,20 +157,20 @@ def test_compare_reductions_computes_control_data_once_per_candidate(
 ):
     import supred.ordering
     import supred.reduction
+    import supred.supervision
 
     g, s1, s2 = ordering_example
     seen = []
+    build = supred.supervision.control_data_from_sets
 
-    def counting(compute):
-        def wrapper(plant, s, *pairs):
-            seen.append(s.name)
-            return compute(plant, s, *pairs)
-        return wrapper
+    def counting(plant, s, sets):
+        seen.append(s.name)
+        return build(plant, s, sets)
 
-    # control data comes from a walk of its own or from the fineness walk
-    for module in (supred.ordering, supred.reduction):
-        for name in ("control_data", "control_data_from_pairs"):
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    # every ControlData comes from the one builder, after a walk of its own
+    # or off the fineness walk, through whichever module binds it
+    for module in (supred.supervision, supred.ordering, supred.reduction):
+        monkeypatch.setattr(module, "control_data_from_sets", counting)
     assert compare_reductions(g, s1, s1, s2) == (2, 3, True)
     assert seen == ["S1", "S2"]
 

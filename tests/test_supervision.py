@@ -173,14 +173,17 @@ def test_control_data_matches_brute_force():
 def test_closed_loop_pairs_follow_the_product_order():
     """The pairs ``control_data`` and ``build_super`` read are the states of
     the oracle ``sync_product_pairs``, in its order, for supervisors and
-    for automata of any shape."""
+    for automata of any shape; the plant sets hold, per supervisor state,
+    the plant states of its pairs."""
     rng = random.Random(47)
     for _ in range(40):
         g, s = loose_instance(rng, max_plant=6, max_sup=8, max_events=4)
         a = random_automaton(rng, s.alphabet, max_states=6)
         for other in (s, a):
-            xs, zs = closed_loop_pairs(g, other)
+            xs, zs, sets = closed_loop_pairs(g, other)
             assert list(zip(xs, zs)) == sync_product_pairs(g, other)[1]
+            assert sets == [sum(1 << x for x, z in zip(xs, zs) if z == q)
+                            for q in range(other.n)]
 
 
 def test_control_data_invariants_random():
