@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatchError, ParseError, PreconditionError
@@ -64,7 +65,7 @@ class Alphabet:
         self._index: dict[str, int] = {}
         self.uncontrollable_mask = self.unobservable_mask = 0
         for i, ev in enumerate(self.events):
-            if ev.name.split() != [ev.name] or "#" in ev.name:
+            if _bad_token(ev.name):
                 raise ValueError(f"bad event name {ev.name!r}")
             if ev.name in self._index:
                 raise ValueError(f"duplicate event name {ev.name!r}")
@@ -126,6 +127,11 @@ class Alphabet:
         return frozenset(i for i, e in enumerate(self.events) if not e.observable)
 
 
+def _bad_token(name: str) -> bool:
+    """Whether ``name`` is not one whitespace-free token without ``#``."""
+    return name.split() != [name] or "#" in name
+
+
 def check_same_alphabet(a: "Automaton", b: "Automaton") -> None:
     """Raise :class:`AlphabetMismatchError`, naming both automata, unless
     ``a`` and ``b`` carry the identical alphabet."""
@@ -141,13 +147,14 @@ class Automaton:
     States are addressed by index; ``states`` holds their names.  The
     automaton's name and its state names are, as event names are, single
     whitespace-free tokens without ``#``, so that
-    :func:`serialize_automaton` writes text that parses back.  The map
-    ``trans`` sends ``(state, event)`` pairs to target states and is
-    deterministic by construction.  ``succ`` is the same map as one dense
-    table, built once: ``succ[q * m + e]`` is the target of state ``q`` on
-    event ``e`` for ``m`` events, or -1 where undefined.  The per-state
-    rows ``out_rows`` are built from ``trans`` on first read, so ``trans``
-    must not be edited after construction.
+    :func:`serialize_automaton` writes text that parses back.  The
+    transition relation is stored once, as a dense table: ``succ[q * m +
+    e]`` is the target of state ``q`` on event ``e`` for ``m`` events, or
+    -1 where undefined.  Every other view is derived from it on first
+    read: the ``trans`` dict from ``(state, event)`` pairs to targets and
+    the per-state rows ``out_rows``.  The constructor validates and takes
+    ``trans``; :meth:`from_table` takes the table and trusts its caller.
+    Neither ``succ`` nor a derived view may be edited after construction.
     """
 
     def __init__(
@@ -159,65 +166,104 @@ class Automaton:
         marked: Iterable[int],
         trans: dict[tuple[int, int], int],
     ):
+        states = tuple(states)
+        marked = frozenset(marked)
+        trans = dict(trans)
+        n = len(states)
+        if n == 0:
+            raise ValueError("automaton needs at least one state")
+        # bulk checks; the per-item loops run only to name the first fault
+        index = dict(zip(states, range(n)))
+        tokens = [name, *states]
+        joined = " ".join(tokens)
+        if len(index) != n or "#" in joined or joined.split() != tokens:
+            if _bad_token(name):
+                raise ValueError(f"bad automaton name {name!r}")
+            seen: set[str] = set()
+            for s in states:
+                if _bad_token(s):
+                    raise ValueError(f"bad state name {s!r}")
+                if s in seen:
+                    raise ValueError(f"duplicate state name {s!r}")
+                seen.add(s)
+        if not (0 <= initial < n):
+            raise ValueError("initial state out of range")
+        if marked and not (0 <= min(marked) and max(marked) < n):
+            raise ValueError("marked state out of range")
+        m = len(alphabet)
+        # the dense table and the enabled masks; the range check rides along
+        # and raises for the first bad item
+        enabled = [0] * n
+        succ = [-1] * (n * m)
+        for (q, e), t in trans.items():
+            if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
+                raise ValueError(f"transition ({q},{e})->{t} out of range")
+            enabled[q] |= 1 << e
+            succ[q * m + e] = t
+        self._set_up(name, alphabet, states, initial, marked, succ, enabled)
+        self._index = index
+
+    @classmethod
+    def from_table(cls, name: str, alphabet: Alphabet, states: Iterable[str], initial: int,
+                   marked: Iterable[int], succ: list[int],
+                   enabled: Optional[Iterable[int]] = None) -> "Automaton":
+        """An automaton over the dense table ``succ``, which it keeps.  The
+        caller vouches for what the constructor would check: distinct
+        well-formed names, states and targets in range, and, when given,
+        ``enabled`` as the per-state masks of the events ``succ`` defines.
+        The name index is built on first use."""
+        a = cls.__new__(cls)
+        a._set_up(name, alphabet, states, initial, marked, succ, enabled)
+        return a
+
+    def _set_up(self, name, alphabet, states, initial, marked, succ, enabled) -> None:
         self.name = name
         self.alphabet = alphabet
         self.states: tuple[str, ...] = tuple(states)
         self.initial = initial
         self.marked: frozenset[int] = frozenset(marked)
-        self.trans: dict[tuple[int, int], int] = dict(trans)
-        n = len(self.states)
-        if n == 0:
-            raise ValueError("automaton needs at least one state")
-        # bulk checks; the per-item loops run only to name the first fault
-        self._index: dict[str, int] = dict(zip(self.states, range(n)))
-        tokens = [name, *self.states]
-        joined = " ".join(tokens)
-        if len(self._index) != n or "#" in joined or joined.split() != tokens:
-            if name.split() != [name] or "#" in name:
-                raise ValueError(f"bad automaton name {name!r}")
-            seen: set[str] = set()
-            for s in self.states:
-                if s.split() != [s] or "#" in s:
-                    raise ValueError(f"bad state name {s!r}")
-                if s in seen:
-                    raise ValueError(f"duplicate state name {s!r}")
-                seen.add(s)
-        if not (0 <= self.initial < n):
-            raise ValueError("initial state out of range")
-        if self.marked and not (0 <= min(self.marked) and max(self.marked) < n):
-            raise ValueError("marked state out of range")
-        m = len(self.alphabet)
-        # the dense table and the enabled masks; the range check rides along
-        # and raises for the first bad item
-        enabled = [0] * n
-        succ = [-1] * (n * m)
-        for (q, e), t in self.trans.items():
-            if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
-                raise ValueError(f"transition ({q},{e})->{t} out of range")
-            enabled[q] |= 1 << e
-            succ[q * m + e] = t
         self.succ: list[int] = succ
+        if enabled is None:
+            m = len(alphabet)
+            enabled = [sum(1 << e for e, t in enumerate(succ[q * m:(q + 1) * m]) if t >= 0)
+                       for q in range(len(self.states))]
         self._enabled: tuple[int, ...] = tuple(enabled)
         self._enabled_in: dict[int, int] = {}
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.states, range(len(self.states))))
+
+    @cached_property
+    def trans(self) -> dict[tuple[int, int], int]:
+        """The map from ``(state, event)`` pairs to targets, in key order,
+        built from ``succ`` on first read; no library path reads it."""
+        keys = product(range(self.n), range(len(self.alphabet)))
+        return {k: t for k, t in zip(keys, self.succ) if t >= 0}
 
     @cached_property
     def out_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-state (event, target) lists in canonical (alphabet) event
         order, built on first read: the walks that read an automaton as their
         plant need them, but no supervisor-side reader."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for (q, e), t in self.trans.items():
-            out[q].append((e, t))
-        for row in out:
-            row.sort()  # one linear pass when trans arrives in key order
-        return tuple(map(tuple, out))
+        m, succ = len(self.alphabet), self.succ
+        return tuple(tuple((e, t) for e, t in enumerate(succ[q * m:(q + 1) * m]) if t >= 0)
+                     for q in range(self.n))
 
     @property
     def n(self) -> int:
         return len(self.states)
 
+    @property
+    def n_trans(self) -> int:
+        """The number of transitions."""
+        return len(self.succ) - self.succ.count(-1)
+
     def step(self, state: int, event: int) -> Optional[int]:
-        return self.trans.get((state, event))
+        """The target of ``state`` on ``event``; None if it is undefined."""
+        m = len(self.alphabet)
+        t = self.succ[state * m + event] if 0 <= event < m and 0 <= state < self.n else -1
+        return t if t >= 0 else None
 
     def enabled(self, state: int) -> int:
         """Bitmask of the events defined at ``state``, computed once."""
@@ -248,14 +294,17 @@ class Automaton:
         """Follow ``string`` (event indices); None if a step is undefined."""
         q = self.initial if start is None else start
         for e in string:
-            nxt = self.trans.get((q, e))
+            nxt = self.step(q, e)
             if nxt is None:
                 return None
             q = nxt
         return q
 
     def renamed(self, name: str) -> "Automaton":
-        return Automaton(name, self.alphabet, self.states, self.initial, self.marked, self.trans)
+        if _bad_token(name):
+            raise ValueError(f"bad automaton name {name!r}")
+        return Automaton.from_table(name, self.alphabet, self.states, self.initial, self.marked,
+                                    self.succ, self._enabled)
 
     def with_alphabet(self, alphabet: Alphabet) -> "Automaton":
         """Same structure over an alphabet with identical names and order
@@ -263,13 +312,14 @@ class Automaton:
         an event turned unobservable)."""
         if alphabet.names != self.alphabet.names:
             raise ValueError("replacement alphabet must keep event names and order")
-        return Automaton(self.name, alphabet, self.states, self.initial, self.marked, self.trans)
+        return Automaton.from_table(self.name, alphabet, self.states, self.initial, self.marked,
+                                    self.succ, self._enabled)
 
     def is_reachable(self) -> bool:
         return len(_reachable_set(self)) == self.n
 
     def __repr__(self) -> str:
-        return f"Automaton({self.name!r}, {self.n} states, {len(self.trans)} transitions)"
+        return f"Automaton({self.name!r}, {self.n} states, {self.n_trans} transitions)"
 
 
 @dataclass
@@ -411,22 +461,28 @@ def _parse_block(ts: _TokenStream) -> Automaton:
 
     ts.expect("trans")
     n_trans = ts.count("transitions")
-    # Likewise: a missing, unknown or repeated token leaves fewer than
-    # n_trans transitions.
+    # Likewise: a missing or unknown token leaves fewer than n_trans
+    # targets, and a repeated (source, event) fewer than n_trans entries.
+    m = len(alphabet)
+    succ = [-1] * (n_states * m)
+    enabled = [0] * n_states
     start = ts.pos
     chunk = ts.tokens[start:start + 3 * n_trans]
-    trans: dict[tuple[int, int], int] = {}
     try:
         sources = [state_index[s] for s in chunk[0::3]]
         labels = [alphabet._index[ev] for ev in chunk[1::3]]
         targets = [state_index[s] for s in chunk[2::3]]
-        trans = dict(zip(zip(sources, labels), targets))
     except KeyError:
-        pass
-    if len(trans) == n_trans:
+        targets = []
+    if len(targets) == n_trans:
+        for q, e, t in zip(sources, labels, targets):
+            succ[q * m + e] = t
+            enabled[q] |= 1 << e
+    if len(succ) - succ.count(-1) == n_trans:
         ts.pos = start + 3 * n_trans
     else:
-        trans = {}
+        succ = [-1] * (n_states * m)
+        enabled = [0] * n_states
         for _ in range(n_trans):
             src = resolve_state("transition source")
             ev = ts.next("transition event")
@@ -434,14 +490,15 @@ def _parse_block(ts: _TokenStream) -> Automaton:
                 raise ts.error(f"unknown event '{ev}'", kind="unknown")
             e = alphabet.index(ev)
             dst = resolve_state("transition target")
-            if (src, e) in trans:
+            if succ[src * m + e] >= 0:
                 raise ts.error(
                     f"nondeterministic transitions from '{state_names[src]}' on '{ev}'",
                     back=2, kind="nondeterministic")
-            trans[(src, e)] = dst
+            succ[src * m + e] = dst
+            enabled[src] |= 1 << e
 
     ts.expect("end")
-    return Automaton(name, alphabet, state_names, initial, marked, trans)
+    return Automaton.from_table(name, alphabet, state_names, initial, marked, succ, enabled)
 
 
 def parse_automaton(text: str) -> list[Automaton]:
@@ -474,11 +531,11 @@ def serialize_automaton(a: Automaton) -> str:
     lines.append(f"initial {a.states[a.initial]}")
     marked = sorted(a.marked)
     lines.append(" ".join(["marked", str(len(marked))] + [a.states[q] for q in marked]))
-    items = sorted(a.trans.items())
-    lines.append(f"trans {len(items)}")
-    states, events = a.states, a.alphabet.names
-    for (q, e), t in items:
-        lines.append(f"{states[q]} {events[e]} {states[t]}")
+    lines.append(f"trans {a.n_trans}")
+    # the table in index order is the (state, event) order
+    states, events, m, succ = a.states, a.alphabet.names, len(a.alphabet), a.succ
+    lines += [f"{src} {ev} {states[t]}" for q, src in enumerate(states)
+              for ev, t in zip(events, succ[q * m:(q + 1) * m]) if t >= 0]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -538,20 +595,17 @@ def trim_reachable(a: Automaton) -> Automaton:
     point of this operation.
     """
     order = _reachable_set(a)
-    remap = {old: new for new, old in enumerate(order)}
-    trans = {
-        (remap[q], e): remap[t]
-        for (q, e), t in a.trans.items()
-        if q in remap and t in remap
-    }
-    return Automaton(
-        a.name,
-        a.alphabet,
-        [a.states[q] for q in order],
-        remap[a.initial],
-        [remap[q] for q in a.marked if q in remap],
-        trans,
-    )
+    m, succ = len(a.alphabet), a.succ
+    # one slot past the states, so that remap[-1] keeps an undefined entry -1
+    remap = [-1] * (a.n + 1)
+    for new, old in enumerate(order):
+        remap[old] = new
+    table: list[int] = []
+    for q in order:
+        table += [remap[t] for t in succ[q * m:(q + 1) * m]]
+    return Automaton.from_table(a.name, a.alphabet, [a.states[q] for q in order], 0,
+                                [remap[q] for q in a.marked if remap[q] >= 0], table,
+                                [a._enabled[q] for q in order])
 
 
 def sync_product(a: Automaton, b: Automaton, name: Optional[str] = None) -> Automaton:
@@ -571,9 +625,10 @@ def sync_product(a: Automaton, b: Automaton, name: Optional[str] = None) -> Auto
     index = {a.initial * nb + b.initial: 0}
     order = [(a.initial, b.initial)]
     names = [f"({a_states[a.initial]},{b_states[b.initial]})"]
-    trans: dict[tuple[int, int], int] = {}
-    for src, (qa, qb) in enumerate(order):
+    succ: list[int] = []
+    for qa, qb in order:
         base = qb * m
+        row = [-1] * m
         for e, ta in a_out[qa]:
             tb = b_succ[base + e]
             if tb < 0:
@@ -584,10 +639,12 @@ def sync_product(a: Automaton, b: Automaton, name: Optional[str] = None) -> Auto
                 dst = index[code] = len(order)
                 order.append((ta, tb))
                 names.append(f"({a_states[ta]},{b_states[tb]})")
-            trans[(src, e)] = dst
+            row[e] = dst
+        succ += row
     marked = [i for i, (qa, qb) in enumerate(order) if qa in a.marked and qb in b.marked]
-    return Automaton(name or f"{a.name}||{b.name}", a.alphabet, distinct_names(names), 0,
-                     marked, trans)
+    enabled = [a._enabled[qa] & b._enabled[qb] for qa, qb in order]
+    return Automaton.from_table(name or f"{a.name}||{b.name}", a.alphabet,
+                                distinct_names(names), 0, marked, succ, enabled)
 
 
 def project_string(string: Iterable[str], alphabet: Alphabet) -> list[str]:
@@ -643,12 +700,13 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
         return MorphismResult(False)
     if {theta[x] for x in a.marked} != set(b.marked):
         return MorphismResult(False)
-    preimage: dict[int, list[int]] = {}
+    # every b-transition is witnessed: the events of a state of b are among
+    # those of its preimages
+    witnessed = [0] * b.n
     for x, y in theta.items():
-        preimage.setdefault(y, []).append(x)
-    for (y, e) in b.trans:
-        if not any(a_succ[x * m + e] >= 0 for x in preimage[y]):
-            return MorphismResult(False)
+        witnessed[y] |= a._enabled[x]
+    if any(en & ~w for en, w in zip(b._enabled, witnessed)):
+        return MorphismResult(False)
     return MorphismResult(True, theta)
 
 
@@ -845,6 +903,6 @@ def language_equivalent(
     check_same_alphabet(a, b)
     _require_reachable(a, "language_equivalent")
     _require_reachable(b, "language_equivalent")
-    universal = Automaton("*", a.alphabet, ["*"], 0, [0],
-                          {(0, e): 0 for e in range(len(a.alphabet))})
+    m = len(a.alphabet)
+    universal = Automaton.from_table("*", a.alphabet, ["*"], 0, [0], [0] * m, [(1 << m) - 1])
     return control_equivalent(universal, a, b)

@@ -225,7 +225,7 @@ def _dispatch(args, emit) -> CommandResult:
             raise UsageError(f"cannot read {args.file!r}: {exc}") from None
         blocks = am.parse_automaton(text)
         sizes = {a.name: a.n for a in blocks}
-        emit("\n".join(f"{a.name}: {a.n} states, {len(a.trans)} transitions" for a in blocks))
+        emit("\n".join(f"{a.name}: {a.n} states, {a.n_trans} transitions" for a in blocks))
         return CommandResult(cmd, verdict=True, sizes=sizes)
 
     if cmd == "product":

@@ -128,15 +128,16 @@ def validate_cover(
 
 def _cover_targets(
     s: Automaton, data: ControlData, c: Cover
-) -> tuple[Optional[tuple], dict[tuple[int, int], int]]:
+) -> tuple[Optional[tuple], list[int]]:
     """:func:`validate_cover`'s checks in one pass that also picks the
     target cell of every (cell, event) pair: the cell itself for an
     unobservable event whose targets it holds, so that selfloops stay
     selfloops and the quotient keeps observation feasibility, and the
     lowest valid cell otherwise.  Returns the first violation, pairs
-    before events, or None and the quotient's transitions.  A cell that
-    contains a target set holds each of its members, so the cells holding
-    its lowest member are the only candidates."""
+    before events, or None and the quotient's dense successor table, one
+    row per cell.  A cell that contains a target set holds each of its
+    members, so the cells holding its lowest member are the only
+    candidates."""
     n = s.n
     if not c.cells:
         raise CoverError("cover has no cells")
@@ -161,20 +162,21 @@ def _cover_targets(
             clash = (masks[z1] & cell_mask) >> (z1 + 1)
             if clash:
                 z2 = z1 + (clash & -clash).bit_length()
-                return ("pair", i, (s.states[z1], s.states[z2])), {}
+                return ("pair", i, (s.states[z1], s.states[z2])), []
     cells_of: list[list[int]] = [[] for _ in range(n)]
     for j, cell in enumerate(c.cells):
         for z in cell:
             cells_of[z].append(j)
     m, succ = len(s.alphabet), s.succ
     unobs = s.alphabet.unobservable
-    trans: dict[tuple[int, int], int] = {}
+    table = [-1] * (len(c.cells) * m)
     for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
+        base = i * m
         if len(cell) == 1:  # every cell holding a lone target is valid
             (z,) = cell
             for e, t in enumerate(succ[z * m:(z + 1) * m]):
                 if t >= 0:
-                    trans[(i, e)] = i if t == z and e in unobs else cells_of[t][0]
+                    table[base + e] = i if t == z and e in unobs else cells_of[t][0]
             continue
         targets = [0] * m
         for z in cell:
@@ -185,15 +187,15 @@ def _cover_targets(
             if not tb:
                 continue
             if e in unobs and not tb & ~cell_mask:
-                trans[(i, e)] = i
+                table[base + e] = i
                 continue
             for j in cells_of[(tb & -tb).bit_length() - 1]:
                 if not tb & ~cell_masks[j]:
-                    trans[(i, e)] = j
+                    table[base + e] = j
                     break
             else:
-                return ("event", i, s.alphabet.name(e)), {}
-    return None, trans
+                return ("event", i, s.alphabet.name(e)), []
+    return None, table
 
 
 def induce_quotient(
@@ -211,7 +213,7 @@ def induce_quotient(
     (cell, event) pair the lowest canonical index wins, except that an
     unobservable selfloop stays a selfloop.
     """
-    violation, trans = _cover_targets(s, data, c)
+    violation, table = _cover_targets(s, data, c)
     if violation is not None:
         raise CoverError(f"invalid control cover: {violation}")
     cells, states, marked_s = c.cells, s.states, data.marked_s
@@ -221,8 +223,8 @@ def induce_quotient(
              for z, cell in zip(map(min, cells), cells)]
     marked = [i for i, (z, cell) in enumerate(zip(map(min, cells), cells))
               if marked_s[z] or len(cell) > 1 and any(marked_s[q] for q in cell)]
-    return Automaton(name or f"{s.name}-quotient", s.alphabet, distinct_names(names), initial,
-                     marked, trans)
+    return Automaton.from_table(name or f"{s.name}-quotient", s.alphabet, distinct_names(names),
+                                initial, marked, table)
 
 
 def require_feasible(
@@ -326,7 +328,8 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
     index = {start: 0}
     order = [start]
     names: list[str] = []
-    trans: dict[tuple[int, int], int] = {}
+    succ: list[int] = []
+    enabled: list[int] = []
     for src, (z, subset) in enumerate(order):
         found = by_set.get(subset)
         if found is None:
@@ -338,6 +341,7 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
             found = by_set[subset] = (members, g.enabled_in(subset))
         members, offered = found
         base = z * m
+        row = [-1] * m
         for e in obs:
             zt = s_succ[base + e]
             if zt < 0 or not offered >> e & 1:
@@ -354,16 +358,19 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
             if dst is None:
                 dst = index[key] = len(order)
                 order.append(key)
-            trans[(src, e)] = dst
+            row[e] = dst
         # an unobservable event selfloops where s defines it and some
         # member plant state does
         for u in unobs:
             if offered >> u & 1 and s_succ[base + u] >= 0:
-                trans[(src, u)] = src
+                row[u] = src
+        succ += row
+        enabled.append(s.enabled(z) & offered)  # the events both define
         names.append("+".join(sorted([pair_name[x * ns + z] for x in members])))
     g_marked = sum(1 << x for x in g.marked)
     marked = [i for i, (z, subset) in enumerate(order) if z in s.marked and subset & g_marked]
-    return Automaton("SUPER", s.alphabet, distinct_names(names), 0, marked, trans)
+    return Automaton.from_table("SUPER", s.alphabet, distinct_names(names), 0, marked, succ,
+                                enabled)
 
 
 def _closure(g: Automaton, x: int, events: int) -> int:

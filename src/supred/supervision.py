@@ -146,8 +146,9 @@ def check_control_feasibility(
     to issuing one control action per observation class.  The witness is a
     violating transition ``(state, event, target)``.
     """
-    unobs = s.alphabet.unobservable
-    moving = [(q, e, t) for (q, e), t in s.trans.items() if e in unobs and t != q]
+    m, succ = len(s.alphabet), s.succ
+    moving = [(q, e, t) for e in s.alphabet.unobservable
+              for q, t in enumerate(succ[e::m]) if t >= 0 and t != q]
     if moving:
         q, e, t = min(moving)
         return False, (s.states[q], s.alphabet.name(e), s.states[t])
@@ -261,9 +262,12 @@ def successor_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
             g = group_of_mask[mask] = len(rep)
             rep.append(z)
         group.append(g)
-    into = [[0] * len(rep) for _ in range(len(s.alphabet))]
-    for (q, e), t in s.trans.items():
-        into[e][group[t]] |= 1 << q
+    m, succ = len(s.alphabet), s.succ
+    into = [[0] * len(rep) for _ in range(m)]
+    for e, row in enumerate(into):
+        for q, t in enumerate(succ[e::m]):
+            if t >= 0:
+                row[group[t]] |= 1 << q
     # per group, the groups its mask holds
     conflicts = [[g for g, z in enumerate(rep) if mask >> z & 1] for mask in group_of_mask]
     # per event and target group, the sources whose successor conflicts.
@@ -281,8 +285,10 @@ def successor_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
             per_group.append(hits)
         sources.append(per_group)
     widened = list(masks)
-    for (p, e), t in s.trans.items():
-        widened[p] |= sources[e][group[t]]
+    for e, per_group in enumerate(sources):
+        for p, t in enumerate(succ[e::m]):
+            if t >= 0:
+                widened[p] |= per_group[group[t]]
     return widened
 
 

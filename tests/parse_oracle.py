@@ -1,20 +1,131 @@
-"""Reference ``.aut`` parser, kept as a differential oracle.
+"""Reference ``.aut`` parser, constructor and serialiser, kept as a
+differential oracle.
 
 This is the tokenizer that ``supred.automata`` used before it stopped
 computing a column for every token: it records ``(token, line, column)``
 for each token up front, finding the column with ``str.index``.  The block
 parser and ``parse_automaton`` are unchanged apart from reading that token
-stream.  ``tests/test_parse_oracle.py`` checks that the library returns
-the same automata and raises the same ``ParseError`` (message, line,
-column and kind).
+stream: the transition section fills a ``trans`` dict token by token.
+:class:`DictAutomaton` is ``Automaton.__init__`` from while that dict was
+the stored transition relation, and :func:`serialize_automaton` the
+serialiser that sorted it.  ``tests/test_parse_oracle.py`` checks that the
+library returns the same automata (names, states, marking, dense table,
+enabled masks, ``trans`` and text) and raises the same ``ParseError``
+(message, line, column and kind).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
-from supred.automata import Alphabet, Automaton, Event
+from supred import automata
+from supred.automata import Alphabet, Event
 from supred.errors import ParseError
+
+
+class DictAutomaton:
+    """The automaton as ``Automaton.__init__`` built it from a ``trans``
+    dict, which it copied and kept: the same checks in the same order with
+    the same messages, then the dense table ``succ`` and the enabled
+    masks filled from the dict."""
+
+    def __init__(
+        self,
+        name: str,
+        alphabet: Alphabet,
+        states: Iterable[str],
+        initial: int,
+        marked: Iterable[int],
+        trans: dict[tuple[int, int], int],
+    ):
+        self.name = name
+        self.alphabet = alphabet
+        self.states: tuple[str, ...] = tuple(states)
+        self.initial = initial
+        self.marked: frozenset[int] = frozenset(marked)
+        self.trans: dict[tuple[int, int], int] = dict(trans)
+        n = len(self.states)
+        if n == 0:
+            raise ValueError("automaton needs at least one state")
+        self.index: dict[str, int] = dict(zip(self.states, range(n)))
+        tokens = [name, *self.states]
+        joined = " ".join(tokens)
+        if len(self.index) != n or "#" in joined or joined.split() != tokens:
+            if name.split() != [name] or "#" in name:
+                raise ValueError(f"bad automaton name {name!r}")
+            seen: set[str] = set()
+            for s in self.states:
+                if s.split() != [s] or "#" in s:
+                    raise ValueError(f"bad state name {s!r}")
+                if s in seen:
+                    raise ValueError(f"duplicate state name {s!r}")
+                seen.add(s)
+        if not (0 <= self.initial < n):
+            raise ValueError("initial state out of range")
+        if self.marked and not (0 <= min(self.marked) and max(self.marked) < n):
+            raise ValueError("marked state out of range")
+        m = len(self.alphabet)
+        enabled = [0] * n
+        succ = [-1] * (n * m)
+        for (q, e), t in self.trans.items():
+            if not (0 <= q < n and 0 <= t < n and 0 <= e < m):
+                raise ValueError(f"transition ({q},{e})->{t} out of range")
+            enabled[q] |= 1 << e
+            succ[q * m + e] = t
+        self.succ: list[int] = succ
+        self.enabled: tuple[int, ...] = tuple(enabled)
+
+    @property
+    def n(self) -> int:
+        return len(self.states)
+
+    @property
+    def out_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for (q, e), t in self.trans.items():
+            out[q].append((e, t))
+        return tuple(tuple(sorted(row)) for row in out)
+
+
+def serialize_automaton(a: DictAutomaton) -> str:
+    """Canonical ``.aut`` text, transitions sorted by ``(state, event)``."""
+    lines = [f"automaton {a.name}", f"events {len(a.alphabet)}"]
+    for ev in a.alphabet:
+        lines.append(f"{ev.name} {'c' if ev.controllable else 'u'} {'o' if ev.observable else 'n'}")
+    lines.append(f"states {a.n}")
+    lines.append(" ".join(a.states))
+    lines.append(f"initial {a.states[a.initial]}")
+    marked = sorted(a.marked)
+    lines.append(" ".join(["marked", str(len(marked))] + [a.states[q] for q in marked]))
+    items = sorted(a.trans.items())
+    lines.append(f"trans {len(items)}")
+    states, events = a.states, a.alphabet.names
+    for (q, e), t in items:
+        lines.append(f"{states[q]} {events[e]} {states[t]}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def differences(a, old: DictAutomaton) -> list[str]:
+    """What the library automaton ``a`` holds differently from ``old``,
+    by field: name, alphabet, states and their index, initial and marked
+    states, the dense table, the enabled masks, ``trans``, the rows, the
+    transition count and the text.  Empty when they agree."""
+    fields = {
+        "name": (a.name, old.name),
+        "alphabet": (a.alphabet, old.alphabet),
+        "states": (a.states, old.states),
+        "index": ({s: a.state_index(s) for s in a.states}, old.index),
+        "initial": (a.initial, old.initial),
+        "marked": (a.marked, old.marked),
+        "succ": (a.succ, old.succ),
+        "enabled": (tuple(a.enabled(q) for q in range(a.n)), old.enabled),
+        "trans": (a.trans, old.trans),
+        "out_rows": (a.out_rows, old.out_rows),
+        "n_trans": (a.n_trans, len(old.trans)),
+        "text": (automata.serialize_automaton(a), serialize_automaton(old)),
+    }
+    return [name for name, (new, ref) in fields.items() if new != ref]
 
 
 class _TokenStream:
@@ -56,7 +167,7 @@ class _TokenStream:
         return value
 
 
-def _parse_block(ts: _TokenStream) -> Automaton:
+def _parse_block(ts: _TokenStream) -> DictAutomaton:
     ts.expect("automaton")
     name, _, _ = ts.next("automaton name")
 
@@ -123,13 +234,13 @@ def _parse_block(ts: _TokenStream) -> Automaton:
         trans[(src, e)] = dst
 
     ts.expect("end")
-    return Automaton(name, alphabet, state_names, initial, marked, trans)
+    return DictAutomaton(name, alphabet, state_names, initial, marked, trans)
 
 
-def parse_automaton(text: str) -> list[Automaton]:
+def parse_automaton(text: str) -> list[DictAutomaton]:
     """Parse all ``automaton`` blocks of an ``.aut`` document, in file order."""
     ts = _TokenStream(text)
-    automata: list[Automaton] = []
+    automata: list[DictAutomaton] = []
     names: set[str] = set()
     while ts.peek() is not None:
         a = _parse_block(ts)

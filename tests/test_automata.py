@@ -25,6 +25,7 @@ from supred.automata import (
 from supred.errors import AlphabetMismatchError, ParseError
 
 from tests.generators import random_alphabet, random_automaton
+from tests.parse_oracle import DictAutomaton, differences
 from tests.product_oracle import subset_construction
 
 MINIMAL = """
@@ -64,8 +65,11 @@ def test_constructors_reject_empty_or_spaced_names(name):
         Automaton("A", alphabet, ["q", name], 0, [], {})
     with pytest.raises(ValueError, match="bad automaton name"):
         Automaton(name, alphabet, ["q"], 0, [], {})
-    with pytest.raises(ValueError, match="bad automaton name"):
+    with pytest.raises(ValueError) as raised:
         Automaton("A", alphabet, ["q"], 0, [], {}).renamed(name)
+    with pytest.raises(ValueError) as reference:
+        DictAutomaton(name, alphabet, ["q"], 0, [], {})
+    assert str(raised.value) == str(reference.value) == f"bad automaton name {name!r}"
 
 
 @pytest.mark.parametrize("name", ["(x1,z2)", "z1+z2"])
@@ -174,9 +178,12 @@ def test_constructor_matches_per_item_checks(case):
         if isinstance(expected, str):
             with pytest.raises(ValueError) as raised:
                 Automaton("A", alphabet, states, initial, marked, trans)
-            assert str(raised.value) == expected
+            with pytest.raises(ValueError) as reference:
+                DictAutomaton("A", alphabet, states, initial, marked, trans)
+            assert str(raised.value) == str(reference.value) == expected
             continue
         a = Automaton("A", alphabet, states, initial, marked, trans)
+        assert "trans" not in vars(a)  # derived from the table on first read
         index, rows, enabled = expected
         succ = [-1] * (len(states) * m)
         for q, row in enumerate(rows):
@@ -190,24 +197,66 @@ def test_constructor_matches_per_item_checks(case):
         rows_first = Automaton("A", alphabet, states, initial, marked, trans)
         assert tuple(rows_first.out_rows[q] for q in range(rows_first.n)) == rows
         assert rows_first.succ == succ
+        assert differences(a, DictAutomaton("A", alphabet, states, initial, marked, trans)) == []
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_constructor_arguments())
 def test_dense_table_matches_trans(case):
-    """``succ`` is ``trans`` as one dense table, and ``step`` and ``run``
-    agree with it, out-of-range indices included."""
+    """``succ`` is the caller's ``trans`` as one dense table, the derived
+    ``trans`` is that map again, in key order, and ``step`` and ``run``
+    agree with it: None on an undefined step, out-of-range indices
+    included."""
     m, states, initial, marked, trans, _ = case
     alphabet = Alphabet([Event(f"e{e}", True, True) for e in range(m)])
     a = Automaton("A", alphabet, states, initial, marked, trans)
     assert len(a.succ) == a.n * m
+    assert a.trans == trans and list(a.trans) == sorted(trans)
     for q in range(a.n):
         for e in range(m):
-            assert a.succ[q * m + e] == a.trans.get((q, e), -1)
-            assert a.step(q, e) == a.trans.get((q, e))
-            assert a.run([e], start=q) == a.trans.get((q, e))
+            assert a.succ[q * m + e] == trans.get((q, e), -1)
+            assert a.step(q, e) == trans.get((q, e))
+            assert a.run([e], start=q) == trans.get((q, e))
     for q, e in [(-1, 0), (a.n, 0), (0, -1), (0, m)]:
         assert a.step(q, e) is None and a.run([e], start=q) is None
+
+
+def test_caller_dict_edits_change_nothing():
+    """The constructor reads the caller's dict once; editing it afterwards
+    changes neither the table nor any view derived from it."""
+    alphabet = Alphabet([Event("a", True, True), Event("u", False, False)])
+    trans = {(1, 1): 1, (0, 0): 1}
+    a = Automaton("A", alphabet, ["p", "q"], 0, [1], trans)
+    text = serialize_automaton(a)
+    trans[(0, 1)] = 0
+    trans[(1, 0)] = 5
+    del trans[(0, 0)]
+    assert a.succ == [1, -1, -1, 1]
+    assert a.trans == {(0, 0): 1, (1, 1): 1} and a.trans is not trans
+    assert a.out_rows == (((0, 1),), ((1, 1),))
+    assert (a.enabled(0), a.enabled(1), a.n_trans) == (1, 2, 2)
+    assert serialize_automaton(a) == text
+    assert a.step(0, 1) is None and a.run([0, 1, 1]) == 1 and a.run([0, 0]) is None
+
+
+def test_table_constructor_keeps_the_table(tank):
+    """``from_table`` keeps the caller's table and computes the enabled
+    masks and the name index when they are not given; ``renamed`` and
+    ``with_alphabet`` share the table; ``trans`` is built on first read."""
+    _, s = tank
+    m = len(s.alphabet)
+    table = list(s.succ)
+    a = Automaton.from_table("T", s.alphabet, s.states, s.initial, s.marked, table)
+    assert a.succ is table and "trans" not in vars(a)
+    assert [a.enabled(q) for q in range(a.n)] == [s.enabled(q) for q in range(s.n)]
+    assert [a.state_index(name) for name in s.states] == list(range(s.n))
+    assert serialize_automaton(a) == serialize_automaton(s).replace("automaton S", "automaton T")
+    hidden = Alphabet(Event(ev.name, ev.controllable, False) for ev in s.alphabet)
+    for b in (a.renamed("R"), a.with_alphabet(hidden)):
+        assert b.succ is table and "trans" not in vars(b)
+    assert a.trans == {(q, e): t for q in range(a.n) for e in range(m)
+                       if (t := table[q * m + e]) >= 0}
+    assert "trans" in vars(a)
 
 
 # ---------------------------------------------------------------------------

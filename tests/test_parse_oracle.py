@@ -1,10 +1,13 @@
-"""Differential tests: the ``.aut`` parser, which reads sections in bulk
-and works out a token's line and column only when it raises, against the
-reference in ``tests/parse_oracle.py``, which reads token by token and
-records every line and column up front.  On the fixtures, on every
-single-token mutation of them with and without their comments, and on
-token soups drawn from them, both must return the same automata or raise
-the same error with the same line, column and kind."""
+"""Differential tests: the ``.aut`` parser, which reads sections in bulk,
+fills the dense successor table directly and works out a token's line and
+column only when it raises, against the reference in
+``tests/parse_oracle.py``, which reads token by token, records every line
+and column up front and builds a ``trans`` dict for the constructor of
+that time.  On the fixtures, on every single-token mutation of them with
+and without their comments, and on token soups drawn from them, both must
+return the same automata (every field, and the text each side's
+serialiser writes) or raise the same error with the same line, column and
+kind."""
 
 import random
 import re
@@ -21,9 +24,26 @@ from tests.conftest import FIXTURES
 FIXTURE_NAMES = ("tank.aut", "ordering.aut", "nontransitive.aut")
 
 
-def _outcome(parse, text):
+def _outcome(text):
+    """The library's outcome on ``text``, after checking that the oracle
+    parses the same automata: the text the library writes, or the error."""
+    outcome = _parsed(parse_automaton, text)
+    reference = _parsed(parse_oracle.parse_automaton, text)
+    if outcome[0] == "parsed":
+        assert reference[0] == "parsed"
+        automata, olds = outcome[1], reference[1]
+        assert [a.name for a in automata] == [old.name for old in olds]
+        for a, old in zip(automata, olds):
+            assert parse_oracle.differences(a, old) == []
+        outcome = "parsed", serialize_automata(automata)
+    else:
+        assert outcome == reference
+    return outcome
+
+
+def _parsed(parse, text):
     try:
-        return "parsed", serialize_automata(parse(text))
+        return "parsed", parse(text)
     except ParseError as exc:
         return "ParseError", str(exc), exc.line, exc.column, exc.kind
     except ValueError as exc:
@@ -55,9 +75,7 @@ def test_fixtures_parse_alike():
     for name in FIXTURE_NAMES:
         text = (FIXTURES / name).read_text()
         for variant in (text, "\ufeff" + text, text.replace(" ", "  \t")):
-            outcome = _outcome(parse_automaton, variant)
-            assert outcome[0] == "parsed"
-            assert outcome == _outcome(parse_oracle.parse_automaton, variant)
+            assert _outcome(variant)[0] == "parsed"
 
 
 def test_single_token_mutations_match_oracle():
@@ -70,8 +88,7 @@ def test_single_token_mutations_match_oracle():
                 text = _without_comments(text)
                 assert "#" not in text
             for variant in _mutations(text):
-                outcome = _outcome(parse_automaton, variant)
-                assert outcome == _outcome(parse_oracle.parse_automaton, variant)
+                outcome = _outcome(variant)
                 kinds.add(outcome[4] if outcome[0] == "ParseError" else outcome[0])
         assert kinds >= {"parsed", "syntax", "duplicate", "unknown", "nondeterministic"}
 
@@ -110,9 +127,8 @@ def token_soups(draw):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(token_soups())
 def test_token_soups_match_oracle(text):
-    outcome = _outcome(parse_automaton, text)
+    outcome = _outcome(text)
     assert outcome[0] in ("parsed", "ParseError")
-    assert outcome == _outcome(parse_oracle.parse_automaton, text)
     if outcome[0] == "parsed":
         assert serialize_automata(parse_automaton(outcome[1])) == outcome[1]
 
@@ -120,6 +136,5 @@ def test_token_soups_match_oracle(text):
 def test_error_columns_on_repeated_tokens():
     text = ("automaton A\nevents 1\na c o\nstates 2\nq r\ninitial q\nmarked 0\n"
             "trans 2\nq a q   # comment q a\n  q a r\nend\n")
-    outcome = _outcome(parse_automaton, text)
-    assert outcome == _outcome(parse_oracle.parse_automaton, text)
+    outcome = _outcome(text)
     assert outcome[2:] == (10, 5, "nondeterministic")

@@ -625,21 +625,28 @@ def _row_traffic_pairs():
 
 
 def test_only_plants_build_transition_rows(monkeypatch):
-    """``Automaton.out`` rows are built on first read, and only walks that
+    """``Automaton.out_rows`` are built on first read, and only walks that
     read an automaton as their plant read them: after SUPER, the fineness
     and equivalence checks, normality, both reducers, the reachability and
     isomorphism checks and the full-against-partial comparison, no
     supervisor, SUPER, product or quotient holds rows.  A new
-    supervisor-side reader of ``out`` fails here instead of building rows
-    for every SUPER."""
+    supervisor-side reader of ``out_rows`` fails here instead of building
+    rows for every SUPER.  No automaton on that traffic, plants included,
+    holds the ``trans`` dict either: the library reads ``succ`` only.
+    Both constructors are recorded, the dict one and the table one."""
     built = []
-    init = Automaton.__init__
+    init, from_table = Automaton.__init__, Automaton.from_table
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
+    def recording_from_table(*args, **kwargs):
+        built.append(a := from_table(*args, **kwargs))
+        return a
+
     monkeypatch.setattr(Automaton, "__init__", recording_init)
+    monkeypatch.setattr(Automaton, "from_table", staticmethod(recording_from_table))
     for g, s, exact in _row_traffic_pairs():
         assert "out_rows" not in vars(s)
         built.clear()
@@ -655,3 +662,5 @@ def test_only_plants_build_transition_rows(monkeypatch):
             assert compare_full_vs_partial(g, sync_product(g, s, name="SF"), sup)[2]
         assert "out_rows" in vars(g)
         assert all(a is g for a in [s, *outputs, *built] if "out_rows" in vars(a))
+        assert all(any(a is b for b in built) for a in outputs)
+        assert not [a for a in [g, s, *outputs, *built] if "trans" in vars(a)]
