@@ -10,7 +10,7 @@ import pathlib
 
 from supred import (
     Cover,
-    compatibility_relation,
+    compatible,
     control_data,
     control_equivalent,
     induce_quotient,
@@ -32,11 +32,10 @@ print(control_data_table(g, s))
 print()
 
 data = control_data(g, s)
-rel = compatibility_relation(data)
 print("Compatible state pairs (candidates for sharing a cover cell):")
 for i in range(s.n):
     for j in range(i + 1, s.n):
-        if rel.holds(i, j):
+        if compatible(data, i, j):
             print(f"  {s.states[i]} ~ {s.states[j]}")
 print("Note: z3 is incompatible with z1 and z2 because they enable the")
 print("close command qo0 that z3 disables.\n")

@@ -55,11 +55,9 @@ from .reduction import (
     validate_cover,
 )
 from .supervision import (
-    CompatibilityRelation,
     ControlData,
     check_control_existence,
     check_control_feasibility,
-    compatibility_relation,
     compatible,
     control_data,
     is_normal,

@@ -110,22 +110,6 @@ class Alphabet:
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.events)
 
-    @property
-    def controllable(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.events) if e.controllable)
-
-    @property
-    def uncontrollable(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.events) if not e.controllable)
-
-    @property
-    def observable(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.events) if e.observable)
-
-    @property
-    def unobservable(self) -> frozenset[int]:
-        return frozenset(i for i, e in enumerate(self.events) if not e.observable)
-
 
 def _bad_token(name: str) -> bool:
     """Whether ``name`` is not one whitespace-free token without ``#``."""

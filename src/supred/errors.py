@@ -29,8 +29,7 @@ class AlphabetMismatchError(SupredError):
 class InfeasibleSupervisorError(SupredError):
     """A supervisor failed a feasibility gate.
 
-    ``check`` names the failed gate: "existence", "feasibility" or
-    "controllability".
+    ``check`` names the failed gate: "feasibility" or "controllability".
     """
 
     def __init__(self, check, witness=None):

@@ -195,9 +195,10 @@ def compare_full_vs_partial(
         raise PreconditionError(
             "full-isomorphism", "s_full is not DES-isomorphic to its closed loop"
         )
-    if not (s_partial.is_reachable() and check_control_feasibility(s_partial)[0]
-            and is_des_isomorphic(s_partial, super_from_pairs(
-                g, s_partial, *closed_loop_pairs(g, s_partial)[:2])).verdict):
+    loop = (closed_loop_pairs(g, s_partial)
+            if s_partial.is_reachable() and check_control_feasibility(s_partial)[0] else None)
+    if loop is None or not is_des_isomorphic(
+            s_partial, super_from_pairs(g, s_partial, *loop[:2])).verdict:
         raise PreconditionError(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",
@@ -208,5 +209,6 @@ def compare_full_vs_partial(
             "control-equivalence", f"separating string {counterexample}"
         )
     _, report_f = reduce_exact_core(s_full, control_data(g, s_full), "cover", cap_states)
-    _, report_p = reduce_exact_core(s_partial, control_data(g, s_partial), "cover", cap_states)
+    _, report_p = reduce_exact_core(s_partial, control_data_from_sets(g, s_partial, loop[2]),
+                                    "cover", cap_states)
     return report_f.output_size, report_p.output_size, report_f.output_size <= report_p.output_size

@@ -26,7 +26,6 @@ from .supervision import (
     close_compatible_rows,
     closed_incompatibility,
     closed_loop_pairs,
-    compatibility_relation,
     control_data,
     control_data_from_sets,
     is_normal,
@@ -168,7 +167,7 @@ def _cover_targets(
         for z in cell:
             cells_of[z].append(j)
     m, succ = len(s.alphabet), s.succ
-    unobs = s.alphabet.unobservable
+    unobs = s.alphabet.unobservable_mask
     table = [-1] * (len(c.cells) * m)
     for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
         base = i * m
@@ -176,7 +175,7 @@ def _cover_targets(
             (z,) = cell
             for e, t in enumerate(succ[z * m:(z + 1) * m]):
                 if t >= 0:
-                    table[base + e] = i if t == z and e in unobs else cells_of[t][0]
+                    table[base + e] = i if t == z and unobs >> e & 1 else cells_of[t][0]
             continue
         targets = [0] * m
         for z in cell:
@@ -186,7 +185,7 @@ def _cover_targets(
         for e, tb in enumerate(targets):
             if not tb:
                 continue
-            if e in unobs and not tb & ~cell_mask:
+            if unobs >> e & 1 and not tb & ~cell_mask:
                 table[base + e] = i
                 continue
             for j in cells_of[(tb & -tb).bit_length() - 1]:
@@ -302,8 +301,8 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
     pair_name = dict(zip([x * ns + z for x, z in zip(xs, zs)], distinct_names(
         [f"({g_states[x]},{s_states[z]})" for x, z in zip(xs, zs)])))
     unobs_mask = s.alphabet.unobservable_mask
-    obs = sorted(s.alphabet.observable)
-    unobs = sorted(s.alphabet.unobservable)
+    obs = [e for e in range(m) if not unobs_mask >> e & 1]
+    unobs = [e for e in range(m) if unobs_mask >> e & 1]
     # Per set of unobservable events, per event e: the closure under the set
     # of each plant state's e-successor (0 where undefined), and the images
     # of the plant-state sets met so far.  steps_into[z] is the table of the
@@ -666,7 +665,7 @@ def _congruence_from_merges(
     """Attempt the merges in order; the cover is the control congruence
     grown by the attempts that committed.  The one-step masks refuse the
     same attempts as the base masks, sooner."""
-    scratch = _MergePartition(s, successor_incompatibility(s, compatibility_relation(data).masks))
+    scratch = _MergePartition(s, successor_incompatibility(s, data.incompatibility_masks()))
     try_merge = scratch.try_merge
     for i, j in pair_order:
         try_merge(i, j)
@@ -685,7 +684,7 @@ def reduce_heuristic(g: Automaton, s: Automaton) -> tuple[Automaton, ReductionRe
     input size.
     """
     data = require_feasible(g, s)
-    partition = _MergePartition(s, successor_incompatibility(s, compatibility_relation(data).masks))
+    partition = _MergePartition(s, successor_incompatibility(s, data.incompatibility_masks()))
     partition.sweep()
     cover, steps = partition.cover(), partition.steps
     quotient = induce_quotient(s, data, cover, name=f"{s.name}-reduced")

@@ -13,14 +13,12 @@ over event indices, as :meth:`~supred.automata.Automaton.enabled` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .automata import Automaton, Lockstep, check_same_alphabet, control_equivalent
 
 __all__ = [
     "ControlData",
-    "CompatibilityRelation",
     "check_control_existence",
     "check_control_feasibility",
     "close_compatible_rows",
@@ -29,7 +27,6 @@ __all__ = [
     "control_data",
     "control_data_from_sets",
     "compatible",
-    "compatibility_relation",
     "control_equivalent",
     "is_normal",
     "loop_controllable",
@@ -62,7 +59,10 @@ class ControlData:
                 self.marked_s[state], self.marked_g[state])
 
     def incompatibility_masks(self) -> tuple[int, ...]:
-        """Per state ``z``, the bitmask of the states incompatible with ``z``.
+        """The compatibility relation: per state ``z``, the bitmask of the
+        states incompatible with ``z``.  The relation is reflexive and
+        symmetric, in general not transitive; states may share a cover
+        cell only when pairwise compatible (:func:`compatible`).
 
         Compatibility depends on the row alone, so states are grouped by
         equal rows and :func:`compatible` runs once per pair of rows:
@@ -98,35 +98,6 @@ class ControlData:
         return None
 
 
-@dataclass
-class CompatibilityRelation:
-    """Symmetric, reflexive (and in general non-transitive) relation
-    recording which supervisor state pairs may share a cover cell.
-
-    ``masks[z]`` has bit ``z'`` set when ``z`` and ``z'`` are incompatible;
-    ``matrix`` is the same relation as a boolean table, built on first use.
-    """
-
-    states: tuple[str, ...]
-    masks: tuple[int, ...] = field(repr=False)
-
-    def holds(self, z1: int, z2: int) -> bool:
-        n = len(self.states)
-        if not (0 <= z1 < n and 0 <= z2 < n):
-            raise IndexError(f"state index pair ({z1}, {z2}) out of range")
-        return not self.masks[z1] >> z2 & 1
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[bool, ...], ...]:
-        n = len(self.states)
-        return tuple(tuple(bit == "0" for bit in reversed(format(m, f"0{n}b")))
-                     for m in self.masks)
-
-    def pairs(self) -> set[tuple[int, int]]:
-        n = len(self.states)
-        return {(i, j) for i in range(n) for j in range(n) if self.holds(i, j)}
-
-
 def check_control_existence(s: Automaton) -> tuple[bool, Optional[str]]:
     """True iff every state enables all uncontrollable events, i.e. every
     enabled set is a control pattern.  Returns a violating state otherwise."""
@@ -146,8 +117,8 @@ def check_control_feasibility(
     to issuing one control action per observation class.  The witness is a
     violating transition ``(state, event, target)``.
     """
-    m, succ = len(s.alphabet), s.succ
-    moving = [(q, e, t) for e in s.alphabet.unobservable
+    m, succ, unobs = len(s.alphabet), s.succ, s.alphabet.unobservable_mask
+    moving = [(q, e, t) for e in range(m) if unobs >> e & 1
               for q, t in enumerate(succ[e::m]) if t >= 0 and t != q]
     if moving:
         q, e, t = min(moving)
@@ -233,10 +204,6 @@ def compatible(data: ControlData, z1: int, z2: int) -> bool:
     if data.marked_g[z1] == data.marked_g[z2] and data.marked_s[z1] != data.marked_s[z2]:
         return False
     return True
-
-
-def compatibility_relation(data: ControlData) -> CompatibilityRelation:
-    return CompatibilityRelation(data.supervisor.states, data.incompatibility_masks())
 
 
 def successor_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:

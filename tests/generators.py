@@ -41,6 +41,11 @@ def random_alphabet(
     return Alphabet(events)
 
 
+def _bits(mask: int, m: int) -> list[int]:
+    """The event indices in bitmask ``mask``, ascending."""
+    return [e for e in range(m) if mask >> e & 1]
+
+
 def _spanning_tree(
     rng: random.Random, n: int, usable_events: list[int]
 ) -> dict[tuple[int, int], int]:
@@ -77,7 +82,7 @@ def random_plant(
                 trans[(q, e)] = rng.randrange(n)
     if uncontrollable_complete:
         for q in range(n):
-            for e in alphabet.uncontrollable:
+            for e in _bits(alphabet.uncontrollable_mask, m):
                 if (q, e) not in trans:
                     trans[(q, e)] = rng.randrange(n)
     marked = [q for q in range(n) if rng.random() < 0.35]
@@ -92,8 +97,9 @@ def random_feasible_supervisor(
     extra_density: float = 0.35,
     name: str = "S",
 ) -> Automaton:
-    observable = sorted(alphabet.observable)
-    unobservable = sorted(alphabet.unobservable)
+    m, unobs = len(alphabet), alphabet.unobservable_mask
+    observable = _bits(~unobs, m)
+    unobservable = _bits(unobs, m)
     n = rng.randint(1, max_states) if observable else 1
     trans = _spanning_tree(rng, n, observable) if n > 1 else {}
     for q in range(n):
@@ -105,10 +111,10 @@ def random_feasible_supervisor(
                 trans[(q, e)] = q
     if full_gamma:
         for q in range(n):
-            for e in alphabet.uncontrollable:
+            for e in _bits(alphabet.uncontrollable_mask, m):
                 if (q, e) in trans:
                     continue
-                trans[(q, e)] = q if e in alphabet.unobservable else rng.randrange(n)
+                trans[(q, e)] = q if unobs >> e & 1 else rng.randrange(n)
     marked = [q for q in range(n) if rng.random() < 0.4]
     return Automaton(name, alphabet, [f"z{q}" for q in range(n)], 0, marked, trans)
 
@@ -172,7 +178,7 @@ def counter_automaton(alphabet: Alphabet, k: int, name: str = "C") -> Automaton:
     trans: dict[tuple[int, int], int] = {}
     for t in range(k):
         for e in range(len(alphabet)):
-            if e in alphabet.unobservable:
+            if alphabet.unobservable_mask >> e & 1:
                 trans[(t, e)] = t
             else:
                 trans[(t, e)] = (t + 1) % k

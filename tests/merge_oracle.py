@@ -12,6 +12,11 @@ the same covers, verdicts and quotients.  ``generate_equivalent_supervisor``
 is the unchanged version that shuffled a list of all n(n-1)/2 pair tuples;
 it calls the library's merger and quotient, as it did.
 
+``compatibility_table`` is the compatibility relation decided pair by
+pair with ``compatible``, the table the reference merger reads;
+``tests/test_supervision.py`` and ``tests/test_merge_oracle.py`` check the
+library's incompatibility masks against it.
+
 ``closed_incompatibility`` is the implication chart as rounds of
 ``successor_incompatibility`` run until the masks stop changing, and
 ``sweep`` is the library's mask-driven sweep before it closed the chart
@@ -30,11 +35,23 @@ from supred.reduction import Cover, build_super, induce_quotient
 from supred.reduction import _congruence_from_merges as _library_congruence
 from supred.supervision import (
     ControlData,
-    compatibility_relation,
     compatible,
     control_data,
     successor_incompatibility,
 )
+
+
+def compatibility_table(data: ControlData) -> tuple[tuple[bool, ...], ...]:
+    """Entry ``[i][j]`` is ``compatible(data, i, j)``, for every ordered
+    pair of supervisor states."""
+    n = data.supervisor.n
+    return tuple(tuple(compatible(data, i, j) for j in range(n)) for i in range(n))
+
+
+def table_of_masks(masks: Sequence[int]) -> tuple[tuple[bool, ...], ...]:
+    """Incompatibility masks as a :func:`compatibility_table`: entry
+    ``[i][j]`` is True when bit ``j`` of ``masks[i]`` is clear."""
+    return tuple(tuple(not mask >> j & 1 for j in range(len(masks))) for mask in masks)
 
 
 class _MergePartition:
@@ -45,9 +62,9 @@ class _MergePartition:
     would acquire an incompatible state pair.
     """
 
-    def __init__(self, s: Automaton, rel_matrix: tuple[tuple[bool, ...], ...]):
+    def __init__(self, s: Automaton, table: tuple[tuple[bool, ...], ...]):
         self.s = s
-        self.rel = rel_matrix
+        self.rel = table
         self.parent = list(range(s.n))
         self.members: dict[int, list[int]] = {q: [q] for q in range(s.n)}
         self.steps = 0
@@ -118,8 +135,7 @@ def _congruence_from_merges(
     data: ControlData,
     pair_order: Iterable[tuple[int, int]],
 ) -> tuple[Cover, int]:
-    rel = compatibility_relation(data)
-    scratch = _MergePartition(s, rel.matrix)
+    scratch = _MergePartition(s, compatibility_table(data))
     for i, j in pair_order:
         scratch.try_merge(i, j)
     return scratch.cover(), scratch.steps
@@ -155,7 +171,7 @@ def induce_quotient_by_scan(
     ok, violation = validate_cover_by_scan(s, data, c)
     assert ok, violation
     cells = c.cells
-    unobs = s.alphabet.unobservable
+    unobs = frozenset(e for e, ev in enumerate(s.alphabet) if not ev.observable)
     trans: dict[tuple[int, int], int] = {}
     for i, cell in enumerate(cells):
         for e in range(len(s.alphabet)):

@@ -76,8 +76,8 @@ def subset_construction_with_members(
     See :func:`subset_construction`; the member lists are needed by callers
     that characterise subset states in terms of the original automaton.
     """
-    unobs = a.alphabet.unobservable
-    obs = sorted(a.alphabet.observable)
+    unobs = frozenset(e for e, ev in enumerate(a.alphabet) if not ev.observable)
+    obs = [e for e, ev in enumerate(a.alphabet) if ev.observable]
     succ, m = a.succ, len(a.alphabet)
     start = _unobservable_closure(a, frozenset([a.initial]), unobs)
     index: dict[frozenset[int], int] = {start: 0}

@@ -50,8 +50,8 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
     pair_name = dict(zip([x * ns + z for x, z in zip(xs, zs)], distinct_names(
         [f"({g_states[x]},{s_states[z]})" for x, z in zip(xs, zs)])))
     unobs_mask = s.alphabet.unobservable_mask
-    obs = sorted(s.alphabet.observable)
-    unobs = sorted(s.alphabet.unobservable)
+    obs = [e for e, ev in enumerate(s.alphabet) if ev.observable]
+    unobs = [e for e, ev in enumerate(s.alphabet) if not ev.observable]
     # Per set of unobservable events, per event e: the closure under the set
     # of each plant state's e-successor (0 where undefined), and the images
     # of the plant-state sets met so far.  steps_into[z] is the table of the
@@ -170,7 +170,7 @@ def _cover_targets(
         for z in cell:
             cells_of[z].append(j)
     m, succ = len(s.alphabet), s.succ
-    unobs = s.alphabet.unobservable
+    unobs = frozenset(e for e, ev in enumerate(s.alphabet) if not ev.observable)
     trans: dict[tuple[int, int], int] = {}
     for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
         if len(cell) == 1:  # every cell holding a lone target is valid

@@ -1,12 +1,13 @@
-"""Each walkthrough in ``demos/`` runs to completion and prints what it
-printed when written."""
+"""Each walkthrough in ``demos/`` and the README's library sketch runs to
+completion and prints what it printed when written."""
 
 import pathlib
 import runpy
 
 import pytest
 
-DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def _run(name, capsys):
@@ -35,3 +36,13 @@ def test_finest_supervisor_demo_characterises_states(capsys):
         "  (4,z2)+(5,z2): enables ['hH', 'hL', 'hM', 'qo0', 'qo1'], disables []",
         "  (6,z3)+(8,z3): enables ['hH', 'hM', 'qo1'], disables ['qo0']",
     ]
+
+
+def test_readme_library_sketch_runs(monkeypatch, capsys):
+    """The README's ```python block under "Library sketch", run from the
+    repository root."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = text.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(sketch, "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out.splitlines() == ["['qo0']", "False", "6", "(True, None)"]

@@ -19,8 +19,6 @@ from supred.reduction import (
 )
 from supred.supervision import (
     closed_incompatibility,
-    compatibility_relation,
-    compatible,
     control_data,
     successor_incompatibility,
 )
@@ -72,9 +70,8 @@ def test_masks_match_pairwise_compatible():
     for _ in range(20):
         g, s = loose_instance(rng, max_plant=8, max_sup=10, max_events=5)
         data = control_data(g, s)
-        rel = compatibility_relation(data)
-        assert rel.matrix == tuple(
-            tuple(compatible(data, i, j) for j in range(s.n)) for i in range(s.n))
+        table = merge_oracle.table_of_masks(data.incompatibility_masks())
+        assert table == merge_oracle.compatibility_table(data)
 
 
 def test_scale_pairs_match_oracle():
@@ -99,7 +96,7 @@ def test_failed_merge_marks_cells_incompatible():
     checked = 0
     for seed in range(6):
         g, s = scale_pair(random.Random(seed), core_states=8, factor=5)
-        masks = compatibility_relation(control_data(g, s)).masks
+        masks = control_data(g, s).incompatibility_masks()
         part = _MergePartition(s, masks)
         for i in range(s.n):
             for j in range(i + 1, s.n):
@@ -250,7 +247,7 @@ def _plain_mask_sweep(g, s):
     """The oracle sweep seeded with the base incompatibility masks, as
     ``reduce_heuristic`` ran it before the one-step masks and before it
     closed them at its first refusal."""
-    partition = _MergePartition(s, compatibility_relation(control_data(g, s)).masks)
+    partition = _MergePartition(s, control_data(g, s).incompatibility_masks())
     merge_oracle.sweep(partition)
     return partition.cover(), partition.steps
 
@@ -281,7 +278,7 @@ def test_one_step_masks_keep_shuffled_merge_outcomes():
     for _ in range(30):
         g, s = loose_instance(rng, max_plant=6, max_sup=6)
         sup = build_super(g, s)
-        masks = compatibility_relation(control_data(g, sup)).masks
+        masks = control_data(g, sup).incompatibility_masks()
         plain = _MergePartition(sup, masks)
         one_step = _MergePartition(sup, successor_incompatibility(sup, masks))
         pairs = [(i, j) for i in range(sup.n) for j in range(i + 1, sup.n)]
@@ -308,7 +305,7 @@ def test_bench_random_instance_2_examines_few_unions():
 
 
 def _one_step_partition(g, s):
-    masks = compatibility_relation(control_data(g, s)).masks
+    masks = control_data(g, s).incompatibility_masks()
     return _MergePartition(s, successor_incompatibility(s, masks))
 
 
@@ -323,7 +320,7 @@ def test_closed_chart_and_sweep_match_oracles():
                   for seed in range(60)]
     fewer = 0
     for g, s in instances:
-        masks = compatibility_relation(control_data(g, s)).masks
+        masks = control_data(g, s).incompatibility_masks()
         assert closed_incompatibility(s, masks) == merge_oracle.closed_incompatibility(s, masks)
         closing, plain = _one_step_partition(g, s), _one_step_partition(g, s)
         closing.sweep()

@@ -219,6 +219,27 @@ def test_full_vs_partial_names_failed_hypothesis(ordering_example):
     assert err.value.name == "full-isomorphism"
 
 
+def test_full_vs_partial_walks_the_partial_loop_once(ordering_example, monkeypatch):
+    """The pairs that build the observer of ``s_partial`` also give its
+    control data: its closed loop is walked once."""
+    import supred.ordering
+    import supred.reduction
+    import supred.supervision
+
+    g, s1, s2 = c_unobservable(*ordering_example)
+    seen = []
+    walk = supred.supervision.closed_loop_pairs
+
+    def counting(plant, s):
+        seen.append(s)
+        return walk(plant, s)
+
+    for module in (supred.supervision, supred.ordering, supred.reduction):
+        monkeypatch.setattr(module, "closed_loop_pairs", counting)
+    assert compare_full_vs_partial(g, s1, s2) == (2, 3, True)
+    assert sum(s is s2 for s in seen) == 1
+
+
 def _with_unreachable(a, extra):
     """``a`` plus ``extra`` states that nothing leads to."""
     states = list(a.states) + [f"dead{i}" for i in range(extra)]

@@ -460,7 +460,7 @@ def _bounded_enumeration_characterization(g, s, observation, bound):
     at most ``bound``: reachable plant/supervisor pairs via shortest-path
     layers, then read the defining sets off those pairs."""
     product, pairs = sync_product_pairs(g, s)
-    unobs = g.alphabet.unobservable
+    unobs = frozenset(e for e, ev in enumerate(g.alphabet) if not ev.observable)
     dist = {(product.initial, 0): 0}
     frontier = [(product.initial, 0)]
     while frontier:

@@ -13,7 +13,6 @@ from supred.supervision import (
     check_control_feasibility,
     closed_incompatibility,
     closed_loop_pairs,
-    compatibility_relation,
     compatible,
     control_data,
     control_equivalent,
@@ -22,6 +21,7 @@ from supred.supervision import (
     successor_incompatibility,
 )
 
+from tests import merge_oracle
 from tests.generators import (
     loose_instance,
     random_alphabet,
@@ -196,7 +196,7 @@ def test_control_data_invariants_random():
             assert not data.enabled[z] & data.disabled[z]
             assert not (data.marked_s[z] and not data.marked_g[z])
         if check_control_existence(s)[0]:
-            uncontrollable = sum(1 << e for e in g.alphabet.uncontrollable)
+            uncontrollable = sum(1 << e for e, ev in enumerate(g.alphabet) if not ev.controllable)
             for z in range(s.n):
                 assert not data.disabled[z] & uncontrollable
             uncontrollable_ok += 1
@@ -214,57 +214,66 @@ def test_tank_compatible_pairs(tank):
     assert compatible(data, z["z0"], z["z1"])
     assert not compatible(data, z["z2"], z["z3"])  # qo0 enabled vs disabled
     assert compatible(data, z["z3"], z["z3"])
-    rel = compatibility_relation(data)
-    off_diagonal = {(i, j) for (i, j) in rel.pairs() if i < j}
-    assert off_diagonal == {(0, 1), (0, 2), (0, 3), (1, 2)}
+    masks = data.incompatibility_masks()
+    pairs = {(i, j) for i in range(s.n) for j in range(i + 1, s.n) if not masks[i] >> j & 1}
+    assert pairs == {(0, 1), (0, 2), (0, 3), (1, 2)}
+    assert merge_oracle.table_of_masks(masks) == merge_oracle.compatibility_table(data)
 
 
 def test_compatibility_single_state():
     alphabet = Alphabet([Event("a", True, True)])
     g = Automaton("G", alphabet, ["x"], 0, [], {})
     s = Automaton("S", alphabet, ["z"], 0, [], {})
-    rel = compatibility_relation(control_data(g, s))
-    assert rel.matrix == ((True,),)
+    data = control_data(g, s)
+    assert data.incompatibility_masks() == (0,)
+    assert merge_oracle.compatibility_table(data) == ((True,),)
 
 
 def test_compatibility_all_true_when_data_vacuous():
     alphabet = Alphabet([Event("a", True, True)])
     g = Automaton("G", alphabet, ["x"], 0, [], {(0, 0): 0})
     s = Automaton("S", alphabet, ["p", "q"], 0, [], {(0, 0): 1, (1, 0): 0})
-    rel = compatibility_relation(control_data(g, s))
-    assert all(all(row) for row in rel.matrix)
+    data = control_data(g, s)
+    assert data.incompatibility_masks() == (0, 0)
+    assert merge_oracle.compatibility_table(data) == ((True, True), (True, True))
+
+
+def _assert_reflexive_symmetric(data):
+    """No state is incompatible with itself, the masks are symmetric, and
+    they agree with ``compatible`` on every ordered pair."""
+    masks = data.incompatibility_masks()
+    n = data.supervisor.n
+    assert len(masks) == n
+    for i in range(n):
+        assert not masks[i] >> i & 1
+        for j in range(n):
+            assert masks[i] >> j & 1 == masks[j] >> i & 1
+    assert merge_oracle.table_of_masks(masks) == merge_oracle.compatibility_table(data)
+    return masks
 
 
 def test_compatibility_reflexive_symmetric_not_transitive(nontransitive_example):
     g, s = nontransitive_example
-    rel = compatibility_relation(control_data(g, s))
-    n = len(rel.states)
-    assert all(rel.holds(i, i) for i in range(n))
-    assert all(rel.holds(i, j) == rel.holds(j, i) for i in range(n) for j in range(n))
+    masks = _assert_reflexive_symmetric(control_data(g, s))
     r = {name: i for i, name in enumerate(s.states)}
-    assert rel.holds(r["r0"], r["r1"])
-    assert rel.holds(r["r1"], r["r2"])
-    assert not rel.holds(r["r0"], r["r2"])
+    assert not masks[r["r0"]] >> r["r1"] & 1
+    assert not masks[r["r1"]] >> r["r2"] & 1
+    assert masks[r["r0"]] >> r["r2"] & 1
 
 
 def test_compatibility_reflexive_symmetric_random():
     rng = random.Random(47)
     for _ in range(40):
         g, s = loose_instance(rng)
-        rel = compatibility_relation(control_data(g, s))
-        n = len(rel.states)
-        for i in range(n):
-            assert rel.holds(i, i)
-            for j in range(n):
-                assert rel.holds(i, j) == rel.holds(j, i)
+        _assert_reflexive_symmetric(control_data(g, s))
 
 
 def test_compatible_unknown_state(tank):
     g, s = tank
-    with pytest.raises(ValueError):
-        compatible(control_data(g, s), 0, 99)
-    with pytest.raises(IndexError):
-        compatibility_relation(control_data(g, s)).holds(0, 99)
+    data = control_data(g, s)
+    for z1, z2 in ((0, 99), (99, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            compatible(data, z1, z2)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +392,7 @@ def test_successor_incompatibility_on_seeded_supervisors():
     widened = 0
     for seed in range(40):
         g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
-        masks = compatibility_relation(control_data(g, s)).masks
+        masks = control_data(g, s).incompatibility_masks()
         widened += _assert_one_step_masks(s, masks) != list(masks)
         assert closed_incompatibility(s, masks) == _implication_chart(s, masks)
     rng = random.Random(13)
@@ -397,7 +406,7 @@ def test_successor_incompatibility_on_seeded_supervisors():
             continue
         if s.n < 40:
             continue
-        masks = compatibility_relation(control_data(g, s)).masks
+        masks = control_data(g, s).incompatibility_masks()
         widened += _assert_one_step_masks(s, masks) != list(masks)
         assert closed_incompatibility(s, masks) == _implication_chart(s, masks)
         checked += 1
