@@ -15,7 +15,7 @@ from typing import NoReturn, Optional
 
 from .automata import (Automaton, Lockstep, check_same_alphabet, control_equivalent,
                        is_des_isomorphic, separating_string, sync_product)
-from .errors import PreconditionError
+from .errors import PreconditionError, SearchCapError
 from .reduction import (DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible,
                         super_from_pairs)
 from .supervision import (ControlData, check_control_feasibility, closed_loop_pairs,
@@ -151,7 +151,7 @@ def compare_reductions(
         if not normal:
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
-            raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
+            raise SearchCapError(cand.n, cap_states, f"{label}: exact search")
     order, data1, data2 = _finer(g, walk)
     if not order.verdict:
         raise PreconditionError(

@@ -101,7 +101,7 @@ class ReductionReport:
     first refused attempt on they are closed under successors, so every
     pair the implication chart of the cells refuses is settled as well.
     The closure's own work is not counted.  The exact search counts the
-    nodes it visited."""
+    nodes it visited, pruned ones included."""
 
     input_size: int
     output_size: int
@@ -825,7 +825,13 @@ class _ExactSearch:
         covered later, and a pending target set reaching below it can
         never be received later.  A pending target set is itself a
         candidate cell, so its own minimum is the highest minimum any
-        receiver can have.
+        receiver can have.  Two counting prunes bound the cells left: the
+        uncovered states against the largest cell, and a greedy family of
+        pairwise-conflicting items — the uncovered states of the greedy
+        clique, then pending target sets, then other uncovered states —
+        where two items conflict when a member of one is incompatible with
+        a member of the other.  Each prune cuts only subtrees that hold no
+        cover, so the first cover found is the same.
 
         A target set is pending while no chosen cell holds it.  Each node
         gets its parent's pending list and updates it for the one cell
@@ -843,12 +849,15 @@ class _ExactSearch:
         max_cell = max((c.bit_count() for row in by_min for c in row), default=1)
         clique_mask = sum(1 << z for z in self.clique)
         targets_of: dict[int, tuple[int, ...]] = {}
+        # an item's reach: the OR of its members' closed incompatibility masks
+        reach_of = {1 << z: mask for z, mask in enumerate(self.masks)}
 
         def cell_targets(cell: int) -> tuple[int, ...]:
             """The cell's non-empty per-event target sets."""
             cached = targets_of.get(cell)
             if cached is None:
                 rows = [0] * n_events
+                reaches = [0] * n_events
                 c = cell
                 while c:
                     z = (c & -c).bit_length() - 1
@@ -856,7 +865,9 @@ class _ExactSearch:
                     for e, t in enumerate(succ[z * n_events:(z + 1) * n_events]):
                         if t >= 0:
                             rows[e] |= 1 << t
+                            reaches[e] |= self.masks[t]
                 targets_of[cell] = cached = tuple(tb for tb in rows if tb)
+                reach_of.update(zip(rows, reaches))
             return cached
 
         chosen: list[int] = []
@@ -881,10 +892,25 @@ class _ExactSearch:
                     return False
             uncovered = full & ~covered
             remaining = k - len(chosen)
-            if uncovered.bit_count() > remaining * max_cell:
+            n_uncovered = uncovered.bit_count()
+            if n_uncovered > remaining * max_cell:
                 return False
-            if (uncovered & clique_mask).bit_count() > remaining:
-                return False
+            if n_uncovered + len(pending) > remaining:
+                # each uncovered state and pending set goes into a future
+                # cell, a clique: pairwise-conflicting ones need a cell each
+                family = [1 << z for z in self.clique if uncovered >> z & 1]
+                rest = uncovered & ~clique_mask
+                for item in (*pending, *(1 << z for z in range(self.n) if rest >> z & 1)):
+                    if len(family) > remaining:
+                        return False
+                    reach = reach_of[item]
+                    for f in family:
+                        if not reach & f:
+                            break
+                    else:
+                        family.append(item)
+                if len(family) > remaining:
+                    return False
             if uncovered:
                 lowest_uncovered = (uncovered & -uncovered).bit_length() - 1
                 if lowest_uncovered < last_min:

@@ -28,6 +28,10 @@ the library used before its visited test became one bitmask of plant
 states per supervisor state, and the control-data builder that folded the
 plant's data once per visited pair; their bodies are unchanged apart
 from the alphabet check's name, as above.
+
+``compare_reductions`` refuses a candidate over the cap with
+``SearchCapError`` (exit 4 on the command line), as the library does,
+where it raised ``PreconditionError("search-cap")``.
 ``tests/test_pair_walk_oracle.py`` checks that the library gives the same
 pairs and the same control data.
 """
@@ -44,7 +48,7 @@ from supred.automata import (
     sync_product,
     trim_reachable,
 )
-from supred.errors import PreconditionError
+from supred.errors import PreconditionError, SearchCapError
 from supred.ordering import OrderWitness
 from supred.reduction import (
     DEFAULT_EXACT_CAP,
@@ -168,7 +172,7 @@ def compare_reductions(
         if not normal:
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
-            raise PreconditionError("search-cap", f"{label} has {cand.n} states > cap {cap_states}")
+            raise SearchCapError(cand.n, cap_states, f"{label}: exact search")
     order = finer_than(g, s, s1, s2)
     if not order.verdict:
         raise PreconditionError(

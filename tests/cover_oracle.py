@@ -1,14 +1,19 @@
-"""Reference minimum-cover search that rebuilds its pending target sets
-at every node, kept as a differential oracle.
+"""Reference minimum-cover searches without the conflict-family bound,
+kept as differential oracles.
 
-This is the successor-closed exact search ``supred.reduction`` ran before
-``find_cover`` carried its pending target sets down the recursion: each
-node here tests every target set of every chosen cell against every
-chosen cell.  The bodies are unchanged apart from a node budget: the
-search raises :class:`NodeBudgetExceeded` once it has visited more than
-``budget`` nodes, so tests can skip the instances it cannot finish.
-``tests/test_exact_oracle.py`` checks that the library returns the same
-covers, sizes and node counts.
+``_ExactSearch.find_cover`` is the successor-closed exact search
+``supred.reduction`` ran before ``find_cover`` carried its pending target
+sets down the recursion: each node here tests every target set of every
+chosen cell against every chosen cell.  ``_CarriedSearch.find_cover`` is
+the search that carried them, before each node was also bounded by a
+greedy family of pairwise-conflicting uncovered states and pending sets;
+its own prunes are the first search's, so both visit the same nodes.  The
+bodies are unchanged apart from a node budget: the search raises
+:class:`NodeBudgetExceeded` once it has visited more than ``budget``
+nodes, so tests can skip the instances it cannot finish.
+``tests/test_exact_oracle.py`` checks that the two searches return the
+same covers, sizes and node counts, and that the library returns the same
+covers and sizes in at most as many nodes.
 """
 
 from __future__ import annotations
@@ -206,16 +211,109 @@ class _ExactSearch:
         return None
 
 
+class _CarriedSearch(_ExactSearch):
+    def find_cover(self, k: int) -> Optional[list[set[int]]]:
+        """Search directly over cell families: cells are chosen in a
+        canonical order of strictly increasing (minimum member, bitmask)
+        keys, which kills permutation symmetry and yields two strong
+        prunes — a state below the next allowed minimum can never be
+        covered later, and a pending target set reaching below it can
+        never be received later.  A pending target set is itself a
+        candidate cell, so its own minimum is the highest minimum any
+        receiver can have.
+
+        A target set is pending while no chosen cell holds it.  Each node
+        gets its parent's pending list and updates it for the one cell
+        just chosen, in O(|pending| + |Σ|·k) instead of a rebuild in
+        O(k²·|Σ|).  That gives the same sets: the chosen cells only grow
+        along a path, so a parent's pending set leaves only when the new
+        cell holds it, and only the new cell's target sets are new."""
+        n_events, succ = len(self.s.alphabet), self.s.succ
+        full = (1 << self.n) - 1
+        by_min = [self._candidate_cells(m) for m in range(self.n)]
+        max_cell = max((c.bit_count() for row in by_min for c in row), default=1)
+        clique_mask = sum(1 << z for z in self.clique)
+        targets_of: dict[int, tuple[int, ...]] = {}
+
+        def cell_targets(cell: int) -> tuple[int, ...]:
+            """The cell's non-empty per-event target sets."""
+            cached = targets_of.get(cell)
+            if cached is None:
+                rows = [0] * n_events
+                c = cell
+                while c:
+                    z = (c & -c).bit_length() - 1
+                    c &= c - 1
+                    for e, t in enumerate(succ[z * n_events:(z + 1) * n_events]):
+                        if t >= 0:
+                            rows[e] |= 1 << t
+                targets_of[cell] = cached = tuple(tb for tb in rows if tb)
+            return cached
+
+        chosen: list[int] = []
+
+        def dfs(last_min: int, last_cell: int, covered: int, inherited: list[int]) -> bool:
+            self.steps += 1
+            if self.steps > self.budget:
+                raise NodeBudgetExceeded
+            # last_cell is the cell just chosen (0 at the root)
+            pending = [tb for tb in inherited if tb & ~last_cell]
+            for tb in cell_targets(last_cell):
+                for held in chosen:
+                    if tb & ~held == 0:
+                        break
+                else:
+                    pending.append(tb)
+            if len(chosen) == k:
+                return covered == full and not pending
+            # future cells have min member >= last_min: no pending target
+            # set and no uncovered state may lie below it
+            below = (1 << last_min) - 1
+            for tb in pending:
+                if tb & below:
+                    return False
+            uncovered = full & ~covered
+            remaining = k - len(chosen)
+            if uncovered.bit_count() > remaining * max_cell:
+                return False
+            if (uncovered & clique_mask).bit_count() > remaining:
+                return False
+            if uncovered:
+                lowest_uncovered = (uncovered & -uncovered).bit_length() - 1
+                if lowest_uncovered < last_min:
+                    return False
+                hi = lowest_uncovered
+            else:
+                if not pending:
+                    return False  # a smaller cover; found at smaller k
+                hi = self.n - 1
+            for m in range(last_min, hi + 1):
+                for cell in by_min[m]:
+                    if m == last_min and cell <= last_cell:
+                        continue
+                    chosen.append(cell)
+                    if dfs(m, cell, covered | cell, pending):
+                        return True
+                    chosen.pop()
+            return False
+
+        if dfs(0, 0, 0, []):
+            return [{z for z in range(self.n) if cell >> z & 1} for cell in chosen]
+        return None
+
+
 def reduce_exact_core(
-    s: Automaton, data: ControlData, mode: str, cap_states: int, budget: int
+    s: Automaton, data: ControlData, mode: str, cap_states: int, budget: int,
+    carried: bool = False,
 ) -> tuple[Automaton, ReductionReport]:
     """:func:`reduce_exact_minimum` on precomputed control data, without the
     feasibility gate (the state cap still applies), so that supervisors
     tracking unobservable events across states reduce too, as
-    :func:`~supred.ordering.compare_full_vs_partial` needs."""
+    :func:`~supred.ordering.compare_full_vs_partial` needs.  ``carried``
+    picks the search that carries its pending target sets."""
     if s.n > cap_states:
         raise SearchCapError(s.n, cap_states)
-    search = _ExactSearch(s, data, budget)
+    search = (_CarriedSearch if carried else _ExactSearch)(s, data, budget)
     lower = max(1, len(search.clique))
     for k in range(lower, s.n + 1):
         cells = search.find_partition(k)

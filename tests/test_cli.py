@@ -124,6 +124,13 @@ def test_reduce_exact_cap_exit_code():
     assert result.exit_code == 4
 
 
+def test_compare_reductions_cap_exit_code():
+    result, _, err = invoke("compare", "reductions", "-g", f"{ORDERING}:G",
+                            "-s1", f"{ORDERING}:S1", "-s2", f"{ORDERING}:S2", "--cap", "1")
+    assert result.exit_code == 4
+    assert err == "error: s1: exact search cap exceeded: 4 states > cap 1\n"
+
+
 def test_reduce_seeded_sample(tmp_path):
     out_file = tmp_path / "eq.aut"
     result, _, _ = invoke(

@@ -115,7 +115,7 @@ def test_compare_reductions_matches_oracle():
                     outcomes.add(got[2].split("'")[1])
                 else:
                     outcomes.add(got[1].__name__)
-    assert outcomes == {"returned", "control-equivalence", "normality", "search-cap",
+    assert outcomes == {"returned", "control-equivalence", "normality", "SearchCapError",
                         "fineness", "AlphabetMismatchError"}
 
 

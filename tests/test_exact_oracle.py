@@ -1,10 +1,12 @@
 """Differential tests for the exact search.
 
 Against ``tests/exact_oracle.py``, which looks one step ahead on the base
-masks, the search must return the same cover in both modes.  Against
-``tests/cover_oracle.py``, which rebuilds the pending target sets at every
-node, the cover search must return the same cover and visit the same
-nodes.  Both hold wherever the reference finishes within its node
+masks, the search must return the same cover in both modes.  Against the
+search of ``tests/cover_oracle.py`` that carries its pending target sets
+without the conflict-family bound, the cover search must return the same
+cover in at most as many nodes; that search must return the same cover in
+the same nodes as the one there that rebuilds its pending sets at every
+node.  All hold wherever the reference finishes within its node
 budget."""
 
 import pathlib
@@ -57,19 +59,25 @@ def test_same_covers_on_larger_plants():
 
 
 def _assert_same_cover_search(instances):
-    """Same cover, size and node count in cover mode as the search that
-    rebuilds its pending sets; returns the seeds it could not finish."""
+    """Same cover and size in cover mode as the search without the
+    conflict-family bound, in at most its nodes, and that search the same
+    cover and nodes as the one that rebuilds its pending sets; returns the
+    seeds it could not finish."""
     skipped = []
     for seed, (g, s) in instances:
         data = control_data(g, s)
         try:
-            _, expected = cover_oracle.reduce_exact_core(s, data, "cover", s.n, BUDGET)
+            _, expected = cover_oracle.reduce_exact_core(s, data, "cover", s.n, BUDGET,
+                                                         carried=True)
         except cover_oracle.NodeBudgetExceeded:
             skipped.append(seed)
             continue
-        _, report = reduce_exact_core(s, data, "cover", s.n)
-        assert (report.cover, report.output_size, report.steps) == \
+        _, rebuilt = cover_oracle.reduce_exact_core(s, data, "cover", s.n, BUDGET)
+        assert (rebuilt.cover, rebuilt.output_size, rebuilt.steps) == \
             (expected.cover, expected.output_size, expected.steps), seed
+        _, report = reduce_exact_core(s, data, "cover", s.n)
+        assert (report.cover, report.output_size) == (expected.cover, expected.output_size), seed
+        assert report.steps <= expected.steps, seed
     return skipped
 
 
@@ -85,6 +93,13 @@ def test_same_cover_search_on_larger_plants():
                  for i in range(1000, 1040)]
     skipped = _assert_same_cover_search(instances)
     assert len(skipped) <= 5, skipped
+
+
+def test_same_cover_search_on_sixteen_state_plants():
+    instances = [(i, loose_instance(random.Random(i), max_plant=10, max_sup=16))
+                 for i in range(1000, 1040)]
+    skipped = _assert_same_cover_search(instances)
+    assert len(skipped) <= 2, skipped
 
 
 def test_same_cover_search_on_fixtures():

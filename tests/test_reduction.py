@@ -416,7 +416,27 @@ def test_exact_answers_the_blowup_pairs():
 def test_exact_cover_node_count_on_seed_40():
     g, s = loose_instance(random.Random(40), max_plant=8, max_sup=10, max_events=5)
     _, report = reduce_exact_minimum(g, s, mode="cover")
-    assert report.steps <= 5_000
+    assert report.steps <= 1_898
+
+
+def test_exact_cover_node_count_on_exact_small():
+    """Cover-mode nodes summed over the bench ``exact_small`` instances
+    (seeds 0-118 and 255)."""
+    steps = 0
+    for seed in (*range(119), 255):
+        g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+        steps += reduce_exact_minimum(g, s, mode="cover")[1].steps
+    assert steps == 4_503
+
+
+def test_exact_cover_on_seed_1011():
+    """A 16-state supervisor whose cover search ran 6.9M nodes without the
+    conflict-family bound and 0.36M with it; the cover is the one it found
+    before."""
+    g, s = loose_instance(random.Random(1011), max_plant=10, max_sup=16)
+    _, report = reduce_exact_minimum(g, s, mode="cover", cap_states=64)
+    assert [sorted(cell) for cell in report.cover.cells] == \
+        [[0, 8, 15], [1, 11], [2, 14], [3, 6, 7, 9], [4, 10, 13], [5], [12]]
 
 
 def _assert_cells_closed_compatible(g, s, covers):
