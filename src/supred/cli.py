@@ -81,25 +81,24 @@ def _build_parser() -> _Parser:
     p = add("parse", help="validate an .aut file")
     p.add_argument("file")
 
-    p = add("product", help="synchronous product of two automata")
-    p.add_argument("-g", required=True, metavar="SPEC")
-    p.add_argument("-s", required=True, metavar="SPEC")
-    p.add_argument("-o", metavar="OUT")
+    def add_loop(name, about, writes):
+        """A subcommand on a plant ``-g`` and a supervisor ``-s``, with
+        ``-o`` when it writes an automaton."""
+        p = add(name, help=about)
+        p.add_argument("-g", required=True, metavar="SPEC")
+        p.add_argument("-s", required=True, metavar="SPEC")
+        if writes:
+            p.add_argument("-o", metavar="OUT")
+        return p
 
-    p = add("super", help="finest control-equivalent supervisor")
-    p.add_argument("-g", required=True, metavar="SPEC")
-    p.add_argument("-s", required=True, metavar="SPEC")
-    p.add_argument("-o", metavar="OUT")
-
-    p = add("reduce", help="reduce a supervisor")
-    p.add_argument("-g", required=True, metavar="SPEC")
-    p.add_argument("-s", required=True, metavar="SPEC")
+    add_loop("product", "synchronous product of two automata", writes=True)
+    add_loop("super", "finest control-equivalent supervisor", writes=True)
+    p = add_loop("reduce", "reduce a supervisor", writes=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--mode", choices=("partition", "cover"), default="cover")
     p.add_argument("--cap", type=int, default=reduction.DEFAULT_EXACT_CAP)
     p.add_argument("--seed", type=int, default=None,
                    help="sample a random control-equivalent supervisor instead")
-    p.add_argument("-o", metavar="OUT")
 
     p = add("verify", help="boolean checks")
     p.add_argument("check", choices=("equiv", "feasible", "existence", "normal", "cover"))
@@ -125,31 +124,34 @@ def _build_parser() -> _Parser:
     p.add_argument("a", metavar="SPEC")
     p.add_argument("b", metavar="SPEC")
 
-    p = add("data", help="print the control-data table of a supervisor")
-    p.add_argument("-g", required=True, metavar="SPEC")
-    p.add_argument("-s", required=True, metavar="SPEC")
+    add_loop("data", "print the control-data table of a supervisor", writes=False)
 
     return parser
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc}") from None
+
+
 def _load(spec: str) -> am.Automaton:
     path, _, selector = spec.rpartition(":")
-    if not path:
+    if not (path and selector):
         path, selector = spec, ""
-    first = path if selector else spec
     try:
-        with open(first, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+        text = _read(path)
+    except UsageError as first:
         if not selector:
-            raise UsageError(f"cannot read {first!r}: {exc}") from None
+            raise
         # maybe the whole spec was a path containing ':'; the error names
         # the file tried first
         try:
-            with open(spec, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError:
-            raise UsageError(f"cannot read {first!r}: {exc}") from None
+            text = _read(spec)
+        except UsageError:
+            raise first from None
         selector = ""
     blocks = am.parse_automaton(text)
     if selector:
@@ -218,41 +220,25 @@ def _dispatch(args, emit) -> CommandResult:
     cmd = args.command
 
     if cmd == "parse":
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.file!r}: {exc}") from None
-        blocks = am.parse_automaton(text)
+        blocks = am.parse_automaton(_read(args.file))
         sizes = {a.name: a.n for a in blocks}
         emit("\n".join(f"{a.name}: {a.n} states, {a.n_trans} transitions" for a in blocks))
         return CommandResult(cmd, verdict=True, sizes=sizes)
 
-    if cmd == "product":
-        g, s = _load(args.g), _load(args.s)
-        product = am.sync_product(g, s)
-        out = _emit_artifact(product, args.o, emit)
-        return CommandResult(cmd, sizes={"output": product.n}, output_path=out)
-
-    if cmd == "super":
-        g, s = _load(args.g), _load(args.s)
-        sup = reduction.build_super(g, s)
-        out = _emit_artifact(sup, args.o, emit)
-        return CommandResult(cmd, sizes={"output": sup.n}, output_path=out)
-
-    if cmd == "reduce":
-        g, s = _load(args.g), _load(args.s)
-        if args.seed is not None and not args.exact:
-            reduced = reduction.generate_equivalent_supervisor(g, s, args.seed)
-            sizes = {"input": s.n, "output": reduced.n}
+    if cmd in ("product", "super", "reduce"):
+        g, s = _require(args, "g", "s")
+        if cmd == "product":
+            built = am.sync_product(g, s)
+        elif cmd == "super":
+            built = reduction.build_super(g, s)
         elif args.exact:
-            reduced, report = reduction.reduce_exact_minimum(
-                g, s, mode=args.mode, cap_states=args.cap)
-            sizes = {"input": report.input_size, "output": report.output_size}
+            built, _ = reduction.reduce_exact_minimum(g, s, mode=args.mode, cap_states=args.cap)
+        elif args.seed is not None:
+            built = reduction.generate_equivalent_supervisor(g, s, args.seed)
         else:
-            reduced, report = reduction.reduce_heuristic(g, s)
-            sizes = {"input": report.input_size, "output": report.output_size}
-        out = _emit_artifact(reduced, args.o, emit)
+            built, _ = reduction.reduce_heuristic(g, s)
+        sizes = {"input": s.n, "output": built.n} if cmd == "reduce" else {"output": built.n}
+        out = _emit_artifact(built, args.o, emit)
         return CommandResult(cmd, sizes=sizes, output_path=out)
 
     if cmd == "verify":
@@ -262,7 +248,7 @@ def _dispatch(args, emit) -> CommandResult:
         return _compare(args, emit)
 
     if cmd == "iso":
-        a, b = _load(args.a), _load(args.b)
+        a, b = _require(args, "a", "b")
         result = am.is_des_isomorphic(a, b)
         emit("true" if result.verdict else "false")
         return CommandResult(
@@ -270,7 +256,7 @@ def _dispatch(args, emit) -> CommandResult:
             exit_code=0 if result.verdict else 1)
 
     if cmd == "data":
-        g, s = _load(args.g), _load(args.s)
+        g, s = _require(args, "g", "s")
         table = control_data_table(g, s)
         emit(table)
         return CommandResult(cmd, sizes={"states": s.n})
@@ -278,42 +264,43 @@ def _dispatch(args, emit) -> CommandResult:
     raise UsageError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
-def _require(args, *names) -> list:
+def _require(args, *names: str) -> list:
+    """The values of the options ``names``: the automaton each spec names,
+    and ``--cells`` as given.  Every option is checked, in order, before
+    any file is read; then each distinct spec is read once, so a spec
+    named twice is one automaton."""
     values = []
     for n in names:
-        v = getattr(args, n.replace("-", "_"))
+        v = getattr(args, n)
         if v is None:
             raise UsageError(f"missing -{n} for this subcommand")
         values.append(v)
-    return values
+    specs = dict.fromkeys(v for n, v in zip(names, values) if n != "cells")
+    loaded = {spec: _load(spec) for spec in specs}
+    return [v if n == "cells" else loaded[v] for n, v in zip(names, values)]
 
 
 def _verify(args, emit) -> CommandResult:
     check = args.check
     cmd = f"verify {check}"
     if check == "equiv":
-        gspec, s1spec, s2spec = _require(args, "g", "s1", "s2")
-        g, s1, s2 = _load(gspec), _load(s1spec), _load(s2spec)
+        g, s1, s2 = _require(args, "g", "s1", "s2")
         verdict, counterexample = supervision.control_equivalent(g, s1, s2)
         witness = None if verdict else render_string(counterexample)
     elif check == "feasible":
-        (sspec,) = _require(args, "s")
-        s = _load(sspec)
+        (s,) = _require(args, "s")
         verdict, w = supervision.check_control_feasibility(s)
         witness = None if verdict else "{} --{}--> {}".format(*w)
     elif check == "existence":
-        (sspec,) = _require(args, "s")
-        s = _load(sspec)
+        (s,) = _require(args, "s")
         verdict, w = supervision.check_control_existence(s)
         witness = None if verdict else w
     elif check == "normal":
-        gspec, sspec, spspec = _require(args, "g", "s", "sp")
-        g, s, sp = _load(gspec), _load(sspec), _load(spspec)
+        g, s, sp = _require(args, "g", "s", "sp")
         verdict, w = supervision.is_normal(g, s, sp)
         witness = None if verdict else " ".join(str(part) for part in w)
     else:  # cover
-        gspec, sspec, cells = _require(args, "g", "s", "cells")
-        g, s = _load(gspec), _load(sspec)
+        g, s, cells = _require(args, "g", "s", "cells")
         data = supervision.control_data(g, s)
         cover = _parse_cells(s, cells)
         verdict, w = reduction.validate_cover(s, data, cover)
@@ -326,18 +313,15 @@ def _verify(args, emit) -> CommandResult:
 def _compare(args, emit) -> CommandResult:
     what = args.what
     cmd = f"compare {what}"
-    loaded: dict[str, am.Automaton] = {}
-
-    def load(spec: str) -> am.Automaton:
-        """A spec named twice is read once and gives the same automaton."""
-        if spec not in loaded:
-            loaded[spec] = _load(spec)
-        return loaded[spec]
-
+    if what == "fullpartial":
+        g, sf, sp = _require(args, "g", "sf", "sp")
+        size_f, size_p, ordered = ordering.compare_full_vs_partial(g, sf, sp, cap_states=args.cap)
+        emit(f"full: {size_f} states, partial: {size_p} states, ordered: {str(ordered).lower()}")
+        return CommandResult(cmd, verdict=ordered, sizes={"full": size_f, "partial": size_p},
+                             exit_code=0 if ordered else 1)
+    # --ref defaults to -s1
+    g, s1, s2, ref = _require(args, "g", "s1", "s2", "ref" if args.ref else "s1")
     if what == "order":
-        gspec, s1spec, s2spec = _require(args, "g", "s1", "s2")
-        g, s1, s2 = load(gspec), load(s1spec), load(s2spec)
-        ref = load(args.ref) if args.ref else s1
         result = ordering.finer_than(g, ref, s1, s2)
         if result.verdict:
             emit("true")
@@ -346,20 +330,10 @@ def _compare(args, emit) -> CommandResult:
         witness = f"{render_string(string)} [{clause}]"
         emit(f"false ({witness})")
         return CommandResult(cmd, verdict=False, witness=witness, exit_code=1)
-    if what == "reductions":
-        gspec, s1spec, s2spec = _require(args, "g", "s1", "s2")
-        g, s1, s2 = load(gspec), load(s1spec), load(s2spec)
-        ref = load(args.ref) if args.ref else s1
-        size1, size2, ordered = ordering.compare_reductions(g, ref, s1, s2, cap_states=args.cap)
-        emit(f"s1: {size1} states, s2: {size2} states, ordered: {str(ordered).lower()}")
-        return CommandResult(cmd, verdict=ordered, sizes={"s1": size1, "s2": size2},
-                             exit_code=0 if ordered else 1)
-    # fullpartial
-    gspec, sfspec, spspec = _require(args, "g", "sf", "sp")
-    g, sf, sp = load(gspec), load(sfspec), load(spspec)
-    size_f, size_p, ordered = ordering.compare_full_vs_partial(g, sf, sp, cap_states=args.cap)
-    emit(f"full: {size_f} states, partial: {size_p} states, ordered: {str(ordered).lower()}")
-    return CommandResult(cmd, verdict=ordered, sizes={"full": size_f, "partial": size_p},
+    # reductions
+    size1, size2, ordered = ordering.compare_reductions(g, ref, s1, s2, cap_states=args.cap)
+    emit(f"s1: {size1} states, s2: {size2} states, ordered: {str(ordered).lower()}")
+    return CommandResult(cmd, verdict=ordered, sizes={"s1": size1, "s2": size2},
                          exit_code=0 if ordered else 1)
 
 

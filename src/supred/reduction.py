@@ -263,7 +263,7 @@ def _require_loop_controllable(s: Automaton, data: ControlData) -> None:
 def build_super(g: Automaton, s: Automaton) -> Automaton:
     """The finest supervisor with the closed-loop behaviour of ``s``:
     :func:`super_from_pairs` on the pairs of
-    :func:`~supred.supervision.closed_loop_pairs`.  Fails on an infeasible
+    :func:`~supred.automata.closed_loop_pairs`.  Fails on an infeasible
     supervisor, with the errors of :func:`require_feasible`: the structural
     check runs first, then loop controllability is read off the same pairs.
     """
@@ -276,7 +276,7 @@ def build_super(g: Automaton, s: Automaton) -> Automaton:
 def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -> Automaton:
     """The subset construction over the observable events of the closed
     loop whose reachable pairs ``(xs[i], zs[i])`` are those of
-    :func:`~supred.supervision.closed_loop_pairs`, with unobservable events
+    :func:`~supred.automata.closed_loop_pairs`, with unobservable events
     reinserted as selfloops.  Every unobservable transition of ``s`` must
     be a selfloop; loop controllability is not checked.
 
@@ -820,10 +820,10 @@ class _ExactSearch:
     def find_cover(self, k: int) -> Optional[list[set[int]]]:
         """Search directly over cell families: cells are chosen in a
         canonical order of strictly increasing (minimum member, bitmask)
-        keys, which kills permutation symmetry and yields two strong
-        prunes — a state below the next allowed minimum can never be
-        covered later, and a pending target set reaching below it can
-        never be received later.  A pending target set is itself a
+        keys, which kills permutation symmetry.  No cell's minimum lies above
+        the lowest uncovered state, so no state is left below the next
+        allowed minimum; a pending target set reaching below it can never
+        be received later, a strong prune.  A pending target set is itself a
         candidate cell, so its own minimum is the highest minimum any
         receiver can have.  Two counting prunes bound the cells left: the
         uncovered states against the largest cell, and a greedy family of
@@ -885,7 +885,7 @@ class _ExactSearch:
             if len(chosen) == k:
                 return covered == full and not pending
             # future cells have min member >= last_min: no pending target
-            # set and no uncovered state may lie below it
+            # set may lie below it
             below = (1 << last_min) - 1
             for tb in pending:
                 if tb & below:
@@ -912,10 +912,7 @@ class _ExactSearch:
                 if len(family) > remaining:
                     return False
             if uncovered:
-                lowest_uncovered = (uncovered & -uncovered).bit_length() - 1
-                if lowest_uncovered < last_min:
-                    return False
-                hi = lowest_uncovered
+                hi = (uncovered & -uncovered).bit_length() - 1
             else:
                 if not pending:
                     return False  # a smaller cover; found at smaller k

@@ -595,3 +595,86 @@ def test_input_path_with_a_colon_is_read_whole(tmp_path):
                       encoding="utf-8")
     result, payload = invoke_json("super", "-g", str(g_file), "-s", f"{TANK}:S")
     assert result.exit_code == 0, payload
+
+
+def _counting_parses(monkeypatch):
+    """Patches ``supred.automata.parse_automaton`` to record the text of
+    every document the command line parses."""
+    import supred.automata
+
+    parsed = []
+    original = supred.automata.parse_automaton
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(supred.automata, "parse_automaton", counting)
+    return parsed
+
+
+def test_every_subcommand_reads_a_repeated_spec_once(monkeypatch, tmp_path):
+    """A spec named twice is read once and gives one automaton, in the
+    subcommands that take two supervisors as in those on a plant and a
+    supervisor."""
+    parsed = _counting_parses(monkeypatch)
+    g, s = f"{TANK}:G", f"{TANK}:S"
+    for argv, reads in ((["verify", "equiv", "-g", g, "-s1", s, "-s2", s], 2),
+                        (["verify", "normal", "-g", g, "-s", s, "-sp", s], 2),
+                        (["product", "-g", g, "-s", g, "-o", str(tmp_path / "p.aut")], 1),
+                        (["data", "-g", g, "-s", g], 1),
+                        (["iso", s, s], 1)):
+        del parsed[:]
+        result, _, err = invoke(*argv)
+        assert result.exit_code == 0, (argv, err)
+        assert len(parsed) == reads, argv
+
+
+def test_missing_option_is_reported_before_any_file_is_read(monkeypatch):
+    """The options are checked in order before any spec is read, so a
+    missing one is named even when a given spec cannot be read."""
+    parsed = _counting_parses(monkeypatch)
+    for argv, missing in ((["verify", "equiv", "-g", f"{TANK}:G", "-s1", f"{TANK}:S"], "-s2"),
+                          (["verify", "normal", "-g", "no/such.aut", "-s", f"{TANK}:S"], "-sp"),
+                          (["verify", "cover", "-g", f"{TANK}:G", "-s", f"{TANK}:S"], "-cells"),
+                          (["verify", "cover", "-g", "no/such.aut"], "-s"),
+                          (["compare", "order", "-g", f"{ORDERING}:G", "-s1", f"{ORDERING}:S1",
+                            "--ref", "no/such.aut"], "-s2")):
+        result, payload = invoke_json(*argv)
+        assert result.exit_code == 2
+        assert payload["witness"] == f"missing {missing} for this subcommand"
+    assert parsed == []
+
+
+def test_comment_only_file_has_no_automaton_block(tmp_path):
+    empty = tmp_path / "empty.aut"
+    empty.write_text("# nothing here\n", encoding="utf-8")
+    result, _, err = invoke("parse", str(empty))
+    assert result.exit_code == 2 and "no automaton block found" in err
+
+
+def test_iso_refuses_unreachable_states(tmp_path):
+    dead = tmp_path / "dead.aut"
+    dead.write_text("automaton D\nevents 1\na c o\nstates 2\nq r\ninitial q\n"
+                    "marked 0\ntrans 1\nq a q\nend\n", encoding="utf-8")
+    result, _, err = invoke("iso", str(dead), str(dead))
+    assert result.exit_code == 3 and "reachable" in err
+
+
+def test_verify_cover_refuses_an_empty_cell():
+    result, _, err = invoke("verify", "cover", "-g", f"{TANK}:G", "-s", f"{TANK}:S",
+                            "--cells", "z0;;z1")
+    assert result.exit_code == 2 and "empty cell in --cells" in err
+
+
+def test_module_entry_point_exits_through_main():
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "supred.cli", "parse", TANK],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "G: 10 states, 19 transitions\nS: 4 states, 14 transitions\n"

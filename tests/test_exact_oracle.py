@@ -107,3 +107,20 @@ def test_same_cover_search_on_fixtures():
     g91, s91, g255, s255 = parse_automaton((FIXTURES / "exact_blowup.aut").read_text())
     instances = [("S1", (g, s1)), ("S2", (g, s2)), ("S91", (g91, s91)), ("S255", (g255, s255))]
     assert _assert_same_cover_search(instances) == []
+
+
+def test_same_cover_where_nodes_cover_every_state_with_sets_pending():
+    """Two instances whose cover search reaches nodes that cover every
+    state while target sets are still pending, so the next cell may start
+    at any state: the cover is the reference's, found in at most the nodes
+    it took when pinned."""
+    for seed, n, nodes, cells in ((127, 7, 5_332, [[0, 4, 6], [1, 3, 6], [2, 3, 5], [4, 5]]),
+                                  (380, 6, 36, [[0], [1, 4], [2, 3, 5], [3, 4]])):
+        g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+        data = control_data(g, s)
+        _, report = reduce_exact_core(s, data, "cover", s.n)
+        _, expected = exact_oracle.reduce_exact_core(s, data, "cover", s.n, 4 * BUDGET)
+        assert s.n == n, seed
+        assert [sorted(cell) for cell in report.cover.cells] == cells, seed
+        assert (report.cover, report.output_size) == (expected.cover, expected.output_size), seed
+        assert report.steps <= nodes, seed

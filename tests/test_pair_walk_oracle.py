@@ -13,7 +13,7 @@ cut short at a level."""
 import random
 from itertools import product
 
-from supred.automata import Automaton, Lockstep, serialize_automaton
+from supred.automata import Automaton, Lockstep, serialize_automaton, sync_product
 from supred.ordering import finer_than
 from supred.reduction import build_super, generate_equivalent_supervisor, super_from_pairs
 from supred.supervision import (check_control_feasibility, closed_loop_pairs, control_data,
@@ -154,3 +154,28 @@ def test_super_text_matches_the_subset_construction():
             built += 1
     assert built > 150
 
+
+
+def _comma_names(a):
+    """``a`` with state ``i`` named by ``i + 1`` copies of ``q`` joined by
+    commas, so that product pair names clash wherever the index sums
+    agree: pairs ``(0, 1)`` and ``(1, 0)`` are both named ``(q,q,q)``."""
+    names = [",".join(["q"] * (i + 1)) for i in range(a.n)]
+    return Automaton.from_table(a.name, a.alphabet, names, a.initial, a.marked, a.succ)
+
+
+def test_product_matches_the_pair_product():
+    """The product built on ``closed_loop_pairs`` serialises as the one
+    built by its own pair walk, in both orders of plant and automata, for
+    automata with unreachable states, and with composite names that clash
+    and are made distinct in the product's order."""
+    clashing = 0
+    families = [(g, cands) for g, _, cands in _plants_and_sets(large=False)]
+    families += [(g, [s]) for g, s in map(partial_observation_pair, range(2))]
+    for g, cands in families:
+        for a, b in product([g, *cands], repeat=2):
+            for left, right in ((a, b), (_comma_names(a), _comma_names(b))):
+                got = serialize_automaton(sync_product(left, right, name="P"))
+                assert got == serialize_automaton(sync_product_pairs(left, right, name="P")[0])
+                clashing += "~" in got
+    assert clashing > 100

@@ -83,6 +83,12 @@ def test_malformed_covers_raise(tank):
         validate_cover(s, data, Cover.from_cells([{0, 1}]))  # misses z2, z3
 
 
+def test_cover_without_cells_raises(tank):
+    g, s = tank
+    with pytest.raises(CoverError, match="no cells"):
+        validate_cover(s, control_data(g, s), Cover(()))
+
+
 def test_cover_canonical_order():
     c = Cover.from_cells([{3}, {0, 2}, {0, 1}])
     assert c.cells == (frozenset({0, 1}), frozenset({0, 2}), frozenset({3}))
@@ -267,6 +273,17 @@ def test_extract_rejects_nonnormal(tank):
     assert err.value.name == "normality"
 
 
+def test_extract_rejects_a_simsup_state_the_loop_never_reaches(tank):
+    """An isolated unmarked state passes the normality check, which looks
+    at transitions and marked states, and is refused once its cell comes
+    out empty."""
+    g, s = tank
+    lone = Automaton("L", s.alphabet, [*s.states, "lone"], s.initial, s.marked, s.trans)
+    with pytest.raises(PreconditionError, match="never reached by the closed loop") as err:
+        extract_cover_from_simsup(build_super(g, s), lone, g, s)
+    assert err.value.name == "normality"
+
+
 def test_extract_roundtrip_on_normal_quotients():
     rng = random.Random(73)
     done = 0
@@ -348,6 +365,12 @@ def test_exact_cap_enforced(tank):
     g, s = tank
     with pytest.raises(SearchCapError):
         reduce_exact_minimum(g, s, cap_states=3)
+
+
+def test_exact_refuses_an_unknown_mode(tank):
+    g, s = tank
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        reduce_exact_minimum(g, s, mode="bogus")
 
 
 def test_exact_not_larger_than_heuristic():
