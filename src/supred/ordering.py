@@ -19,7 +19,7 @@ from .errors import PreconditionError, SearchCapError
 from .reduction import (DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible,
                         super_from_pairs)
 from .supervision import (ControlData, check_control_feasibility, closed_loop_pairs,
-                          control_data, control_data_from_sets, is_normal)
+                          control_data_from_sets, normal_in)
 
 __all__ = [
     "OrderWitness",
@@ -136,18 +136,15 @@ def compare_reductions(
     """Exact minimum cover sizes of two normal, control-equivalent,
     fineness-ordered supervisors.  Under those hypotheses the finer one can
     never need more cells, so ``ordered`` is expected true."""
-    for label, cand in (("s1", s1), ("s2", s2)):
-        if label == "s1":
-            _, counterexample = control_equivalent(g, s, s1)
-        else:
-            # s1 is control equivalent to s, as in finer_than
-            walk = Lockstep(g, s1, s2)
-            counterexample = separating_string(walk)
+    for label, ref, cand in (("s1", s, s1), ("s2", s1, s2)):
+        # s1 is control equivalent to s once checked, as in finer_than
+        walk = Lockstep(g, ref, cand)
+        counterexample = separating_string(walk)
         if counterexample is not None:
             raise PreconditionError(
                 "control-equivalence", f"{label}: separating string {counterexample}"
             )
-        normal, witness = is_normal(g, s, cand)
+        normal, witness = normal_in(walk)
         if not normal:
             raise PreconditionError("normality", f"{label}: {witness}")
         if cand.n > cap_states:
@@ -195,20 +192,19 @@ def compare_full_vs_partial(
         raise PreconditionError(
             "full-isomorphism", "s_full is not DES-isomorphic to its closed loop"
         )
-    loop = (closed_loop_pairs(g, s_partial)
-            if s_partial.is_reachable() and check_control_feasibility(s_partial)[0] else None)
-    if loop is None or not is_des_isomorphic(
-            s_partial, super_from_pairs(g, s_partial, *loop[:2])).verdict:
+    if not (s_partial.is_reachable() and check_control_feasibility(s_partial)[0]
+            and is_des_isomorphic(
+                s_partial, super_from_pairs(g, s_partial, *closed_loop_pairs(g, s_partial)[:2])
+            ).verdict):
         raise PreconditionError(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",
         )
-    equal, counterexample = control_equivalent(g, s_full, s_partial)
-    if not equal:
-        raise PreconditionError(
-            "control-equivalence", f"separating string {counterexample}"
-        )
-    _, report_f = reduce_exact_core(s_full, control_data(g, s_full), "cover", cap_states)
-    _, report_p = reduce_exact_core(s_partial, control_data_from_sets(g, s_partial, loop[2]),
-                                    "cover", cap_states)
+    walk = Lockstep(g, s_full, s_partial)
+    counterexample = separating_string(walk)
+    if counterexample is not None:
+        raise PreconditionError("control-equivalence", f"separating string {counterexample}")
+    _, data_f, data_p = _finer(g, walk)
+    _, report_f = reduce_exact_core(s_full, data_f, "cover", cap_states)
+    _, report_p = reduce_exact_core(s_partial, data_p, "cover", cap_states)
     return report_f.output_size, report_p.output_size, report_f.output_size <= report_p.output_size

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import Automaton, Lockstep, control_equivalent, distinct_names
+from .automata import Automaton, Lockstep, distinct_names, separating_string
 from .errors import CoverError, InfeasibleSupervisorError, PreconditionError, SearchCapError
 from .supervision import (
     ControlData,
@@ -28,8 +28,8 @@ from .supervision import (
     closed_loop_pairs,
     control_data,
     control_data_from_sets,
-    is_normal,
     loop_controllable,
+    normal_in,
     successor_incompatibility,
 )
 
@@ -424,10 +424,11 @@ def extract_cover_from_simsup(
     ok, _ = loop_controllable(g, simsup)
     if not ok:
         raise PreconditionError("feasibility", "simsup disables an uncontrollable event")
-    equal, counterexample = control_equivalent(g, s, simsup)
-    if not equal:
+    walk = Lockstep(g, s, simsup)
+    counterexample = separating_string(walk)
+    if counterexample is not None:
         raise PreconditionError("control-equivalence", f"separating string {counterexample}")
-    normal, witness = is_normal(g, s, simsup)
+    normal, witness = normal_in(walk)
     if not normal:
         raise PreconditionError("normality", str(witness))
 

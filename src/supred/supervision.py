@@ -30,6 +30,7 @@ __all__ = [
     "control_equivalent",
     "is_normal",
     "loop_controllable",
+    "normal_in",
     "successor_incompatibility",
 ]
 
@@ -54,10 +55,6 @@ class ControlData:
     _incompatible: Optional[tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
-    def row(self, state: int) -> tuple[int, int, bool, bool]:
-        return (self.enabled[state], self.disabled[state],
-                self.marked_s[state], self.marked_g[state])
-
     def incompatibility_masks(self) -> tuple[int, ...]:
         """The compatibility relation: per state ``z``, the bitmask of the
         states incompatible with ``z``.  The relation is reflexive and
@@ -71,8 +68,9 @@ class ControlData:
         """
         if self._incompatible is None:
             by_row: dict[tuple, list[int]] = {}
-            for z in range(self.supervisor.n):
-                by_row.setdefault(self.row(z), []).append(z)
+            rows = zip(self.enabled, self.disabled, self.marked_s, self.marked_g)
+            for z, row in enumerate(rows):
+                by_row.setdefault(row, []).append(z)
             groups = list(by_row.values())
             bits = [sum(1 << z for z in group) for group in groups]
             incompatible = [0] * len(groups)
@@ -357,20 +355,26 @@ def loop_controllable(g: Automaton, s: Automaton) -> tuple[bool, Optional[str]]:
 def is_normal(
     g: Automaton, s: Automaton, sp: Automaton
 ) -> tuple[bool, Optional[tuple]]:
+    """:func:`normal_in` on the walk of ``g`` with ``s`` and ``sp``."""
+    return normal_in(Lockstep(g, s, sp).run())
+
+
+def normal_in(walk: Lockstep) -> tuple[bool, Optional[tuple]]:
     """Check that ``sp`` carries no unexercised structure relative to the
     closed loop of ``(g, s)``: every transition of ``sp`` is taken by some
     closed-loop string routed through it, and every marked state of ``sp``
     is reached by some marked closed-loop string.
 
-    The check scans the pairs of ``s`` and ``sp`` states that
-    :class:`~supred.automata.Lockstep` reaches with the plant, each with
+    The check scans the pairs of ``s`` and ``sp`` states that the completed
+    ``walk`` of ``(g, s, sp)`` reached with the plant, each with
     the set of plant states walked with it; no closed loop is built and no
-    string is read.
+    string is read.  Every fact it reads is one of the closed loop, so ``s``
+    may be any supervisor control equivalent to the reference.
     The witness names the first unexercised transition
     ``("transition", state, event)`` or unreached marked state
     ``("marked", state)``.
     """
-    walk = Lockstep(g, s, sp).run()
+    g, s, sp = walk.g, walk.a, walk.b
     # per s state, and per pair for its plant states: events over marking
     # bit; per sp state, what they share
     sm = [s.enabled(z) << 1 | (z in s.marked) for z in range(s.n)]

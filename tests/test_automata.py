@@ -637,3 +637,41 @@ def test_language_equivalent_matches_brute_force():
             assert len(witness) == len(oracle)  # both shortest
             wit = [a.alphabet.index(x) for x in witness]
             assert _language_membership(a, wit) != _language_membership(b, wit)
+
+
+def test_alphabet_refuses_a_duplicate_event_name():
+    with pytest.raises(ValueError, match="duplicate event name 'a'"):
+        Alphabet([Event("a", True, True), Event("b", True, True), Event("a", False, True)])
+
+
+def test_alphabet_and_automaton_hash_and_repr():
+    (m,) = parse_automaton(MINIMAL)
+    same = Alphabet([Event("a", True, True)])
+    assert same == m.alphabet and hash(same) == hash(m.alphabet)
+    assert len({same, m.alphabet, Alphabet([Event("a", False, True)])}) == 2
+    assert repr(m.alphabet) == "Alphabet(['a'])"
+    assert repr(m) == "Automaton('M', 1 states, 0 transitions)"
+
+
+def test_with_alphabet_refuses_other_event_names():
+    (m,) = parse_automaton(MINIMAL)
+    assert m.with_alphabet(Alphabet([Event("a", False, False)])).alphabet.uncontrollable_mask == 1
+    for events in ([Event("b", True, True)], [Event("a", True, True), Event("b", True, True)]):
+        with pytest.raises(ValueError, match="must keep event names and order"):
+            m.with_alphabet(Alphabet(events))
+
+
+def test_parse_refuses_an_automaton_without_states_at_the_end_of_input():
+    """The refusal names the next token's line; with no token left it
+    names none."""
+    with pytest.raises(ParseError) as err:
+        parse_automaton("automaton A events 0 states 0")
+    assert str(err.value) == "automaton must have at least one state"
+    assert err.value.line is None
+
+
+def test_morphism_result_is_false_when_not_isomorphic():
+    (m,) = parse_automaton(MINIMAL)
+    looped = Automaton("L", m.alphabet, ["only"], 0, [], {(0, 0): 0})
+    assert is_des_isomorphic(m, m.renamed("N"))
+    assert not is_des_isomorphic(m, looped)

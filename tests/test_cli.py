@@ -6,6 +6,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from supred.automata import parse_automaton
 from supred.cli import run
 from supred.reduction import EQUIVALENT_DRAW_CAP
@@ -223,6 +225,19 @@ def test_compare_order():
     )
     assert result.exit_code == 1
     assert "[disabled]" in payload["witness"]
+
+
+def test_an_exception_with_no_exit_code_propagates(monkeypatch):
+    """Only the library's refusals map to exit codes; anything else is a
+    bug and is raised, not reported."""
+    import supred.automata
+
+    def broken(text):
+        raise RuntimeError("broken parser")
+
+    monkeypatch.setattr(supred.automata, "parse_automaton", broken)
+    with pytest.raises(RuntimeError, match="broken parser"):
+        invoke("parse", TANK)
 
 
 def test_compare_reads_a_repeated_spec_once(monkeypatch):

@@ -6,7 +6,8 @@ product automata and build strings only for witnesses."""
 import random
 import tracemalloc
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from supred.automata import Alphabet, Automaton, Event, Lockstep, separating_str
 from supred.errors import AlphabetMismatchError
 from supred.ordering import compare_full_vs_partial, compare_reductions, finer_than
 from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
-from supred.supervision import control_equivalent, is_normal
+from supred.supervision import control_equivalent, is_normal, normal_in
 
 from tests import lockstep_oracle
 from tests.generators import (
@@ -28,6 +29,7 @@ from tests.generators import (
     random_plant,
 )
 from tests.product_oracle import sync_product_pairs
+from tests.test_closed_loop_oracle import _candidates
 
 
 def _with_unreachable(rng, a, extra=2):
@@ -313,3 +315,113 @@ def test_full_vs_partial_builds_one_product(product_calls):
         assert product_calls == [(g, s_full)]
         checked += 1
     assert checked >= 10
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """Counts ``Lockstep`` walks (calls of :meth:`Lockstep.levels`, which
+    :meth:`Lockstep.run` makes too) and ``closed_loop_pairs`` calls made
+    through every ``supred`` module that binds it; patching a name a module
+    no longer binds raises."""
+    calls = Counter()
+    levels, pairs = Lockstep.levels, supred.automata.closed_loop_pairs
+
+    def counting_levels(self):
+        calls["Lockstep"] += 1
+        return levels(self)
+
+    def counting_pairs(*args):
+        calls["closed_loop_pairs"] += 1
+        return pairs(*args)
+
+    monkeypatch.setattr(Lockstep, "levels", counting_levels)
+    for module in (supred.automata, supred.supervision, supred.ordering, supred.reduction):
+        monkeypatch.setattr(module, "closed_loop_pairs", counting_pairs)
+    return calls
+
+
+def _small_equivalents():
+    """(g, s, SUPER, a generated equivalent supervisor) where SUPER is
+    small enough for ``compare_reductions`` at cap 6."""
+    for seed in range(20):
+        g, s = loose_instance(random.Random(seed), max_plant=6, max_sup=6, max_events=4)
+        sup = build_super(g, s)
+        if sup.n <= 6:
+            yield g, s, sup, generate_equivalent_supervisor(g, s, seed)
+
+
+def _assert_walks(walk_calls, call, lockstep, pairs):
+    walk_calls.clear()
+    call()
+    assert (walk_calls["Lockstep"], walk_calls["closed_loop_pairs"]) == (lockstep, pairs)
+
+
+def test_each_closed_loop_hypothesis_is_read_off_one_walk(walk_calls):
+    """``compare_reductions`` walks each candidate once, against ``s`` for
+    ``s1`` and against ``s1`` for ``s2``, and reads normality off that
+    walk, whatever the reference; ``extract_cover_from_simsup`` reads
+    normality off its equivalence walk, its second walk gives the cells and
+    its ``closed_loop_pairs`` call is the loop controllability check's."""
+    checked = 0
+    for g, s, sup, equiv in _small_equivalents():
+        _assert_walks(walk_calls, lambda: compare_reductions(g, s, sup, equiv, cap_states=6), 2, 0)
+        _assert_walks(walk_calls, lambda: compare_reductions(g, sup, sup, equiv, cap_states=6),
+                      2, 0)
+        _assert_walks(walk_calls, lambda: extract_cover_from_simsup(sup, equiv, g, s), 2, 1)
+        checked += 1
+    assert checked >= 10
+
+
+def test_normality_and_fineness_walk_once_per_candidate_checked(walk_calls):
+    """``is_normal`` walks once; ``finer_than`` walks once, and once more
+    to check ``s1`` against a third reference."""
+    for g, s, sup, equiv in _small_equivalents():
+        _assert_walks(walk_calls, lambda: is_normal(g, s, equiv), 1, 0)
+        _assert_walks(walk_calls, lambda: finer_than(g, sup, sup, equiv), 1, 0)
+        _assert_walks(walk_calls, lambda: finer_than(g, s, sup, equiv), 2, 0)
+
+
+def test_full_vs_partial_reads_both_control_data_off_its_equivalence_walk(walk_calls):
+    """One ``Lockstep`` walk for the equivalence check, which also gives
+    both sides' control data; ``closed_loop_pairs`` runs once for the
+    product of ``s_full`` and once for the observer of ``s_partial``."""
+    checked = 0
+    for seed in range(20):
+        g, s = loose_instance(random.Random(seed), max_plant=6, max_sup=6, max_events=4,
+                              require_unobservable=True)
+        s_full = sync_product(g, s, name="SF")
+        s_partial = build_super(g, s)
+        if max(s_full.n, s_partial.n) <= 8:
+            _assert_walks(walk_calls, lambda: compare_full_vs_partial(g, s_full, s_partial), 1, 2)
+            checked += 1
+    assert checked >= 10
+
+
+def test_normality_reads_off_a_walk_with_any_equivalent_reference():
+    """``normal_in`` on the walk of ``s1`` and ``sp`` gives the verdict and
+    witness of ``is_normal(g, s, sp)`` whenever ``s1`` is control
+    equivalent to ``s``: every fact it reads is one of the closed loop."""
+    verdicts = Counter()
+    for seed in range(25):
+        g, s, cands = _candidates(seed)
+        for s1, sp in product(cands[:-1], repeat=2):  # the last is mismatched
+            if control_equivalent(g, s, s1)[0]:
+                got = normal_in(Lockstep(g, s1, sp).run())
+                assert got == is_normal(g, s, sp)
+                verdicts[got[0]] += 1
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts
+
+
+def test_a_walk_that_separates_nothing_is_complete():
+    """When ``separating_string`` returns None it has driven the walk to
+    its end, so ``normal_in`` and ``_finer`` may read the walk: its arrays
+    are those of a fresh :meth:`Lockstep.run`."""
+    fields = ("xs", "pairs", "parent", "event", "starts", "pair_a", "pair_b", "reached")
+    complete = 0
+    for g, a, b in _triples():
+        walk = Lockstep(g, a, b)
+        if separating_string(walk) is None:
+            fresh = Lockstep(g, a, b).run()
+            assert [getattr(walk, f) for f in fields] == [getattr(fresh, f) for f in fields]
+            complete += 1
+    assert complete >= 300, complete

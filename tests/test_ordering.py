@@ -53,6 +53,14 @@ def test_ordering_example_reverse_fails_at_empty_string(ordering_example):
     assert data1.marked_s[s2.initial] and not data2.marked_s[s1.initial]
 
 
+def test_order_witness_is_false_when_not_finer(ordering_example):
+    """An ``OrderWitness`` reads as its verdict, so a failed comparison is
+    falsy and not merely a non-empty result."""
+    g, s1, s2 = ordering_example
+    assert finer_than(g, s1, s1, s2)
+    assert not finer_than(g, s1, s2, s1)
+
+
 def test_finer_refuses_inequivalent_candidates(tank, ordering_example):
     g, s = tank
     g2, s1, _ = ordering_example

@@ -19,6 +19,7 @@ from supred.errors import (AlphabetMismatchError, CoverError, InfeasibleSupervis
 from supred.ordering import compare_full_vs_partial, finer_than
 from supred.reduction import (
     Cover,
+    _ExactSearch,
     build_super,
     characterize_super_state,
     extract_cover_from_simsup,
@@ -707,3 +708,38 @@ def test_only_plants_build_transition_rows(monkeypatch):
         assert all(a is g for a in [s, *outputs, *built] if "out_rows" in vars(a))
         assert all(any(a is b for b in built) for a in outputs)
         assert not [a for a in [g, s, *outputs, *built] if "trans" in vars(a)]
+
+
+def test_cell_of_names_the_first_cell_holding_a_state():
+    cover = Cover.from_cells([{1, 2}, {0, 1}])
+    assert (cover.cell_of(0), cover.cell_of(1), cover.cell_of(2)) == (0, 0, 1)
+    with pytest.raises(ValueError, match="state 3 not covered"):
+        cover.cell_of(3)
+
+
+def test_extract_cover_refuses_a_simsup_moving_on_an_unobservable_event(tank):
+    """Tank's ``S`` with its unobservable ``z1 qo0`` selfloop retargeted to
+    ``z2`` is refused by the structural feasibility check, which names the
+    moving transition, before any closed loop is read."""
+    g, s = tank
+    z1, z2 = s.states.index("z1"), s.states.index("z2")
+    moved = Automaton("M", s.alphabet, s.states, s.initial, sorted(s.marked),
+                      {**s.trans, (z1, s.alphabet.index("qo0")): z2})
+    with pytest.raises(PreconditionError) as err:
+        extract_cover_from_simsup(build_super(g, s), moved, g, s)
+    assert err.value.name == "feasibility"
+    assert "simsup: ('z1', 'qo0', 'z2')" in str(err.value)
+
+
+def test_cover_search_above_the_minimum_returns_a_valid_cover():
+    """Asked for 6 cells on a 6-state supervisor whose minimum cover has 5,
+    the cover search meets nodes that cover every state with nothing
+    pending, which it refuses (a smaller cover exists), and still returns
+    a valid cover of 6 cells."""
+    g, s = loose_instance(random.Random(1), max_plant=8, max_sup=10, max_events=5)
+    data = control_data(g, s)
+    assert s.n == 6
+    assert reduce_exact_minimum(g, s, mode="cover")[1].output_size == 5
+    cells = _ExactSearch(s, data).find_cover(6)
+    assert len(cells) == 6
+    assert validate_cover(s, data, Cover.from_cells(cells)) == (True, None)
