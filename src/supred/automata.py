@@ -154,24 +154,18 @@ class Automaton:
     ):
         states = tuple(states)
         marked = frozenset(marked)
-        trans = dict(trans)
         n = len(states)
         if n == 0:
             raise ValueError("automaton needs at least one state")
-        # bulk checks; the per-item loops run only to name the first fault
-        index = dict(zip(states, range(n)))
-        tokens = [name, *states]
-        joined = " ".join(tokens)
-        if len(index) != n or "#" in joined or joined.split() != tokens:
-            if _bad_token(name):
-                raise ValueError(f"bad automaton name {name!r}")
-            seen: set[str] = set()
-            for s in states:
-                if _bad_token(s):
-                    raise ValueError(f"bad state name {s!r}")
-                if s in seen:
-                    raise ValueError(f"duplicate state name {s!r}")
-                seen.add(s)
+        if _bad_token(name):
+            raise ValueError(f"bad automaton name {name!r}")
+        index: dict[str, int] = {}
+        for i, s in enumerate(states):
+            if _bad_token(s):
+                raise ValueError(f"bad state name {s!r}")
+            if s in index:
+                raise ValueError(f"duplicate state name {s!r}")
+            index[s] = i
         if not (0 <= initial < n):
             raise ValueError("initial state out of range")
         if marked and not (0 <= min(marked) and max(marked) < n):
@@ -191,13 +185,12 @@ class Automaton:
 
     @classmethod
     def from_table(cls, name: str, alphabet: Alphabet, states: Iterable[str], initial: int,
-                   marked: Iterable[int], succ: list[int],
-                   enabled: Optional[Iterable[int]] = None) -> "Automaton":
+                   marked: Iterable[int], succ: list[int], enabled: Iterable[int]) -> "Automaton":
         """An automaton over the dense table ``succ``, which it keeps.  The
         caller vouches for what the constructor would check: distinct
-        well-formed names, states and targets in range, and, when given,
-        ``enabled`` as the per-state masks of the events ``succ`` defines.
-        The name index is built on first use."""
+        well-formed names, states and targets in range, and ``enabled`` as
+        the per-state masks of the events ``succ`` defines.  The name index
+        is built on first use."""
         a = cls.__new__(cls)
         a._set_up(name, alphabet, states, initial, marked, succ, enabled)
         return a
@@ -209,10 +202,6 @@ class Automaton:
         self.initial = initial
         self.marked: frozenset[int] = frozenset(marked)
         self.succ: list[int] = succ
-        if enabled is None:
-            m = len(alphabet)
-            enabled = [sum(1 << e for e, t in enumerate(succ[q * m:(q + 1) * m]) if t >= 0)
-                       for q in range(len(self.states))]
         self._enabled: tuple[int, ...] = tuple(enabled)
         self._enabled_in: dict[int, int] = {}
 
@@ -561,16 +550,13 @@ def _reachable_set(a: Automaton) -> list[int]:
     """States reachable from the initial state, in BFS discovery order
     (events taken in alphabet order)."""
     m, succ = len(a.alphabet), a.succ
-    order = [a.initial]
+    order = [a.initial]  # it doubles as the queue
     seen = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        q = queue.popleft()
+    for q in order:
         for t in succ[q * m:(q + 1) * m]:
             if t >= 0 and t not in seen:
                 seen.add(t)
                 order.append(t)
-                queue.append(t)
     return order
 
 
@@ -657,9 +643,8 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
     _require_reachable(b, "is_des_epimorphic")
     m, a_succ, b_succ = len(a.alphabet), a.succ, b.succ
     theta: dict[int, int] = {a.initial: b.initial}
-    queue = deque([a.initial])
-    while queue:
-        x = queue.popleft()
+    order = [a.initial]  # it doubles as the queue
+    for x in order:
         base = theta[x] * m
         for e, x2 in enumerate(a_succ[x * m:(x + 1) * m]):
             if x2 < 0:
@@ -672,7 +657,7 @@ def is_des_epimorphic(a: Automaton, b: Automaton) -> MorphismResult:
                     return MorphismResult(False)
             else:
                 theta[x2] = y2
-                queue.append(x2)
+                order.append(x2)
     if set(theta.values()) != set(range(b.n)):
         return MorphismResult(False)
     if {theta[x] for x in a.marked} != set(b.marked):

@@ -7,7 +7,8 @@ file.  Exit codes: 0 success (and any verdict true), 1 well-formed run with
 a false verdict, 2 usage or parse error (an unreadable input or an
 unwritable ``-o`` file included), 3 precondition violation
 (alphabet mismatch, infeasible supervisor, nondeterminism), 4 search cap
-exceeded.
+exceeded (the exact search's ``--cap`` or recursion limit, or the
+equivalent-supervisor draw's cap).
 """
 
 from __future__ import annotations

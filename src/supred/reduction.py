@@ -14,6 +14,7 @@ search.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -121,22 +122,22 @@ def validate_cover(
     covers (empty cell, out-of-range state, non-covering union) raise
     :class:`CoverError` instead.
     """
-    violation, _ = _cover_targets(s, data, c)
+    violation, _, _ = _cover_targets(s, data, c)
     return violation is None, violation
 
 
 def _cover_targets(
     s: Automaton, data: ControlData, c: Cover
-) -> tuple[Optional[tuple], list[int]]:
+) -> tuple[Optional[tuple], list[int], list[int]]:
     """:func:`validate_cover`'s checks in one pass that also picks the
     target cell of every (cell, event) pair: the cell itself for an
     unobservable event whose targets it holds, so that selfloops stay
     selfloops and the quotient keeps observation feasibility, and the
     lowest valid cell otherwise.  Returns the first violation, pairs
-    before events, or None and the quotient's dense successor table, one
-    row per cell.  A cell that contains a target set holds each of its
-    members, so the cells holding its lowest member are the only
-    candidates."""
+    before events, or None, the quotient's dense successor table, one row
+    per cell, and its enabled masks.  A cell that contains a target set
+    holds each of its members, so the cells holding its lowest member are
+    the only candidates."""
     n = s.n
     if not c.cells:
         raise CoverError("cover has no cells")
@@ -161,7 +162,7 @@ def _cover_targets(
             clash = (masks[z1] & cell_mask) >> (z1 + 1)
             if clash:
                 z2 = z1 + (clash & -clash).bit_length()
-                return ("pair", i, (s.states[z1], s.states[z2])), []
+                return ("pair", i, (s.states[z1], s.states[z2])), [], []
     cells_of: list[list[int]] = [[] for _ in range(n)]
     for j, cell in enumerate(c.cells):
         for z in cell:
@@ -169,10 +170,12 @@ def _cover_targets(
     m, succ = len(s.alphabet), s.succ
     unobs = s.alphabet.unobservable_mask
     table = [-1] * (len(c.cells) * m)
+    enabled = [0] * len(c.cells)
     for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
         base = i * m
         if len(cell) == 1:  # every cell holding a lone target is valid
             (z,) = cell
+            enabled[i] = s.enabled(z)
             for e, t in enumerate(succ[z * m:(z + 1) * m]):
                 if t >= 0:
                     table[base + e] = i if t == z and unobs >> e & 1 else cells_of[t][0]
@@ -185,6 +188,7 @@ def _cover_targets(
         for e, tb in enumerate(targets):
             if not tb:
                 continue
+            enabled[i] |= 1 << e
             if unobs >> e & 1 and not tb & ~cell_mask:
                 table[base + e] = i
                 continue
@@ -193,8 +197,8 @@ def _cover_targets(
                     table[base + e] = j
                     break
             else:
-                return ("event", i, s.alphabet.name(e)), []
-    return None, table
+                return ("event", i, s.alphabet.name(e)), [], []
+    return None, table, enabled
 
 
 def induce_quotient(
@@ -212,7 +216,7 @@ def induce_quotient(
     (cell, event) pair the lowest canonical index wins, except that an
     unobservable selfloop stays a selfloop.
     """
-    violation, table = _cover_targets(s, data, c)
+    violation, table, enabled = _cover_targets(s, data, c)
     if violation is not None:
         raise CoverError(f"invalid control cover: {violation}")
     cells, states, marked_s = c.cells, s.states, data.marked_s
@@ -223,7 +227,7 @@ def induce_quotient(
     marked = [i for i, (z, cell) in enumerate(zip(map(min, cells), cells))
               if marked_s[z] or len(cell) > 1 and any(marked_s[q] for q in cell)]
     return Automaton.from_table(name or f"{s.name}-quotient", s.alphabet, distinct_names(names),
-                                initial, marked, table)
+                                initial, marked, table, enabled)
 
 
 def require_feasible(
@@ -967,9 +971,12 @@ def reduce_exact_core(
     search = _ExactSearch(s, data)
     lower = max(1, len(search.clique))
     for k in range(lower, s.n + 1):
-        cells = search.find_partition(k)
-        if cells is None and mode == "cover":
-            cells = search.find_cover(k)
+        try:  # the searches recurse up to once per state
+            cells = search.find_partition(k)
+            if cells is None and mode == "cover":
+                cells = search.find_cover(k)
+        except RecursionError:
+            raise SearchCapError(s.n, sys.getrecursionlimit(), "exact search recursion") from None
         if cells is not None:
             cover = Cover.from_cells(cells)
             quotient = induce_quotient(s, data, cover, name=f"{s.name}-min")

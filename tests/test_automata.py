@@ -240,13 +240,14 @@ def test_caller_dict_edits_change_nothing():
 
 
 def test_table_constructor_keeps_the_table(tank):
-    """``from_table`` keeps the caller's table and computes the enabled
-    masks and the name index when they are not given; ``renamed`` and
-    ``with_alphabet`` share the table; ``trans`` is built on first read."""
+    """``from_table`` keeps the caller's table and builds the name index;
+    ``renamed`` and ``with_alphabet`` share the table; ``trans`` is built
+    on first read."""
     _, s = tank
     m = len(s.alphabet)
     table = list(s.succ)
-    a = Automaton.from_table("T", s.alphabet, s.states, s.initial, s.marked, table)
+    a = Automaton.from_table("T", s.alphabet, s.states, s.initial, s.marked, table,
+                             [s.enabled(q) for q in range(s.n)])
     assert a.succ is table and "trans" not in vars(a)
     assert [a.enabled(q) for q in range(a.n)] == [s.enabled(q) for q in range(s.n)]
     assert [a.state_index(name) for name in s.states] == list(range(s.n))

@@ -3,17 +3,20 @@
 import io
 import json
 import os
+import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from supred.automata import parse_automaton
+from supred.automata import parse_automaton, serialize_automaton
 from supred.cli import run
 from supred.reduction import EQUIVALENT_DRAW_CAP
 from supred.supervision import control_equivalent
 
 from tests.conftest import FIXTURES
+from tests.generators import scale_pair
 
 TANK = str(FIXTURES / "tank.aut")
 ORDERING = str(FIXTURES / "ordering.aut")
@@ -131,6 +134,26 @@ def test_compare_reductions_cap_exit_code():
                             "-s1", f"{ORDERING}:S1", "-s2", f"{ORDERING}:S2", "--cap", "1")
     assert result.exit_code == 4
     assert err == "error: s1: exact search cap exceeded: 4 states > cap 1\n"
+
+
+def test_exact_search_past_the_recursion_limit_exits_4(tmp_path):
+    """A 1,200-state supervisor under ``--cap 5000`` outgrows the exact
+    searches' recursion: both modes and ``compare reductions`` exit 4 with
+    the recursion limit as the cap instead of letting a ``RecursionError``
+    escape ``run``."""
+    g, s = scale_pair(random.Random(0), core_states=8, factor=150)
+    gp, sp = tmp_path / "g.aut", tmp_path / "s.aut"
+    gp.write_text(serialize_automaton(g))
+    sp.write_text(serialize_automaton(s))
+    for argv in (["reduce", "--exact", "--mode", "partition", "-g", str(gp), "-s", str(sp)],
+                 ["reduce", "--exact", "--mode", "cover", "-g", str(gp), "-s", str(sp)],
+                 ["compare", "reductions", "-g", str(gp), "-s1", str(sp), "-s2", str(sp)]):
+        start = time.perf_counter()
+        result, out, err = invoke(*argv, "--cap", "5000")
+        assert time.perf_counter() - start < 10
+        assert (result.exit_code, out) == (4, "")
+        assert err == ("error: exact search recursion cap exceeded: "
+                       f"1200 states > cap {sys.getrecursionlimit()}\n")
 
 
 def test_reduce_seeded_sample(tmp_path):

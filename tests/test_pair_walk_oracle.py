@@ -161,7 +161,8 @@ def _comma_names(a):
     commas, so that product pair names clash wherever the index sums
     agree: pairs ``(0, 1)`` and ``(1, 0)`` are both named ``(q,q,q)``."""
     names = [",".join(["q"] * (i + 1)) for i in range(a.n)]
-    return Automaton.from_table(a.name, a.alphabet, names, a.initial, a.marked, a.succ)
+    return Automaton.from_table(a.name, a.alphabet, names, a.initial, a.marked, a.succ,
+                                [a.enabled(q) for q in range(a.n)])
 
 
 def test_product_matches_the_pair_product():

@@ -2,6 +2,7 @@
 heuristic and exact reduction, state characterization."""
 
 import random
+import sys
 
 import pytest
 
@@ -46,6 +47,35 @@ from tests.product_oracle import subset_construction_with_members, sync_product_
 
 # ---------------------------------------------------------------------------
 # covers and quotients
+
+
+def test_quotients_carry_the_masks_of_their_table():
+    """Every quotient that the heuristic, both exact modes and the
+    equivalent-supervisor draw return, on the bench families and 120 loose
+    instances, has the enabled masks of its own table.  The exact search
+    refuses the bench families' supervisors at its default cap, as the
+    draw refuses SUPERs above its cap."""
+    pairs = ([scale_pair(random.Random(i), core_states=8, factor=25) for i in range(3)]
+             + [partial_observation_pair(i) for i in range(13)]
+             + [loose_instance(random.Random(i), max_plant=8, max_sup=10, max_events=5)
+                for i in range(120)])
+    reducers = [lambda g, s, _: reduce_heuristic(g, s)[0],
+                lambda g, s, _: reduce_exact_minimum(g, s, mode="partition")[0],
+                lambda g, s, _: reduce_exact_minimum(g, s, mode="cover")[0],
+                generate_equivalent_supervisor]
+    built = 0
+    for seed, (g, s) in enumerate(pairs):
+        for reduce in reducers:
+            try:
+                q = reduce(g, s, seed)
+            except SearchCapError:
+                continue
+            m = len(q.alphabet)
+            assert [q.enabled(z) for z in range(q.n)] == [
+                sum(1 << e for e, t in enumerate(q.succ[z * m:(z + 1) * m]) if t >= 0)
+                for z in range(q.n)]
+            built += 1
+    assert built > 4 * 120
 
 
 def test_tank_cover_is_valid(tank):
@@ -366,6 +396,22 @@ def test_exact_cap_enforced(tank):
     g, s = tank
     with pytest.raises(SearchCapError):
         reduce_exact_minimum(g, s, cap_states=3)
+
+
+def test_exact_refuses_a_search_deeper_than_the_recursion_limit():
+    """Both searches recurse once per state: a 1,200-state supervisor under
+    a cap of 5,000 outgrows the interpreter's recursion limit and is
+    refused with :class:`SearchCapError` instead of a ``RecursionError``;
+    an 800-state one still reduces."""
+    g, s = scale_pair(random.Random(0), core_states=8, factor=150)
+    for mode in ("partition", "cover"):
+        with pytest.raises(SearchCapError) as err:
+            reduce_exact_minimum(g, s, mode=mode, cap_states=5000)
+        assert str(err.value) == ("exact search recursion cap exceeded: "
+                                  f"1200 states > cap {sys.getrecursionlimit()}")
+    g, s = scale_pair(random.Random(0), core_states=8, factor=100)
+    for mode in ("partition", "cover"):
+        assert reduce_exact_minimum(g, s, mode=mode, cap_states=5000)[1].output_size == 8
 
 
 def test_exact_refuses_an_unknown_mode(tank):
