@@ -86,14 +86,14 @@ def _refuse_inequivalent(label: str, counterexample: list[str]) -> NoReturn:
 
 
 def _finer(g: Automaton, walk: Lockstep) -> tuple[OrderWitness, ControlData, ControlData]:
-    """The fineness verdict of :func:`finer_than` on the completed walk of
-    plant and two control-equivalent candidates, and both candidates'
-    control data.  The projections of the walked triples are then exactly
-    the reachable pairs of each candidate's closed loop, so the data come
-    from the plant sets the walk keeps per pair of candidate states.  The
-    clauses depend on that pair alone and are checked once per pair; the
-    witness is the first node of a failing pair, in node order, so it has
-    the least string."""
+    """The fineness verdict of :func:`finer_than` on the walk of plant and
+    two control-equivalent candidates, and both candidates' control data.
+    The projections of the walked triples are then exactly the reachable
+    pairs of each candidate's closed loop, so the data come from the plant
+    sets the walk keeps per pair of candidate states.  The clauses depend
+    on that pair alone and are checked once per pair; the witness is the
+    first node of a failing pair, in node order, so it has the least
+    string."""
     s1, s2 = walk.a, walk.b
     sets1, sets2 = [0] * s1.n, [0] * s2.n
     for z1, z2, states in zip(walk.pair_a, walk.pair_b, walk.reached):
@@ -121,9 +121,11 @@ def verify_super_is_finest(g: Automaton, s: Automaton, s_prime: Automaton) -> Or
     """Check the finest-supervisor law on one candidate: the subset
     construction supervisor must be finer than every control-equivalent
     supervisor.  A false verdict here signals an implementation bug, so the
-    witness is returned for inspection rather than swallowed."""
+    witness is returned for inspection rather than swallowed.  SUPER is
+    control equivalent to ``s`` by construction, so it serves as the
+    reference and the check is one walk."""
     sup = build_super(g, s)
-    return finer_than(g, s, sup, s_prime)
+    return finer_than(g, sup, sup, s_prime)
 
 
 def compare_reductions(

@@ -400,7 +400,7 @@ def characterize_super_state(
     require_feasible(g, s)
     if not (0 <= z < super_.n):
         raise ValueError(f"unknown super-state index {z}")
-    walk = Lockstep(g, s, super_).run()
+    walk = Lockstep(g, s, super_)
     enabled = disabled = 0
     for zs, y, states in zip(walk.pair_a, walk.pair_b, walk.reached):
         if y == z:
@@ -436,7 +436,7 @@ def extract_cover_from_simsup(
     if not normal:
         raise PreconditionError("normality", str(witness))
 
-    walk = Lockstep(g, super_, simsup).run()
+    walk = Lockstep(g, super_, simsup)
     cell_of_simsup: list[set[int]] = [set() for _ in range(simsup.n)]
     for zs, y, states in zip(walk.pair_a, walk.pair_b, walk.reached):
         if g.enabled_in(states) & simsup.enabled(y) & ~super_.enabled(zs):

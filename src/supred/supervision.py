@@ -356,7 +356,7 @@ def is_normal(
     g: Automaton, s: Automaton, sp: Automaton
 ) -> tuple[bool, Optional[tuple]]:
     """:func:`normal_in` on the walk of ``g`` with ``s`` and ``sp``."""
-    return normal_in(Lockstep(g, s, sp).run())
+    return normal_in(Lockstep(g, s, sp))
 
 
 def normal_in(walk: Lockstep) -> tuple[bool, Optional[tuple]]:
@@ -365,11 +365,11 @@ def normal_in(walk: Lockstep) -> tuple[bool, Optional[tuple]]:
     closed-loop string routed through it, and every marked state of ``sp``
     is reached by some marked closed-loop string.
 
-    The check scans the pairs of ``s`` and ``sp`` states that the completed
-    ``walk`` of ``(g, s, sp)`` reached with the plant, each with
-    the set of plant states walked with it; no closed loop is built and no
-    string is read.  Every fact it reads is one of the closed loop, so ``s``
-    may be any supervisor control equivalent to the reference.
+    The check scans the pairs of ``s`` and ``sp`` states that the ``walk``
+    of ``(g, s, sp)`` reached with the plant, each with the set of plant
+    states walked with it; no closed loop is built and no string is read.
+    Every fact it reads is one of the closed loop, so ``s`` may be any
+    supervisor control equivalent to the reference.
     The witness names the first unexercised transition
     ``("transition", state, event)`` or unreached marked state
     ``("marked", state)``.

@@ -22,7 +22,7 @@ from supred.automata import (
     sync_product,
     trim_reachable,
 )
-from supred.errors import AlphabetMismatchError, ParseError
+from supred.errors import AlphabetMismatchError, ParseError, PreconditionError
 
 from tests.generators import random_alphabet, random_automaton
 from tests.parse_oracle import DictAutomaton, differences
@@ -578,6 +578,23 @@ def test_epimorphism_agrees_with_exhaustive_oracle():
 def test_isomorphism_rejects_different_sizes(tank):
     g, s = tank
     assert not is_des_isomorphic(g, s).verdict
+
+
+def test_isomorphism_checks_its_operands_before_their_sizes():
+    """Mismatched alphabets and unreachable states are refused whether the
+    sizes differ or agree; operands that pass differ by size alone."""
+    one, flipped = Alphabet([Event("a", True, True)]), Alphabet([Event("a", False, True)])
+    small = Automaton("A", one, ["p"], 0, [0], {(0, 0): 0})
+    pair = Automaton("B", one, ["p", "q"], 0, [1], {(0, 0): 1, (1, 0): 0})
+    dead = Automaton("D", one, ["p", "r"], 0, [], {(0, 0): 0})
+    for a, b in ((small, pair.with_alphabet(flipped)), (small, small.with_alphabet(flipped))):
+        with pytest.raises(AlphabetMismatchError):
+            is_des_isomorphic(a, b)
+    for a, b in ((small, dead), (dead, small), (pair, dead), (dead, dead)):
+        with pytest.raises(PreconditionError) as raised:
+            is_des_isomorphic(a, b)
+        assert raised.value.name == "reachable"
+    assert not is_des_isomorphic(small, pair).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,22 @@ def test_iso_refuses_unreachable_states(tmp_path):
     assert result.exit_code == 3 and "reachable" in err
 
 
+def test_iso_checks_its_operands_before_their_sizes(tmp_path):
+    """An unreachable operand or mismatched alphabets exit 3 also when the
+    sizes differ, where the verdict ``false`` came out before."""
+    events = "events 6\nqo0 c n\nqo1 c n\nhL u o\nhM u o\nhH u o\nhEH u o\n"
+    dead = tmp_path / "dead.aut"
+    dead.write_text(f"automaton D\n{events}states 2\nq r\ninitial q\n"
+                    "marked 0\ntrans 1\nq hL q\nend\n", encoding="utf-8")
+    one = tmp_path / "one.aut"
+    one.write_text("automaton O\nevents 1\na c o\nstates 1\nq\ninitial q\n"
+                   "marked 0\ntrans 1\nq a q\nend\n", encoding="utf-8")
+    result, _, err = invoke("iso", str(dead), f"{TANK}:S")
+    assert result.exit_code == 3 and "precondition 'reachable' violated" in err
+    result, _, err = invoke("iso", f"{TANK}:S", str(one))
+    assert result.exit_code == 3 and "have different alphabets" in err
+
+
 def test_verify_cover_refuses_an_empty_cell():
     result, _, err = invoke("verify", "cover", "-g", f"{TANK}:G", "-s", f"{TANK}:S",
                             "--cells", "z0;;z1")

@@ -1,13 +1,14 @@
 """The lockstep walk of a plant with two automata, against the product
-automata and the path-tuple walk it replaced (``tests/lockstep_oracle.py``),
-and the guards that the closed-loop checks read it instead of building
-product automata and build strings only for witnesses."""
+automata, the path-tuple walk it replaced (``tests/lockstep_oracle.py``)
+and the level-by-level walk with its early-stopping witness search
+(``tests/level_walk_oracle.py``), and the guards that the closed-loop
+checks read it instead of building product automata and build strings
+only for witnesses."""
 
 import random
 import tracemalloc
-from bisect import bisect_right
 from collections import Counter, deque
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,12 @@ from hypothesis import strategies as st
 import supred
 from supred.automata import Alphabet, Automaton, Event, Lockstep, separating_string, sync_product
 from supred.errors import AlphabetMismatchError
-from supred.ordering import compare_full_vs_partial, compare_reductions, finer_than
+from supred.ordering import (compare_full_vs_partial, compare_reductions, finer_than,
+                             verify_super_is_finest)
 from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
 from supred.supervision import control_equivalent, is_normal, normal_in
 
-from tests import lockstep_oracle
+from tests import closed_loop_oracle, level_walk_oracle, lockstep_oracle
 from tests.generators import (
     loose_instance,
     random_alphabet,
@@ -29,7 +31,7 @@ from tests.generators import (
     random_plant,
 )
 from tests.product_oracle import sync_product_pairs
-from tests.test_closed_loop_oracle import _candidates
+from tests.test_closed_loop_oracle import _candidates, _outcome
 
 
 def _with_unreachable(rng, a, extra=2):
@@ -84,28 +86,30 @@ def _product_walk(g, a, b):
 
 
 def _walked(walk):
-    """``(node, x, qa, qb, level)`` per triple, read off each level as
-    :meth:`Lockstep.levels` hands it over, before it is expanded."""
-    return [(node, walk.xs[node], walk.qas[node], walk.qbs[node], level)
-            for level, (lo, hi) in enumerate(walk.levels()) for node in range(lo, hi)]
+    """``(node, x, qa, qb, depth)`` per triple, in node order, the depth
+    counted along the parent pointers."""
+    depth = [0] * len(walk.xs)
+    for node in range(1, len(walk.xs)):
+        assert walk.parent[node] < node
+        depth[node] = depth[walk.parent[node]] + 1
+    return [(node, x, walk.pair_a[p], walk.pair_b[p], depth[node])
+            for node, (x, p) in enumerate(zip(walk.xs, walk.pairs))]
 
 
 def test_lockstep_visits_the_product_in_bfs_order():
     count = 0
     for g, a, b in _triples():
-        nodes, _ = _product_walk(g, a, b)
+        nodes, depth = _product_walk(g, a, b)
         walked = _walked(Lockstep(g, a, b))
-        assert [node for node, _, _, _, _ in walked] == list(range(len(nodes)))
         assert [(x, qa, qb) for _, x, qa, qb, _ in walked] == nodes
-        walk = Lockstep(g, a, b).run()
-        assert list(zip(walk.xs, walk.qas, walk.qbs)) == nodes
+        assert [level for _, _, _, _, level in walked] == depth
         count += 1
     assert count > 500
 
 
 def test_lockstep_strings_replay_at_bfs_depth():
-    """The level a node is handed over in, the level its start places it
-    in, its product depth and the length of its string agree."""
+    """A node's depth along its parents, its product depth and the length
+    of its string agree, and the string leads to its triple."""
     for g, a, b in _triples():
         _, depth = _product_walk(g, a, b)
         walk = Lockstep(g, a, b)
@@ -113,7 +117,6 @@ def test_lockstep_strings_replay_at_bfs_depth():
             string = walk.string(node)
             assert (g.run(string), a.run(string), b.run(string)) == (x, qa, qb)
             assert len(string) == level == depth[node]
-            assert bisect_right(walk.starts, node) - 1 == level
 
 
 def test_lockstep_strings_are_shortlex_least():
@@ -134,58 +137,53 @@ def test_lockstep_strings_are_shortlex_least():
                 if None not in node:
                     first.setdefault(node, w)
             level = [w + (e,) for w in level for e in range(len(alphabet))]
-        walk = Lockstep(g, a, b).run()
-        walked = {triple: walk.string(node)
-                  for node, triple in enumerate(zip(walk.xs, walk.qas, walk.qbs))}
+        walk = Lockstep(g, a, b)
+        walked = {(x, qa, qb): walk.string(node) for node, x, qa, qb, _ in _walked(walk)}
         for node, w in walked.items():
             if len(w) < 7:
                 assert first[node] == w
 
 
 def test_lockstep_matches_the_path_tuple_oracle():
-    """Same triples in the same order, same BFS depths, same strings; a
-    second walk of one ``Lockstep`` starts afresh."""
+    """Same triples in the same order, same BFS depths, same strings."""
     for g, a, b in _triples():
         expected = [(x, qa, qb, len(path), path)
                     for x, qa, qb, path in lockstep_oracle.lockstep(g, a, b)]
         walk = Lockstep(g, a, b)
-        for _ in range(2):
-            got = [(x, qa, qb, level, walk.string(node))
-                   for node, x, qa, qb, level in _walked(walk)]
-            assert got == expected
+        got = [(x, qa, qb, level, walk.string(node)) for node, x, qa, qb, level in _walked(walk)]
+        assert got == expected
+
+
+_FIELDS = ("xs", "pairs", "parent", "event", "pair_a", "pair_b", "reached")
+
+
+def _fields(walk):
+    return [getattr(walk, f) for f in _FIELDS]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 20))
 def test_lockstep_keeps_the_triples_it_yielded(seed, stop):
-    """After a full walk the arrays hold the handed-over triples in node
-    order.  A walk cut short on receiving level ``stop`` holds the levels
-    up to it, unexpanded, and their starts; a fresh walk then leaves the
-    full arrays."""
+    """The walk holds every triple the level-by-level walk hands over, in
+    its order: the arrays equal those of that walk run to the end, its
+    level starts are where the depth along the parents grows, and the
+    level walk cut short on receiving level ``stop`` holds a prefix of
+    them."""
     rng = random.Random(seed)
     alphabet = random_alphabet(rng, max_events=4)
     g = _with_unreachable(rng, random_plant(rng, alphabet, max_states=6))
     a = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
     b = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
-    walk = Lockstep(g, a, b)
+    walk, oracle = Lockstep(g, a, b), level_walk_oracle.Lockstep(g, a, b)
+    assert _fields(walk) == _fields(oracle.run())
     walked = _walked(walk)
-    arrays = (walk.xs[:], walk.qas[:], walk.qbs[:], walk.parent[:], walk.event[:])
-    starts = walk.starts[:]
-    assert [(node, x, qa, qb) for node, x, qa, qb, _ in walked] == list(
-        zip(range(len(walk.xs)), walk.xs, walk.qas, walk.qbs))
-    assert starts == [node for node, _, _, _, level in walked
-                      if node == 0 or walked[node - 1][4] != level]
-    for level, (lo, hi) in enumerate(walk.levels()):
-        assert (lo, hi) == (starts[level], (starts + [len(walked)])[level + 1])
+    assert oracle.starts == [node for node, _, _, _, level in walked
+                             if node == 0 or walked[node - 1][4] != level]
+    for level, _ in enumerate(oracle.levels()):
         if level == stop:
             break
-    held = (starts + [len(walked)])[min(stop + 1, len(starts))]
-    assert walk.starts == starts[:min(stop + 1, len(starts))]
-    assert (walk.xs, walk.qas, walk.qbs, walk.parent, walk.event) == tuple(
-        column[:held] for column in arrays)
-    assert walk.run() is walk
-    assert (walk.xs, walk.qas, walk.qbs, walk.parent, walk.event) == arrays
-    assert walk.starts == starts
+    held = len(oracle.xs)
+    assert [f[:held] for f in _fields(walk)[:4]] == _fields(oracle)[:4]
 
 
 def _chain(n):
@@ -219,36 +217,65 @@ def test_control_equivalent_rebuilds_a_deep_witness():
     assert control_equivalent(plant, chain, unmarked) == (False, ["a"] * 2999)
 
 
-@pytest.mark.parametrize("depth", [0, 5])
-def test_a_failing_check_stops_one_level_past_its_first_witness(depth):
-    """A marking clash at level ``depth`` is a witness of that length, and
-    the walk stops once level ``depth + 1`` is complete; an event just one
-    side defines at level ``depth`` is a witness one longer, so the walk
-    checks one more level.  Neither walks the 3,000-state closed loop."""
+def _deep_chains():
+    """(plant, chain, other, witness) over 3,000-state chains that first
+    differ near depth 0, 5 and 2,000: by marking alone, by an event only
+    ``other`` defines alone, and by both, with the marking clash one or two
+    levels deeper; of two witnesses of one length the one ending in ``a``
+    is the least."""
     plant, chain = _chain(3000)
-    marked = Automaton("M", chain.alphabet, chain.states, 0, [depth, 2999], chain.trans)
-    walk = Lockstep(plant, chain, marked)
-    assert separating_string(walk) == ["a"] * depth
-    assert (walk.qas, walk.starts) == (list(range(depth + 2)), list(range(depth + 2)))
-    assert control_equivalent(plant, chain, marked) == (False, ["a"] * depth)
-
     alphabet = Alphabet([Event("a", True, True), Event("b", True, True)])
-    plant = Automaton("G", alphabet, ["g"], 0, [0], {(0, 0): 0, (0, 1): 0})
-    chain = Automaton("C", alphabet, chain.states, 0, chain.marked, chain.trans)
-    loop = Automaton("L", alphabet, chain.states, 0, chain.marked,
-                     {**chain.trans, (depth, 1): depth})
-    walk = Lockstep(plant, chain, loop)
-    assert separating_string(walk) == ["a"] * depth + ["b"]
-    assert (walk.qas, walk.starts) == (list(range(depth + 3)), list(range(depth + 3)))
+    plant2 = Automaton("G", alphabet, ["g"], 0, [0], {(0, 0): 0, (0, 1): 0})
+    chain2 = Automaton("C", alphabet, chain.states, 0, chain.marked, chain.trans)
+    for depth in (0, 5, 2000):
+        yield (plant, chain,
+               Automaton("M", chain.alphabet, chain.states, 0, [depth, 2999], chain.trans),
+               ["a"] * depth)
+        loop = {**chain.trans, (depth, 1): depth}
+        yield (plant2, chain2, Automaton("L", alphabet, chain.states, 0, chain.marked, loop),
+               ["a"] * depth + ["b"])
+        yield (plant2, chain2, Automaton("T", alphabet, chain.states, 0, [depth + 1, 2999], loop),
+               ["a"] * (depth + 1))
+        yield (plant2, chain2, Automaton("E", alphabet, chain.states, 0, [depth + 2, 2999], loop),
+               ["a"] * depth + ["b"])
+
+
+def test_witnesses_match_the_level_walk():
+    """``separating_string`` on the complete walk gives the witness of the
+    level walk that stops one level past its first witness, on seeded
+    families and 2,000 random triples, over 700 of them separated and over
+    700 not."""
+    def random_triples(rng):
+        for _ in range(2000):
+            alphabet = random_alphabet(rng, max_events=3)
+            g = random_plant(rng, alphabet, max_states=4)
+            yield g, *(random_automaton(rng, alphabet, max_states=4) for _ in range(2))
+
+    verdicts = Counter()
+    for g, a, b in chain(_triples(), random_triples(random.Random(2929))):
+        got = separating_string(Lockstep(g, a, b))
+        assert got == level_walk_oracle.separating_string(level_walk_oracle.Lockstep(g, a, b))
+        verdicts[got is None] += 1
+    assert min(verdicts.values()) >= 700, verdicts
+
+
+def test_deep_chains_give_the_least_witness():
+    """On the deep chains the witness is the least, shorter first, and that
+    of the level walk, which stops within a few levels of it."""
+    for plant, chain, other, witness in _deep_chains():
+        assert separating_string(Lockstep(plant, chain, other)) == witness
+        assert level_walk_oracle.separating_string(
+            level_walk_oracle.Lockstep(plant, chain, other)) == witness
+        assert control_equivalent(plant, chain, other) == (False, witness)
 
 
 def test_control_equivalent_of_an_automaton_with_itself_walks_nothing(monkeypatch):
     g, s = loose_instance(random.Random(0), max_plant=6, max_sup=6, max_events=4)
 
-    def no_walk(self):
+    def no_walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(Lockstep, "levels", no_walk)
+    monkeypatch.setattr(supred.automata, "Lockstep", no_walk)
     assert control_equivalent(g, s, s) == (True, None)
     with pytest.raises(AssertionError):
         control_equivalent(g, s, s.renamed("T"))
@@ -319,22 +346,22 @@ def test_full_vs_partial_builds_one_product(product_calls):
 
 @pytest.fixture
 def walk_calls(monkeypatch):
-    """Counts ``Lockstep`` walks (calls of :meth:`Lockstep.levels`, which
-    :meth:`Lockstep.run` makes too) and ``closed_loop_pairs`` calls made
-    through every ``supred`` module that binds it; patching a name a module
-    no longer binds raises."""
+    """Counts ``Lockstep`` walks (constructions, each of which walks to the
+    end) and ``closed_loop_pairs`` calls made through every ``supred``
+    module that binds it; patching a name a module no longer binds
+    raises."""
     calls = Counter()
-    levels, pairs = Lockstep.levels, supred.automata.closed_loop_pairs
+    init, pairs = Lockstep.__init__, supred.automata.closed_loop_pairs
 
-    def counting_levels(self):
+    def counting_init(self, *args):
         calls["Lockstep"] += 1
-        return levels(self)
+        init(self, *args)
 
     def counting_pairs(*args):
         calls["closed_loop_pairs"] += 1
         return pairs(*args)
 
-    monkeypatch.setattr(Lockstep, "levels", counting_levels)
+    monkeypatch.setattr(Lockstep, "__init__", counting_init)
     for module in (supred.automata, supred.supervision, supred.ordering, supred.reduction):
         monkeypatch.setattr(module, "closed_loop_pairs", counting_pairs)
     return calls
@@ -381,6 +408,24 @@ def test_normality_and_fineness_walk_once_per_candidate_checked(walk_calls):
         _assert_walks(walk_calls, lambda: finer_than(g, s, sup, equiv), 2, 0)
 
 
+def test_verify_super_is_finest_walks_once(walk_calls):
+    """SUPER is control equivalent to ``s`` by construction, so it serves
+    as the reference and the check is one walk, of SUPER with the
+    candidate; verdicts and refusals are those of the rebuilding oracle's
+    ``finer_than(g, s, SUPER, s_prime)``."""
+    outcomes = Counter()
+    for seed in range(25):
+        g, s, cands = _candidates(seed)
+        sup = build_super(g, s)
+        for cand in cands:
+            walk_calls.clear()
+            got = _outcome(verify_super_is_finest, g, s, cand)
+            assert walk_calls["Lockstep"] == 1
+            assert got == _outcome(closed_loop_oracle.finer_than, g, s, sup, cand)
+            outcomes[got[0] if got[0] == "raised" else got[1].verdict] += 1
+    assert outcomes[True] >= 80 and outcomes["raised"] >= 40, outcomes
+
+
 def test_full_vs_partial_reads_both_control_data_off_its_equivalence_walk(walk_calls):
     """One ``Lockstep`` walk for the equivalence check, which also gives
     both sides' control data; ``closed_loop_pairs`` runs once for the
@@ -406,22 +451,19 @@ def test_normality_reads_off_a_walk_with_any_equivalent_reference():
         g, s, cands = _candidates(seed)
         for s1, sp in product(cands[:-1], repeat=2):  # the last is mismatched
             if control_equivalent(g, s, s1)[0]:
-                got = normal_in(Lockstep(g, s1, sp).run())
+                got = normal_in(Lockstep(g, s1, sp))
                 assert got == is_normal(g, s, sp)
                 verdicts[got[0]] += 1
     assert min(verdicts[True], verdicts[False]) >= 100, verdicts
 
 
 def test_a_walk_that_separates_nothing_is_complete():
-    """When ``separating_string`` returns None it has driven the walk to
-    its end, so ``normal_in`` and ``_finer`` may read the walk: its arrays
-    are those of a fresh :meth:`Lockstep.run`."""
-    fields = ("xs", "pairs", "parent", "event", "starts", "pair_a", "pair_b", "reached")
-    complete = 0
+    """Every walk is complete when built, and ``separating_string`` only
+    reads it, so ``normal_in`` and ``_finer`` may read the walk whatever
+    it returned: the arrays are those of the level walk run to its end."""
+    verdicts = Counter()
     for g, a, b in _triples():
         walk = Lockstep(g, a, b)
-        if separating_string(walk) is None:
-            fresh = Lockstep(g, a, b).run()
-            assert [getattr(walk, f) for f in fields] == [getattr(fresh, f) for f in fields]
-            complete += 1
-    assert complete >= 300, complete
+        verdicts[separating_string(walk) is None] += 1
+        assert _fields(walk) == _fields(level_walk_oracle.Lockstep(g, a, b).run())
+    assert verdicts[True] >= 300 and verdicts[False] >= 100, verdicts
