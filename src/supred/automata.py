@@ -136,9 +136,10 @@ class Automaton:
     transition relation is stored once, as a dense table: ``succ[q * m +
     e]`` is the target of state ``q`` on event ``e`` for ``m`` events, or
     -1 where undefined.  Every other view is derived from it on first
-    read: the ``trans`` dict from ``(state, event)`` pairs to targets and
-    the per-state rows ``out_rows``.  The constructor validates and takes
-    ``trans``; :meth:`from_table` takes the table and trusts its caller.
+    read: the ``trans`` dict from ``(state, event)`` pairs to targets, the
+    per-state rows ``out_rows`` and the reachable states' BFS order.  The
+    constructor validates and takes ``trans``; :meth:`from_table` takes the
+    table and trusts its caller.
     Neither ``succ`` nor a derived view may be edited after construction.
     """
 
@@ -289,8 +290,15 @@ class Automaton:
         return Automaton.from_table(self.name, alphabet, self.states, self.initial, self.marked,
                                     self.succ, self._enabled)
 
+    @cached_property
+    def _reach_order(self) -> list[int]:
+        """The states reachable from the initial state, in BFS discovery
+        order, walked once per automaton: :meth:`is_reachable` and
+        :func:`trim_reachable` read it."""
+        return _reachable_set(self)
+
     def is_reachable(self) -> bool:
-        return len(_reachable_set(self)) == self.n
+        return len(self._reach_order) == self.n
 
     def __repr__(self) -> str:
         return f"Automaton({self.name!r}, {self.n} states, {self.n_trans} transitions)"
@@ -565,7 +573,7 @@ def trim_reachable(a: Automaton) -> Automaton:
     States are re-listed in BFS discovery order, so the result is a fixed
     point of this operation.
     """
-    order = _reachable_set(a)
+    order = a._reach_order
     m, succ = len(a.alphabet), a.succ
     # one slot past the states, so that remap[-1] keeps an undefined entry -1
     remap = [-1] * (a.n + 1)

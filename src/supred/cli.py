@@ -3,8 +3,11 @@
 Every library operation is reachable from one subcommand working on
 ``.aut`` files.  An argument of the form ``path`` names a file holding a
 single automaton; ``path:name`` selects one automaton out of a multi-block
-file.  Exit codes: 0 success (and any verdict true), 1 well-formed run with
-a false verdict, 2 usage or parse error (an unreadable input or an
+file.  Inputs are read as bytes and decoded as UTF-8; ``-o`` writes the
+UTF-8 bytes of its automaton through one descriptor.  An argv that starts
+with a subcommand is parsed by that subcommand's parser alone.  Exit
+codes: 0 success (and any verdict true), 1 well-formed run with a false
+verdict, 2 usage or parse error (an unreadable or undecodable input or an
 unwritable ``-o`` file included), 3 precondition violation
 (alphabet mismatch, infeasible supervisor, nondeterminism), 4 search cap
 exceeded (the exact search's ``--cap`` or recursion limit, or the
@@ -70,9 +73,11 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls and fills a fresh namespace each time."""
+    state between calls and fills a fresh namespace each time.  Its
+    ``commands`` map each subcommand name to that subcommand's parser."""
     parser = _Parser(prog="supred", description="supervisor reduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -131,10 +136,12 @@ def _build_parser() -> _Parser:
 
 
 def _read(path: str) -> str:
+    """The text of ``path``: its bytes decoded as UTF-8, line breaks as
+    they are (the parser takes every one ``str.splitlines`` knows)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.readall().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
 
 
@@ -172,13 +179,21 @@ def _emit_artifact(a: am.Automaton, out: Optional[str], emit) -> Optional[str]:
         # Overwrite in place, then cut the stale tail: O_TRUNC on a file
         # holding data makes ext4 (auto_da_alloc) start writeback on close,
         # which costs more than a small reduction.  A pipe, tty or
-        # /dev/null cannot be truncated.  Not atomic, not synced.
+        # /dev/null cannot be truncated.  The bytes go straight to the
+        # descriptor; a write that a signal interrupts may take only part
+        # of them, hence the loop.  The descriptor is closed whatever is
+        # raised.  Not atomic, not synced.
+        data = text.encode("utf-8")
         try:
             fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-            with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                done = 0
+                while done < len(data):
+                    done += os.write(fd, data[done:])
                 if stat.S_ISREG(os.fstat(fd).st_mode):
-                    fh.truncate()
+                    os.ftruncate(fd, len(data))
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise UsageError(f"cannot write {out!r}: {exc}") from None
         return out
@@ -364,7 +379,16 @@ def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
     command = "?"
     json_mode = "--json" in argv
     try:
-        args = parser.parse_args(argv)
+        # One argparse pass: an argv that starts with a subcommand goes
+        # straight to its parser, which is what the top-level parser would
+        # hand it; anything else (help, no or an unknown command, an option
+        # first) is the top-level parser's.
+        sub = parser.commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:])
+            args.command = argv[0]
         json_mode = args.json
         command = args.command
         result = _dispatch(args, emit)

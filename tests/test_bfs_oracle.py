@@ -58,6 +58,32 @@ def test_trim_and_reachability_match_oracle():
     assert unreachable > 150
 
 
+def test_reachability_is_walked_once_per_automaton(monkeypatch):
+    """``is_reachable`` and ``trim_reachable`` read one memoised BFS order,
+    the oracle's, however often they are asked."""
+    import supred.automata
+
+    walked, walk = [], supred.automata._reachable_set
+
+    def counting(a):
+        walked.append(a)
+        return walk(a)
+
+    monkeypatch.setattr(supred.automata, "_reachable_set", counting)
+    rng = random.Random(1)
+    for _ in range(50):
+        alphabet = random_alphabet(rng, max_events=4)
+        a = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=8),
+                              rng.randint(0, 4))
+        del walked[:]
+        for _ in range(2):
+            assert a.is_reachable() == bfs_oracle.is_reachable(a)
+            assert (serialize_automaton(trim_reachable(a))
+                    == serialize_automaton(bfs_oracle.trim_reachable(a)))
+        assert walked == [a]
+        assert a._reach_order == bfs_oracle.reachable_set(a)
+
+
 def _aut(name, n, marked, trans):
     return Automaton(name, AB, [f"{name.lower()}{q}" for q in range(n)], 0, marked,
                      {(q, AB.index(e)): t for (q, e), t in trans.items()})

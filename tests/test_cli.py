@@ -15,6 +15,7 @@ from supred.cli import run
 from supred.reduction import EQUIVALENT_DRAW_CAP
 from supred.supervision import control_equivalent
 
+from tests import argv_oracle
 from tests.conftest import FIXTURES
 from tests.generators import scale_pair
 
@@ -22,7 +23,31 @@ TANK = str(FIXTURES / "tank.aut")
 ORDERING = str(FIXTURES / "ordering.aut")
 
 
+def parsed_by_run(argv):
+    """The namespace ``run`` hands its dispatcher for ``argv``; a usage
+    error that ``run`` reports instead is raised again."""
+    from supred import cli
+
+    seen = []
+
+    def capture(args, emit):
+        seen.append(args)
+        return cli.CommandResult(args.command)
+
+    real, cli._dispatch = cli._dispatch, capture
+    try:
+        result = run(list(argv), stdout=io.StringIO(), stderr=io.StringIO())
+    finally:
+        cli._dispatch = real
+    if not seen:
+        raise cli.UsageError(result.witness)
+    return seen[0]
+
+
 def invoke(*argv):
+    """Run ``argv`` through ``run``, after checking that it parses ``argv``
+    as the top-level parser alone does."""
+    assert argv_oracle.outcome(parsed_by_run, argv) == argv_oracle.outcome(argv_oracle.parse, argv)
     out, err = io.StringIO(), io.StringIO()
     result = run(list(argv), stdout=out, stderr=err)
     return result, out.getvalue(), err.getvalue()
@@ -732,3 +757,199 @@ def test_module_entry_point_exits_through_main():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "G: 10 states, 19 transitions\nS: 4 states, 14 transitions\n"
+
+
+G_SPEC, S_SPEC = f"{TANK}:G", f"{TANK}:S"
+
+# Argv that no command runs on, each with the kind of outcome the parse has.
+MALFORMED_ARGV = {
+    "no argument": ([], "usage"),
+    "top-level help": (["-h"], "exit"),
+    "subcommand help": (["reduce", "-h"], "exit"),
+    "unknown command": (["frobnicate"], "usage"),
+    "option before the command": (["--json", "reduce", "-g", G_SPEC, "-s", S_SPEC], "usage"),
+    "extra positional": (["parse", TANK, "extra"], "usage"),
+    "missing -g": (["reduce", "-s", S_SPEC], "usage"),
+    "bad --mode": (["reduce", "--mode", "bogus", "-g", G_SPEC, "-s", S_SPEC], "usage"),
+    "bad --cap": (["reduce", "--cap", "x", "-g", G_SPEC, "-s", S_SPEC], "usage"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ARGV)
+def test_malformed_argv_is_parsed_as_the_top_level_parser_parses_it(case):
+    """The same ``UsageError`` message, or the same ``SystemExit`` code and
+    help text, as the oracle's one top-level pass."""
+    argv, kind = MALFORMED_ARGV[case]
+    got = argv_oracle.outcome(parsed_by_run, argv)
+    assert got == argv_oracle.outcome(argv_oracle.parse, argv)
+    assert got[0] == kind
+    if kind == "exit":
+        assert got[1] == 0 and got[2].startswith("usage: supred")
+
+
+def test_each_call_parses_its_argv_once(monkeypatch):
+    """An argv that starts with a subcommand takes one argparse pass, by
+    that subcommand's parser; the top-level parser's pass is skipped."""
+    import argparse
+
+    passes = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        passes.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    for argv in (["reduce", "--exact", "--mode", "cover", "-g", G_SPEC, "-s", S_SPEC],
+                 ["parse", TANK, "--json"]):
+        del passes[:]
+        result = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        assert result.exit_code == 0
+        assert passes == [f"supred {argv[0]}"]
+
+
+def _undecodable(tmp_path):
+    """A copy of the tank file with byte 37 made 0xff, and the reason a
+    UTF-8 decode gives for it."""
+    bad = tmp_path / "bad.aut"
+    data = Path(TANK).read_bytes()
+    bad.write_bytes(data[:37] + b"\xff" + data[38:])
+    return bad, "'utf-8' codec can't decode byte 0xff in position 37: invalid start byte"
+
+
+def test_undecodable_input_is_a_usage_error_naming_the_file(tmp_path):
+    """Input that is not UTF-8 exits 2 naming the file, as an unreadable
+    one does; ``path:name`` names the file tried first."""
+    bad, reason = _undecodable(tmp_path)
+    for argv in (["parse", str(bad)],
+                 ["reduce", "-g", str(bad), "-s", S_SPEC],
+                 ["reduce", "-g", G_SPEC, "-s", f"{bad}:S"]):
+        result, payload = invoke_json(*argv)
+        assert result.exit_code == 2, argv
+        assert payload["witness"] == f"cannot read {str(bad)!r}: {reason}"
+
+
+@pytest.mark.parametrize("name, convert", [
+    ("crlf", lambda data: data.replace(b"\n", b"\r\n")),
+    ("cr", lambda data: data.replace(b"\n", b"\r")),
+    ("bom", lambda data: b"\xef\xbb\xbf" + data),
+])
+def test_line_breaks_and_a_bom_read_as_the_original(tmp_path, name, convert):
+    """Inputs are read as bytes, line breaks as they are: CRLF, lone-CR and
+    BOM copies of a file give the automata of the original."""
+    from supred.cli import _load
+
+    copy = tmp_path / f"tank.{name}.aut"
+    copy.write_bytes(convert(Path(TANK).read_bytes()))
+    for selector in ("G", "S"):
+        assert (serialize_automaton(_load(f"{copy}:{selector}"))
+                == serialize_automaton(_load(f"{TANK}:{selector}")))
+    assert invoke("parse", str(copy))[1:] == invoke("parse", TANK)[1:]
+    reduced = invoke("reduce", "-g", f"{copy}:G", "-s", f"{copy}:S")
+    assert reduced[0].exit_code == 0
+    assert reduced[1:] == invoke("reduce", "-g", G_SPEC, "-s", S_SPEC)[1:]
+
+
+@pytest.mark.parametrize("wrong, right", [
+    ("hEH u o\nstates 10", "hEH x o\nstates 10"),
+    ("z2 hH z3", "z2 hH z9"),
+    ("9 qo1 3\nend", "9 qo1 3\n9 qo1 4\nend"),
+])
+def test_a_malformed_crlf_file_reports_the_place_its_lf_twin_does(tmp_path, wrong, right):
+    text = Path(TANK).read_text(encoding="utf-8")
+    assert text.count(wrong) == 1
+    lf, crlf = tmp_path / "lf.aut", tmp_path / "crlf.aut"
+    lf.write_bytes(text.replace(wrong, right).encode("utf-8"))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    result, _, err = invoke("parse", str(crlf))
+    assert result.exit_code in (2, 3) and ", col " in err
+    assert (result, err) == invoke("parse", str(lf))[::2]
+
+
+def test_artifact_into_a_fifo_matches_the_truncating_writer(tmp_path):
+    """``-o`` into a pipe that a thread reads gives the bytes the
+    truncating writer writes; the pipe is not truncated."""
+    import threading
+
+    from supred.automata import sync_product
+
+    g, s = parse_automaton(Path(TANK).read_text(encoding="utf-8"))
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    result, _, err = invoke("product", "-g", G_SPEC, "-s", S_SPEC, "-o", str(fifo))
+    reader.join(timeout=60)
+    assert result.exit_code == 0, err
+    old = tmp_path / "old.aut"
+    _truncating_write(old, serialize_automaton(sync_product(g, s)))
+    assert received == [old.read_bytes()]
+
+
+def test_artifact_writer_finishes_short_writes(tmp_path, monkeypatch):
+    """A write that takes only part of the bytes is followed by another for
+    the rest."""
+    from supred.cli import _emit_artifact
+
+    (a, _) = parse_automaton(Path(TANK).read_text(encoding="utf-8"))
+    new, old = tmp_path / "new.aut", tmp_path / "old.aut"
+    new.write_text("x" * 5000, encoding="utf-8")
+    sizes, real_write = [], os.write
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    assert _emit_artifact(a, str(new), None) == str(new)
+    monkeypatch.undo()
+    _truncating_write(old, serialize_automaton(a))
+    assert new.read_bytes() == old.read_bytes()
+    assert len(sizes) == -(-len(old.read_bytes()) // 7)
+
+
+def _open_descriptors() -> int:
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_no_descriptor_leaks(tmp_path):
+    """200 calls that succeed, miss an input, meet an undecodable input or
+    an unwritable ``-o`` leave as many descriptors open as before."""
+    bad, _ = _undecodable(tmp_path)
+    out = tmp_path / "r.aut"
+    calls = [
+        (["reduce", "-g", G_SPEC, "-s", S_SPEC, "-o", str(out)], 0),
+        (["parse", TANK], 0),
+        (["parse", str(tmp_path / "no" / "such.aut")], 2),
+        (["reduce", "-g", f"{bad}:G", "-s", S_SPEC], 2),
+        (["reduce", "-g", G_SPEC, "-s", S_SPEC, "-o", str(tmp_path / "no" / "r.aut")], 2),
+        (["reduce", "-g", G_SPEC, "-s", S_SPEC, "-o", str(tmp_path)], 2),
+        (["parse", str(tmp_path)], 2),
+    ]
+    before = _open_descriptors()
+    for i in range(200):
+        argv, code = calls[i % len(calls)]
+        assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()).exit_code == code, argv
+    assert _open_descriptors() == before
+
+
+class _Interrupted(BaseException):
+    """Stands for a timeout that a signal handler raises inside a call."""
+
+
+def test_an_interrupted_artifact_write_closes_its_descriptor(tmp_path, monkeypatch):
+    out = tmp_path / "r.aut"
+
+    def interrupted(fd, data):
+        raise _Interrupted()
+
+    before = _open_descriptors()
+    monkeypatch.setattr(os, "write", interrupted)
+    with pytest.raises(_Interrupted):
+        run(["reduce", "-g", G_SPEC, "-s", S_SPEC, "-o", str(out)],
+            stdout=io.StringIO(), stderr=io.StringIO())
+    monkeypatch.undo()
+    assert _open_descriptors() == before

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from supred.automata import Alphabet, Automaton, Event, sync_product
+from supred.automata import Alphabet, Automaton, Event, sync_product, trim_reachable
 from supred.errors import InfeasibleSupervisorError, PreconditionError
 from supred.ordering import (
     compare_full_vs_partial,
@@ -246,6 +246,29 @@ def test_full_vs_partial_walks_the_partial_loop_once(ordering_example, monkeypat
         monkeypatch.setattr(module, "closed_loop_pairs", counting)
     assert compare_full_vs_partial(g, s1, s2) == (2, 3, True)
     assert sum(s is s2 for s in seen) == 1
+
+
+def test_full_vs_partial_walks_each_automaton_to_reachability_once(monkeypatch):
+    """The reachability guards and the isomorphism checks read one BFS
+    order per automaton: ``SF``, its closed loop, ``s_partial`` and its
+    observer, each walked once (the walks were 2, 1, 2 and 1)."""
+    import supred.automata
+
+    g, s = loose_instance(random.Random(0), max_plant=6, max_sup=6, max_events=4,
+                          require_unobservable=True)
+    s_full = trim_reachable(sync_product(g, s, name="SF"))
+    s_partial = build_super(g, s)
+    walked, walk = [], supred.automata._reachable_set
+
+    def counting(a):
+        walked.append(a)
+        return walk(a)
+
+    monkeypatch.setattr(supred.automata, "_reachable_set", counting)
+    assert compare_full_vs_partial(g, s_full, s_partial) == (6, 6, True)
+    assert len({id(a) for a in walked}) == len(walked)
+    assert sorted(a.name for a in walked) == ["G||SF", "SF", "SUPER", "SUPER"]
+    assert s_full in walked and s_partial in walked
 
 
 def _with_unreachable(a, extra):
