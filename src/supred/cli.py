@@ -17,6 +17,7 @@ equivalent-supervisor draw's cap).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -367,7 +368,7 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
-    """Execute one command line; returns the result without exiting."""
+    """Execute one command line; returns the result without exiting, also for help."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     human_lines: list[str] = []
@@ -384,13 +385,13 @@ def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
         # hand it; anything else (help, no or an unknown command, an option
         # first) is the top-level parser's.
         sub = parser.commands.get(argv[0]) if argv else None
-        if sub is None:
-            args = parser.parse_args(argv)
-        else:
-            args = sub.parse_args(argv[1:])
-            args.command = argv[0]
+        try:
+            with contextlib.redirect_stdout(out):  # where argparse prints help
+                args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
+        except SystemExit:  # help printed; any other parse failure raises UsageError
+            return CommandResult(command)
         json_mode = args.json
-        command = args.command
+        command = args.command = args.command if sub is None else argv[0]
         result = _dispatch(args, emit)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code_for(exc)

@@ -741,66 +741,61 @@ class _ExactSearch:
         # pairwise-incompatible states never share a cell: a lower bound on
         # k, and each uncovered one needs a future cell of its own
         self.clique = _greedy_incompatible_states(self.masks)
+        # every transition a --e--> b, under the later of a and b
+        m = len(s.alphabet)
+        self.later: list[list[tuple[int, int, int]]] = [[] for _ in range(s.n)]
+        for i, b in enumerate(s.succ):
+            if b >= 0:
+                a, e = divmod(i, m)
+                self.later[max(a, b)].append((a, e, b))
         self.steps = 0
 
     # -- partitions ---------------------------------------------------
 
     def find_partition(self, k: int) -> Optional[list[set[int]]]:
         """A control congruence of at most ``k`` cells, states placed in
-        index order; a full assignment must send each cell's successors
-        under every event into one cell.  Placements are not checked early:
-        every leaf below a bad one fails, so the first partition found is
-        the same, and the early check saved no time on small supervisors."""
-        cells: list[set[int]] = []
-        cell_masks: list[int] = []
+        index order.  Placing a state checks the transitions whose later
+        end it is: all of one cell's successors under an event must lie in
+        one cell, kept as that (cell, event)'s target.  A placement that
+        breaks this has no valid completion, so the first partition found
+        is the one a check of full assignments alone would find."""
+        m, masks, later = len(self.s.alphabet), self.masks, self.later
+        cell_masks = [0] * k  # per cell, the states incompatible with it
         assign = [-1] * self.n
-        succ, m = self.s.succ, len(self.s.alphabet)
+        target = [-1] * (k * m)  # per (cell, event), the cell of its successors
 
-        def closure_ok() -> bool:
-            for cell in cells:
-                for e in range(m):
-                    target_cell = -1
-                    for z in cell:
-                        t = succ[z * m + e]
-                        if t < 0:
-                            continue
-                        if target_cell == -1:
-                            target_cell = assign[t]
-                        elif assign[t] != target_cell:
-                            return False
-            return True
-
-        def dfs(q: int) -> bool:
+        def dfs(q: int, used: int) -> bool:
             self.steps += 1
             if q == self.n:
-                return closure_ok()
-            bit = 1 << q
-            for c in range(len(cells)):
-                if cell_masks[c] & bit:
+                return True
+            for c in range(min(used + 1, k)):  # the cells in use, then a new one
+                held = cell_masks[c]
+                if held >> q & 1:
                     continue
-                cells[c].add(q)
-                saved = cell_masks[c]
-                cell_masks[c] |= self.masks[q]
                 assign[q] = c
-                if dfs(q + 1):
-                    return True
-                assign[q] = -1
-                cell_masks[c] = saved
-                cells[c].remove(q)
-            if len(cells) < k:
-                cells.append({q})
-                cell_masks.append(self.masks[q])
-                assign[q] = len(cells) - 1
-                if dfs(q + 1):
-                    return True
-                assign[q] = -1
-                cells.pop()
-                cell_masks.pop()
+                set_here = []
+                for a, e, b in later[q]:
+                    slot = assign[a] * m + e
+                    if target[slot] < 0:
+                        target[slot] = assign[b]
+                        set_here.append(slot)
+                    elif target[slot] != assign[b]:
+                        break
+                else:
+                    cell_masks[c] = held | masks[q]
+                    if dfs(q + 1, max(used, c + 1)):
+                        return True
+                    cell_masks[c] = held
+                for slot in set_here:
+                    target[slot] = -1
             return False
 
-        if dfs(0):
-            return cells
-        return None
+        if not dfs(0, 0):
+            return None
+        cells: list[set[int]] = [set() for _ in range(max(assign) + 1)]
+        for q, c in enumerate(assign):
+            cells[c].add(q)
+        return cells
 
     # -- general covers -----------------------------------------------
 

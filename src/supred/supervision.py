@@ -183,8 +183,9 @@ def successor_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
     of equal-mask states: the states whose ``e``-successor is incompatible
     with a target ``t`` are found per (event, group of ``t``), combined
     from ``into[e][group]``, the sources whose ``e``-successor lies in each
-    group.  :func:`closed_incompatibility` runs one round and closes the
-    rest with :func:`close_compatible_rows`.
+    group.  The merge heuristic and the equivalent-supervisor draw start
+    from this round; :func:`closed_incompatibility` closes the chart
+    without it.
     """
     group_of_mask: dict[int, int] = {}
     group: list[int] = []
@@ -233,16 +234,16 @@ def closed_incompatibility(s: Automaton, masks: Sequence[int]) -> list[int]:
     states would force their successors into one cell, so no control cover
     has a cell holding a pair the closure adds.
 
-    One round of :func:`successor_incompatibility`, then
-    :func:`close_compatible_rows` on the pairs still compatible, which
-    after one round are few.  On the bench's 13 random 100-300-state
-    supervisors that takes 11-19 ms for all 13 together, against 536-653
-    ms for rounds of :func:`successor_incompatibility` run to a fixpoint
-    (2-vCPU VM)."""
+    :func:`close_compatible_rows` on the rows ``masks`` leave compatible.
+    A round of :func:`successor_incompatibility` first reaches the same
+    fixpoint sooner on large supervisors (8.1 against 10.4 ms for the
+    bench's 13 random 100-300-state ones, 5.3 against 5.9 ms on an
+    800-state inflated one) and later on small ones (2.9 against 1.9 ms
+    for the 120 ``exact_small`` ones; best of 7, 2-vCPU VM), and the exact
+    search's default cap keeps it to small ones."""
     full = (1 << s.n) - 1
-    widened = successor_incompatibility(s, masks)
     closed = close_compatible_rows(
-        s.succ, len(s.alphabet), {z: full & ~mask for z, mask in enumerate(widened)})
+        s.succ, len(s.alphabet), {z: full & ~mask for z, mask in enumerate(masks)})
     return [full & ~closed[z] for z in range(s.n)]
 
 

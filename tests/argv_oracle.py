@@ -6,7 +6,9 @@ the subcommand and runs the subcommand's parser inside its own pass.
 ``outcome`` states what a parse gives in a form two parses can be
 compared by: the namespace's attributes, the ``UsageError`` message, or
 the ``SystemExit`` code with what was printed.  ``tests/test_cli.py``
-checks that ``run`` parses every argv it is given as this oracle does.
+checks that ``run`` parses every argv it is given as this oracle does, and
+that where the oracle prints help and exits, ``run`` writes that help to
+its ``stdout`` and returns.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Reference minimum-cover searches without the conflict-family bound,
 kept as differential oracles.
 
+``_ExactSearch.find_partition`` is the partition search ``supred.reduction``
+ran before it checked each transition when the later of its two ends is
+placed: it checks successor agreement only on full assignments.
 ``_ExactSearch.find_cover`` is the successor-closed exact search
 ``supred.reduction`` ran before ``find_cover`` carried its pending target
 sets down the recursion: each node here tests every target set of every
@@ -13,7 +16,7 @@ bodies are unchanged apart from a node budget: the search raises
 nodes, so tests can skip the instances it cannot finish.
 ``tests/test_exact_oracle.py`` checks that the two searches return the
 same covers, sizes and node counts, and that the library returns the same
-covers and sizes in at most as many nodes.
+partitions and covers in at most as many nodes.
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ class _ExactSearch:
         """A control congruence of at most ``k`` cells, states placed in
         index order; a full assignment must send each cell's successors
         under every event into one cell.  Placements are not checked early:
-        every leaf below a bad one fails, so the first partition found is
-        the same, and the early check saved no time on small supervisors."""
+        every leaf below a bad one fails."""
         cells: list[set[int]] = []
         cell_masks: list[int] = []
         assign = [-1] * self.n

@@ -6,14 +6,16 @@ search of ``tests/cover_oracle.py`` that carries its pending target sets
 without the conflict-family bound, the cover search must return the same
 cover in at most as many nodes; that search must return the same cover in
 the same nodes as the one there that rebuilds its pending sets at every
-node.  All hold wherever the reference finishes within its node
-budget."""
+node.  Against the partition search there that checks full assignments
+only, the partition search must return the same partition, or none, at
+every size it is asked for, in at most as many nodes.  All hold wherever
+the reference finishes within its node budget."""
 
 import pathlib
 import random
 
 from supred.automata import parse_automaton
-from supred.reduction import reduce_exact_core
+from supred.reduction import _ExactSearch, reduce_exact_core
 from supred.supervision import control_data
 
 from tests import cover_oracle, exact_oracle
@@ -100,6 +102,44 @@ def test_same_cover_search_on_sixteen_state_plants():
                  for i in range(1000, 1040)]
     skipped = _assert_same_cover_search(instances)
     assert len(skipped) <= 2, skipped
+
+
+def _assert_same_partitions(instances, budget):
+    """At every k from the clique bound up to the first k with a partition,
+    the same partition, or None, as the search that checks full
+    assignments only, in at most its nodes; returns the seeds that search
+    could not finish."""
+    skipped = []
+    for seed, (g, s) in instances:
+        data = control_data(g, s)
+        search, reference = _ExactSearch(s, data), cover_oracle._ExactSearch(s, data, budget)
+        for k in range(max(1, len(reference.clique)), s.n + 1):
+            nodes, reference_nodes = search.steps, reference.steps
+            try:
+                expected = reference.find_partition(k)
+            except cover_oracle.NodeBudgetExceeded:
+                skipped.append(seed)
+                break
+            assert search.find_partition(k) == expected, (seed, k)
+            assert search.steps - nodes <= reference.steps - reference_nodes, (seed, k)
+            if expected is not None:
+                break
+    return skipped
+
+
+def test_same_partitions_on_exact_small_family():
+    instances = [(i, loose_instance(random.Random(i), max_plant=8, max_sup=10, max_events=5))
+                 for i in (*range(119), 255)]
+    assert _assert_same_partitions(instances, BUDGET) == []
+
+
+def test_same_partitions_on_sixteen_state_plants():
+    """About 1.5 s of the reference search over 200 seeds, four of which
+    it cannot finish."""
+    instances = [(i, loose_instance(random.Random(i), max_plant=10, max_sup=16))
+                 for i in range(1000, 1200)]
+    skipped = _assert_same_partitions(instances, 10 * BUDGET)
+    assert len(skipped) <= 4, skipped
 
 
 def test_same_cover_search_on_fixtures():

@@ -1,9 +1,11 @@
 """Module layering: no ``supred`` module imports another module's private
 names or reads another object's private attributes; what one module needs
-from another is part of that module's public surface."""
+from another is part of that module's public surface.  The package imports
+nothing outside itself and the standard library."""
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "supred"
 
@@ -58,7 +60,6 @@ def test_no_unused_imports():
     assert not offenders, offenders
 
 
-
 def test_every_private_definition_is_read():
     """Every private (``_name``) function, method or class defined in the
     package is read somewhere in it, as a name or an attribute: a helper
@@ -74,4 +75,26 @@ def test_every_private_definition_is_read():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     offenders = [f"{where}: {name}" for name, where in defined if name not in read]
+    assert not offenders, offenders
+
+
+def test_runtime_imports_are_stdlib_only():
+    """Every absolute import names a standard-library module and every
+    relative one stays inside the package: ``supred`` runs on the standard
+    library alone."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                if node.level > 1:
+                    offenders.append(f"{path.name}:{node.lineno}: leaves the package")
+                continue
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in modules
+                          if name.split(".")[0] not in sys.stdlib_module_names]
     assert not offenders, offenders

@@ -496,7 +496,7 @@ def test_exact_cover_node_count_on_exact_small():
     for seed in (*range(119), 255):
         g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
         steps += reduce_exact_minimum(g, s, mode="cover")[1].steps
-    assert steps == 4_503
+    assert steps == 2_793
 
 
 def test_exact_cover_on_seed_1011():
@@ -507,6 +507,27 @@ def test_exact_cover_on_seed_1011():
     _, report = reduce_exact_minimum(g, s, mode="cover", cap_states=64)
     assert [sorted(cell) for cell in report.cover.cells] == \
         [[0, 8, 15], [1, 11], [2, 14], [3, 6, 7, 9], [4, 10, 13], [5], [12]]
+
+
+def test_exact_partition_prunes_a_large_supervisor_with_a_tiny_minimum():
+    """A 200-state supervisor whose minimum has 2 states: the partition
+    search, which runs first in both modes, did not finish in 20 minutes
+    when it checked successors only on full assignments."""
+    g, s = scale_pair(random.Random(2), core_states=8, factor=25)
+    for mode in ("partition", "cover"):
+        _, report = reduce_exact_minimum(g, s, mode=mode, cap_states=200)
+        assert report.output_size == 2 and report.steps <= 232, mode
+
+
+def test_exact_partition_on_seed_1134():
+    """A 15-state supervisor whose partition search took 7,611,433 nodes
+    when it checked successors only on full assignments; the partition is
+    the one it found."""
+    g, s = loose_instance(random.Random(1134), max_plant=10, max_sup=16)
+    _, report = reduce_exact_minimum(g, s, mode="partition", cap_states=64)
+    assert report.steps <= 5_818
+    assert [sorted(cell) for cell in report.cover.cells] == \
+        [[0, 7], [1, 3, 12], [2, 4, 13], [5, 6, 11], [8, 14], [9], [10]]
 
 
 def _assert_cells_closed_compatible(g, s, covers):
