@@ -702,8 +702,8 @@ def closed_loop_pairs(
     the bitmask of the plant states paired with it (0 where the loop never
     visits ``z``); it is also the walk's visited test."""
     # Its own pair walk, not Lockstep(g, s, s): over the 16 bench reduce
-    # supervisors, control data takes 13.4 ms against 20.9 ms when read off
-    # Lockstep's pairs (best of 15, 2-vCPU VM).
+    # supervisors, control data takes 14.6 ms against 16.6 ms when read off
+    # Lockstep's pairs (best of 9, interleaved in one process, 2-vCPU VM).
     check_same_alphabet(g, s)
     m = len(s.alphabet)
     g_out, succ = g.out_rows, s.succ
@@ -724,58 +724,93 @@ def closed_loop_pairs(
 
 
 class Lockstep:
-    """Breadth-first walk of the triples ``(x, qa, qb)`` that the plant
-    ``g`` and the automata ``a`` and ``b`` reach together on the events all
-    three define, in the order of the reachable pairs of ``(g||a)||b``; no
-    product automaton is built, successors are read from ``succ``.  The
-    constructor walks to the end, so every walk a reader gets is complete.
+    """The pairs of states that the automata ``a`` and ``b`` reach together
+    with the plant ``g``, on the events all three define, and per pair the
+    plant states reached with it; no product automaton is built, successors
+    are read from ``succ``.  The constructor walks to the end, so every walk
+    a reader gets is complete.
 
     Each pair ``(qa, qb)`` the walk reaches gets an id ``p``, in order of
     first reach: ``pair_a[p]`` and ``pair_b[p]`` are its states and
-    ``reached[p]`` is the bitmask of the plant states walked with it.  Node
-    ``i`` is the triple ``(xs[i], pair_a[pairs[i]], pair_b[pairs[i]])``,
-    first reached from node ``parent[i]`` by ``event[i]``.  Facts that
-    depend on the pair alone are read once per pair, and facts about the
-    plant once per distinct ``reached`` set.  Events go in alphabet order,
-    so nodes come in shortlex order of their strings and :meth:`string`
-    rebuilds a shortest string, ties broken by alphabet order.
+    ``reached[p]`` is the bitmask of the plant states walked with it, so the
+    triples ``(x, qa, qb)`` of the closed loop are the plant states of each
+    pair.  The walk is a worklist over pairs: a popped pair carries the
+    plant states new to it since it was last popped.  They are first closed
+    under the events that both ``a`` and ``b`` selfloop at the pair, which
+    keep the walk in it; then each other event that both states define
+    carries their image into the successor pair, which is queued if it
+    gained a state.  Images are computed once per set of plant states.
+    ``expansions`` counts the pairs popped.  Facts that depend on the pair
+    alone are read once per pair, and facts about the plant once per
+    distinct ``reached`` set.
+
+    The walk keeps no strings: :meth:`first` walks the triples breadth
+    first to rebuild a witness, once a check has failed.
     """
 
     def __init__(self, g: Automaton, a: Automaton, b: Automaton):
         check_same_alphabet(g, a)
         check_same_alphabet(g, b)
         self.g, self.a, self.b = g, a, b
-        m, ng, nb = len(g.alphabet), g.n, b.n
+        m, nb = len(g.alphabet), b.n
         g_out, a_succ, b_succ = g.out_rows, a.succ, b.succ
         a_enabled, b_enabled = a._enabled, b._enabled
-        xs, pairs, parent, event = [g.initial], [0], [-1], [-1]
         pair_a, pair_b, reached = [a.initial], [b.initial], [1 << g.initial]
-        self.xs, self.pairs, self.parent, self.event = xs, pairs, parent, event
         self.pair_a, self.pair_b, self.reached = pair_a, pair_b, reached
-        # Per pair: its successor pair per event, in one flat row filled on
-        # first use (-1 until then), and the table of the plant's steps on
-        # the events both its states define, per plant state x (None until
-        # x meets such a pair): (event, target, target's bit).  Pairs that
-        # share the same events share a table.  A pair (qa, qb) is coded as
+        # Per pair: the plant states not yet expanded with it (nonzero
+        # exactly while it waits in the queue), and its successor pair per
+        # event, in one flat row filled on first use (-1 until then; the
+        # pair itself for a selfloop of both).  A pair (qa, qb) is coded as
         # qa * nb + qb.
-        tables = {a_enabled[a.initial] & b_enabled[b.initial]: [None] * ng}
-        pair_steps = list(tables.values())
+        fresh = reached[:]
         unset = [-1] * m
-        succ = unset[:]
+        self._succ = succ = unset[:]
         index = {a.initial * nb + b.initial: 0}
-        for node, (x, p) in enumerate(zip(xs, pairs)):  # the arrays double as the queue
-            steps = pair_steps[p]
-            out = steps[x]
-            if out is None:
-                shared = a_enabled[pair_a[p]] & b_enabled[pair_b[p]]
-                out = steps[x] = [(e, xt, 1 << xt) for e, xt in g_out[x]
-                                  if shared >> e & 1]
-            base = p * m
-            for e, xt, bit in out:
+        images: dict[int, list[int]] = {}  # per plant set, its image per event
+        events_of: dict[int, list[int]] = {}  # per event mask, its events
+
+        def image(states: int) -> list[int]:
+            row = images[states] = [0] * m
+            while states:
+                low = states & -states
+                for e, xt in g_out[low.bit_length() - 1]:
+                    row[e] |= 1 << xt
+                states ^= low
+            return row
+
+        queue = [0]  # ids repeat: a pair is queued again when it gains states
+        for p in queue:
+            new, fresh[p] = fresh[p], 0
+            qa, qb = pair_a[p], pair_b[p]
+            base, base_a, base_b = p * m, qa * m, qb * m
+            shared = a_enabled[qa] & b_enabled[qb]
+            events = events_of.get(shared)
+            if events is None:
+                events = events_of[shared] = [e for e in range(m) if shared >> e & 1]
+            loops, moves = [], []
+            for e in events:
+                t = succ[base + e]
+                if t < 0 and a_succ[base_a + e] == qa and b_succ[base_b + e] == qb:
+                    t = succ[base + e] = p
+                (loops if t == p else moves).append(e)
+            if loops:
+                frontier = new
+                while frontier:
+                    row = images.get(frontier) or image(frontier)
+                    grown = 0
+                    for e in loops:
+                        grown |= row[e]
+                    frontier = grown & ~reached[p]
+                    reached[p] |= frontier
+                    new |= frontier
+            row = images.get(new) or image(new)
+            for e in moves:
+                states = row[e]
+                if not states:
+                    continue
                 t = succ[base + e]
                 if t < 0:
-                    ta = a_succ[pair_a[p] * m + e]
-                    tb = b_succ[pair_b[p] * m + e]
+                    ta, tb = a_succ[base_a + e], b_succ[base_b + e]
                     code = ta * nb + tb
                     t = index.get(code)
                     if t is None:
@@ -783,22 +818,48 @@ class Lockstep:
                         pair_a.append(ta)
                         pair_b.append(tb)
                         reached.append(0)
-                        shared = a_enabled[ta] & b_enabled[tb]
-                        steps = tables.get(shared)
-                        if steps is None:
-                            steps = tables[shared] = [None] * ng
-                        pair_steps.append(steps)
+                        fresh.append(0)
                         succ += unset
                     succ[base + e] = t
-                if not reached[t] & bit:
-                    reached[t] |= bit
-                    xs.append(xt)
-                    pairs.append(t)
-                    parent.append(node)
-                    event.append(e)
+                states &= ~reached[t]
+                if states:
+                    reached[t] |= states
+                    if not fresh[t]:
+                        queue.append(t)
+                    fresh[t] |= states
+        self.expansions = len(queue)
+
+    def triples(self) -> Iterator[tuple[int, int]]:
+        """Walk the triples ``(x, pair_a[p], pair_b[p])`` of the walk's pairs
+        breadth first from the initial one, events in alphabet order, and
+        yield ``(x, p)`` per node.  Node ``i`` is first reached from node
+        ``parent[i]`` by ``event[i]``; both lists grow as nodes are yielded,
+        so :meth:`string` rebuilds the string of any node yielded so far.
+        Nodes come in shortlex order of their strings."""
+        g, m, succ = self.g, len(self.g.alphabet), self._succ
+        g_out, a_enabled, b_enabled = g.out_rows, self.a._enabled, self.b._enabled
+        shared = [a_enabled[qa] & b_enabled[qb] for qa, qb in zip(self.pair_a, self.pair_b)]
+        seen = [0] * len(shared)
+        seen[0] = 1 << g.initial
+        xs, pairs = [g.initial], [0]  # they double as the queue
+        self.parent, self.event = parent, event = [-1], [-1]
+        for node, (x, p) in enumerate(zip(xs, pairs)):
+            yield x, p
+            on, base = shared[p], p * m
+            for e, xt in g_out[x]:
+                if on >> e & 1:
+                    t = succ[base + e]
+                    bit = 1 << xt
+                    if not seen[t] & bit:
+                        seen[t] |= bit
+                        xs.append(xt)
+                        pairs.append(t)
+                        parent.append(node)
+                        event.append(e)
 
     def string(self, node: int) -> tuple[int, ...]:
-        """The first string (event indices) reaching ``node``."""
+        """The first string (event indices) reaching ``node`` of
+        :meth:`triples`."""
         parent, event = self.parent, self.event
         back = []
         while node:
@@ -806,32 +867,51 @@ class Lockstep:
             node = parent[node]
         return tuple(reversed(back))
 
+    def first(self, plant: list[int], hits: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
+        """The shortlex least string reaching a triple ``(x, qa, qb)`` of
+        pair ``p`` where ``plant[x] & hits[p]`` is nonzero, with that value;
+        None when no triple has one.  The triples are walked until the
+        first."""
+        for node, (x, p) in enumerate(self.triples()):
+            hit = plant[x] & hits[p]
+            if hit:
+                return self.string(node), hit
+        return None
+
 
 def separating_string(walk: Lockstep) -> Optional[list[str]]:
     """A shortest string, ties broken by alphabet order, that separates the
     closed loops of the two automata of ``walk`` with its plant: marking
     disagrees inside the plant after it, or the plant offers an event after
-    it that just one of them defines.  None when there is none."""
+    it that just one of them defines.  None when there is none.
+
+    Whether a clash exists is read per pair, off the plant states walked
+    with it; only then are the triples walked, by :meth:`Lockstep.first`,
+    once for each kind of clash that exists."""
     g, a, b = walk.g, walk.a, walk.b
     # per state, its events over its marking bit: a and b clash where they
     # differ inside the plant's
     gm, am, bm = ([en << 1 | (q in aut.marked) for q, en in enumerate(aut._enabled)]
                   for aut in (g, a, b))
     split = [am[qa] ^ bm[qb] for qa, qb in zip(walk.pair_a, walk.pair_b)]
-    clashes = [gm[x] & split[p] for x, p in zip(walk.xs, walk.pairs)]
-    if not any(clashes):
+    g_marked = sum(1 << x for x in g.marked)
+    clash = 0
+    for states, differ in zip(walk.reached, split):
+        if differ:
+            clash |= (g.enabled_in(states) << 1 | (states & g_marked != 0)) & differ
+    if not clash:
         return None
-    # Nodes come in shortlex order of their strings, so the first node with
-    # a marking clash, and the first with an event clash extended by its
-    # lowest differing event, give the least witness of each kind.
+    # The first triple with a marking clash, and the first with an event
+    # clash extended by its lowest differing event, give the least witness
+    # of each kind.
     witnesses = []
-    node = next((node for node, clash in enumerate(clashes) if clash & 1), None)
-    if node is not None:
-        witnesses.append(walk.string(node))
-    node = next((node for node, clash in enumerate(clashes) if clash >> 1), None)
-    if node is not None:
-        differ = clashes[node] >> 1
-        witnesses.append(walk.string(node) + ((differ & -differ).bit_length() - 1,))
+    if clash & 1:
+        string, _ = walk.first(gm, [differ & 1 for differ in split])
+        witnesses.append(string)
+    if clash >> 1:
+        string, hit = walk.first(gm, [differ & ~1 for differ in split])
+        differ = hit >> 1
+        witnesses.append(string + ((differ & -differ).bit_length() - 1,))
     least = min(witnesses, key=lambda w: (len(w), w))
     return [g.alphabet.name(e) for e in least]
 

@@ -368,7 +368,9 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
-    """Execute one command line; returns the result without exiting, also for help."""
+    """Execute one command line; returns the result without exiting, also
+    for help.  Help goes to ``stdout``, or under ``--json`` to ``stderr``,
+    with the JSON result on ``stdout``."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     human_lines: list[str] = []
@@ -386,10 +388,14 @@ def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
         # first) is the top-level parser's.
         sub = parser.commands.get(argv[0]) if argv else None
         try:
-            with contextlib.redirect_stdout(out):  # where argparse prints help
+            # where argparse prints help: stdout, or stderr under --json
+            with contextlib.redirect_stdout(err if json_mode else out):
                 args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
         except SystemExit:  # help printed; any other parse failure raises UsageError
-            return CommandResult(command)
+            result = CommandResult(command)
+            if json_mode:
+                print(result.to_json(), file=out)
+            return result
         json_mode = args.json
         command = args.command = args.command if sub is None else argv[0]
         result = _dispatch(args, emit)

@@ -91,9 +91,9 @@ def _finer(g: Automaton, walk: Lockstep) -> tuple[OrderWitness, ControlData, Con
     The projections of the walked triples are then exactly the reachable
     pairs of each candidate's closed loop, so the data come from the plant
     sets the walk keeps per pair of candidate states.  The clauses depend
-    on that pair alone and are checked once per pair; the witness is the
-    first node of a failing pair, in node order, so it has the least
-    string."""
+    on that pair alone and are checked once per pair; only when one fails
+    are the triples walked, by :meth:`~supred.automata.Lockstep.first`, to
+    the first of a failing pair, whose string is the least."""
     s1, s2 = walk.a, walk.b
     sets1, sets2 = [0] * s1.n, [0] * s2.n
     for z1, z2, states in zip(walk.pair_a, walk.pair_b, walk.reached):
@@ -110,11 +110,10 @@ def _finer(g: Automaton, walk: Lockstep) -> tuple[OrderWitness, ControlData, Con
     lacks = [packed1[z1] & ~packed2[z2] for z1, z2 in zip(walk.pair_a, walk.pair_b)]
     if not any(lacks):
         return OrderWitness(True), data1, data2
-    node, bits = next((node, lacks[p]) for node, p in enumerate(walk.pairs) if lacks[p])
+    string, bits = walk.first([-1] * g.n, lacks)
     low = (bits & -bits).bit_length() - 1
     failed = _CLAUSES[low // m if low < 2 * m else low - 2 * m + 2]
-    string = [g.alphabet.name(e) for e in walk.string(node)]
-    return OrderWitness(False, (string, failed)), data1, data2
+    return OrderWitness(False, ([g.alphabet.name(e) for e in string], failed)), data1, data2
 
 
 def verify_super_is_finest(g: Automaton, s: Automaton, s_prime: Automaton) -> OrderWitness:

@@ -7,8 +7,9 @@ afresh and hands over one BFS level at a time, ``run`` drains it,
 ``starts`` holds the first node of each level handed over, ``qas`` and
 ``qbs`` list each node's automaton states, and ``separating_string``
 drives the walk one level past its first witness and stops there.
-``tests/test_lockstep.py`` checks that the library's walk, complete once
-built, leaves the same arrays, strings and witnesses.  Both bodies are
+``tests/test_lockstep.py`` checks that the library's walk reaches the
+same pairs with the same plant states, that its witness search lists the
+same triples and strings, and that the witnesses agree.  Both bodies are
 unchanged.
 """
 

@@ -2,24 +2,32 @@
 
 ``lockstep`` is the generator that ``supred.automata`` used before the
 walk kept parent pointers: it stores the whole path tuple of every visited
-triple and yields ``(x, qa, qb, path)``.  ``tests/test_lockstep.py``
-checks that :class:`supred.automata.Lockstep` visits the same triples in
-the same order, at the same BFS depths, and rebuilds the same strings.
+triple and yields ``(x, qa, qb, path)``.
 
 ``Lockstep`` is the class the library used before it interned the pairs of
 automaton states: it keeps ``qas`` and ``qbs`` per node and codes each
 visited triple as one int in a ``seen`` set.
-``tests/test_pair_walk_oracle.py`` checks that the library's walk, which
-keeps a pair id per node and a bitmask of plant states per pair, leaves
-the same arrays and strings.  Both bodies are unchanged.
+
+``TripleLockstep``, ``separating_string`` and ``finer`` are the walk and
+its two node readers that the library used before it walked pairs: the
+walk lists every reachable triple ``(x, qa, qb)`` breadth first, with a
+parent pointer and an event per node, and the readers take the first
+failing node in node order as the witness.  ``tests/test_lockstep.py``
+and ``tests/test_pair_walk_oracle.py`` check that the library's pair walk
+reaches the same pairs with the same plant states, that its witness
+search lists the same triples in the same order with the same strings,
+and that every check built on it gives the same verdicts, witnesses and
+refusals.  All bodies are unchanged.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Optional
 
 from supred.automata import Automaton, check_same_alphabet
+from supred.ordering import _CLAUSES, OrderWitness
+from supred.supervision import ControlData, control_data_from_sets
 
 
 def lockstep(
@@ -104,3 +112,148 @@ class Lockstep:
             back.append(event[node])
             node = parent[node]
         return tuple(reversed(back))
+
+
+class TripleLockstep:
+    """Breadth-first walk of the triples ``(x, qa, qb)`` that the plant
+    ``g`` and the automata ``a`` and ``b`` reach together on the events all
+    three define, in the order of the reachable pairs of ``(g||a)||b``; no
+    product automaton is built, successors are read from ``succ``.  The
+    constructor walks to the end, so every walk a reader gets is complete.
+
+    Each pair ``(qa, qb)`` the walk reaches gets an id ``p``, in order of
+    first reach: ``pair_a[p]`` and ``pair_b[p]`` are its states and
+    ``reached[p]`` is the bitmask of the plant states walked with it.  Node
+    ``i`` is the triple ``(xs[i], pair_a[pairs[i]], pair_b[pairs[i]])``,
+    first reached from node ``parent[i]`` by ``event[i]``.  Facts that
+    depend on the pair alone are read once per pair, and facts about the
+    plant once per distinct ``reached`` set.  Events go in alphabet order,
+    so nodes come in shortlex order of their strings and :meth:`string`
+    rebuilds a shortest string, ties broken by alphabet order.
+    """
+
+    def __init__(self, g: Automaton, a: Automaton, b: Automaton):
+        check_same_alphabet(g, a)
+        check_same_alphabet(g, b)
+        self.g, self.a, self.b = g, a, b
+        m, ng, nb = len(g.alphabet), g.n, b.n
+        g_out, a_succ, b_succ = g.out_rows, a.succ, b.succ
+        a_enabled, b_enabled = a._enabled, b._enabled
+        xs, pairs, parent, event = [g.initial], [0], [-1], [-1]
+        pair_a, pair_b, reached = [a.initial], [b.initial], [1 << g.initial]
+        self.xs, self.pairs, self.parent, self.event = xs, pairs, parent, event
+        self.pair_a, self.pair_b, self.reached = pair_a, pair_b, reached
+        # Per pair: its successor pair per event, in one flat row filled on
+        # first use (-1 until then), and the table of the plant's steps on
+        # the events both its states define, per plant state x (None until
+        # x meets such a pair): (event, target, target's bit).  Pairs that
+        # share the same events share a table.  A pair (qa, qb) is coded as
+        # qa * nb + qb.
+        tables = {a_enabled[a.initial] & b_enabled[b.initial]: [None] * ng}
+        pair_steps = list(tables.values())
+        unset = [-1] * m
+        succ = unset[:]
+        index = {a.initial * nb + b.initial: 0}
+        for node, (x, p) in enumerate(zip(xs, pairs)):  # the arrays double as the queue
+            steps = pair_steps[p]
+            out = steps[x]
+            if out is None:
+                shared = a_enabled[pair_a[p]] & b_enabled[pair_b[p]]
+                out = steps[x] = [(e, xt, 1 << xt) for e, xt in g_out[x]
+                                  if shared >> e & 1]
+            base = p * m
+            for e, xt, bit in out:
+                t = succ[base + e]
+                if t < 0:
+                    ta = a_succ[pair_a[p] * m + e]
+                    tb = b_succ[pair_b[p] * m + e]
+                    code = ta * nb + tb
+                    t = index.get(code)
+                    if t is None:
+                        t = index[code] = len(pair_a)
+                        pair_a.append(ta)
+                        pair_b.append(tb)
+                        reached.append(0)
+                        shared = a_enabled[ta] & b_enabled[tb]
+                        steps = tables.get(shared)
+                        if steps is None:
+                            steps = tables[shared] = [None] * ng
+                        pair_steps.append(steps)
+                        succ += unset
+                    succ[base + e] = t
+                if not reached[t] & bit:
+                    reached[t] |= bit
+                    xs.append(xt)
+                    pairs.append(t)
+                    parent.append(node)
+                    event.append(e)
+
+    def string(self, node: int) -> tuple[int, ...]:
+        """The first string (event indices) reaching ``node``."""
+        parent, event = self.parent, self.event
+        back = []
+        while node:
+            back.append(event[node])
+            node = parent[node]
+        return tuple(reversed(back))
+
+
+def separating_string(walk: TripleLockstep) -> Optional[list[str]]:
+    """A shortest string, ties broken by alphabet order, that separates the
+    closed loops of the two automata of ``walk`` with its plant: marking
+    disagrees inside the plant after it, or the plant offers an event after
+    it that just one of them defines.  None when there is none."""
+    g, a, b = walk.g, walk.a, walk.b
+    # per state, its events over its marking bit: a and b clash where they
+    # differ inside the plant's
+    gm, am, bm = ([en << 1 | (q in aut.marked) for q, en in enumerate(aut._enabled)]
+                  for aut in (g, a, b))
+    split = [am[qa] ^ bm[qb] for qa, qb in zip(walk.pair_a, walk.pair_b)]
+    clashes = [gm[x] & split[p] for x, p in zip(walk.xs, walk.pairs)]
+    if not any(clashes):
+        return None
+    # Nodes come in shortlex order of their strings, so the first node with
+    # a marking clash, and the first with an event clash extended by its
+    # lowest differing event, give the least witness of each kind.
+    witnesses = []
+    node = next((node for node, clash in enumerate(clashes) if clash & 1), None)
+    if node is not None:
+        witnesses.append(walk.string(node))
+    node = next((node for node, clash in enumerate(clashes) if clash >> 1), None)
+    if node is not None:
+        differ = clashes[node] >> 1
+        witnesses.append(walk.string(node) + ((differ & -differ).bit_length() - 1,))
+    least = min(witnesses, key=lambda w: (len(w), w))
+    return [g.alphabet.name(e) for e in least]
+
+
+def finer(g: Automaton, walk: TripleLockstep) -> tuple[OrderWitness, ControlData, ControlData]:
+    """The fineness verdict of :func:`finer_than` on the walk of plant and
+    two control-equivalent candidates, and both candidates' control data.
+    The projections of the walked triples are then exactly the reachable
+    pairs of each candidate's closed loop, so the data come from the plant
+    sets the walk keeps per pair of candidate states.  The clauses depend
+    on that pair alone and are checked once per pair; the witness is the
+    first node of a failing pair, in node order, so it has the least
+    string."""
+    s1, s2 = walk.a, walk.b
+    sets1, sets2 = [0] * s1.n, [0] * s2.n
+    for z1, z2, states in zip(walk.pair_a, walk.pair_b, walk.reached):
+        sets1[z1] |= states
+        sets2[z2] |= states
+    data1 = control_data_from_sets(g, s1, sets1)
+    data2 = control_data_from_sets(g, s2, sets2)
+    # per state, the clauses' sets as one int, the first clause lowest:
+    # s1's state holds what s2's state lacks exactly where a clause fails
+    m = len(g.alphabet)
+    packed1, packed2 = ([en | dis << m | ms << 2 * m | mg << 2 * m + 1
+                         for en, dis, ms, mg in zip(d.enabled, d.disabled, d.marked_s, d.marked_g)]
+                        for d in (data1, data2))
+    lacks = [packed1[z1] & ~packed2[z2] for z1, z2 in zip(walk.pair_a, walk.pair_b)]
+    if not any(lacks):
+        return OrderWitness(True), data1, data2
+    node, bits = next((node, lacks[p]) for node, p in enumerate(walk.pairs) if lacks[p])
+    low = (bits & -bits).bit_length() - 1
+    failed = _CLAUSES[low // m if low < 2 * m else low - 2 * m + 2]
+    string = [g.alphabet.name(e) for e in walk.string(node)]
+    return OrderWitness(False, (string, failed)), data1, data2

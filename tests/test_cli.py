@@ -794,6 +794,22 @@ def test_malformed_argv_is_parsed_as_the_top_level_parser_parses_it(case):
         assert argv_oracle.outcome(parsed_by_run, argv) == expected
 
 
+@pytest.mark.parametrize("argv", [["reduce", "-h", "--json"], ["-h", "--json"]])
+def test_help_under_json_goes_to_stderr(argv):
+    """Under ``--json`` stdout holds one JSON object with the five pinned
+    keys and no verdict, and the help the top-level parse prints goes to
+    ``stderr``; none reaches the process's stdout, and the exit code is 0."""
+    expected = argv_oracle.outcome(argv_oracle.parse, argv)
+    assert expected[:2] == ("exit", 0) and expected[2].startswith("usage: supred")
+    out, err, escaped = io.StringIO(), io.StringIO(), io.StringIO()
+    with redirect_stdout(escaped):
+        result = run(list(argv), stdout=out, stderr=err)
+    assert (result.exit_code, err.getvalue(), escaped.getvalue()) == (0, expected[2], "")
+    assert out.getvalue().count("\n") == 1
+    assert json.loads(out.getvalue()) == {"command": "?", "verdict": None, "sizes": {},
+                                          "witness": None, "output_file": None}
+
+
 def test_each_call_parses_its_argv_once(monkeypatch):
     """An argv that starts with a subcommand takes one argparse pass, by
     that subcommand's parser; the top-level parser's pass is skipped."""

@@ -1,9 +1,11 @@
 """The lockstep walk of a plant with two automata, against the product
-automata, the path-tuple walk it replaced (``tests/lockstep_oracle.py``)
-and the level-by-level walk with its early-stopping witness search
+automata, the path-tuple walk (``tests/lockstep_oracle.py``), the
+complete triple walk it replaced (``TripleLockstep`` there) and the
+level-by-level walk with its early-stopping witness search
 (``tests/level_walk_oracle.py``), and the guards that the closed-loop
 checks read it instead of building product automata and build strings
-only for witnesses."""
+only for witnesses.  The node-level checks (breadth-first order, depths,
+shortlex strings) are made on the witness search, ``Lockstep.triples``."""
 
 import random
 import tracemalloc
@@ -86,14 +88,21 @@ def _product_walk(g, a, b):
 
 
 def _walked(walk):
-    """``(node, x, qa, qb, depth)`` per triple, in node order, the depth
-    counted along the parent pointers."""
-    depth = [0] * len(walk.xs)
-    for node in range(1, len(walk.xs)):
+    """``(node, x, qa, qb, depth)`` per triple of the witness search run to
+    its end, in node order, the depth counted along the parent pointers."""
+    nodes = list(walk.triples())
+    depth = [0] * len(nodes)
+    for node in range(1, len(nodes)):
         assert walk.parent[node] < node
         depth[node] = depth[walk.parent[node]] + 1
     return [(node, x, walk.pair_a[p], walk.pair_b[p], depth[node])
-            for node, (x, p) in enumerate(zip(walk.xs, walk.pairs))]
+            for node, (x, p) in enumerate(nodes)]
+
+
+def _reached(walk):
+    """Per pair ``(qa, qb)`` the walk reached, the plant states walked with
+    it; the pair ids are not compared."""
+    return dict(zip(zip(walk.pair_a, walk.pair_b), walk.reached))
 
 
 def test_lockstep_visits_the_product_in_bfs_order():
@@ -154,28 +163,35 @@ def test_lockstep_matches_the_path_tuple_oracle():
         assert got == expected
 
 
-_FIELDS = ("xs", "pairs", "parent", "event", "pair_a", "pair_b", "reached")
+def _nodes(walk):
+    """The arrays of a triple walk, each node's pair given by its states."""
+    pair_a, pair_b = walk.pair_a, walk.pair_b
+    return [walk.xs, [(pair_a[p], pair_b[p]) for p in walk.pairs], walk.parent, walk.event]
 
 
-def _fields(walk):
-    return [getattr(walk, f) for f in _FIELDS]
+def _searched(walk):
+    """The arrays of the witness search run to its end, in the same form."""
+    nodes = list(walk.triples())
+    return [[x for x, _ in nodes], [(walk.pair_a[p], walk.pair_b[p]) for _, p in nodes],
+            walk.parent, walk.event]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 20))
 def test_lockstep_keeps_the_triples_it_yielded(seed, stop):
-    """The walk holds every triple the level-by-level walk hands over, in
-    its order: the arrays equal those of that walk run to the end, its
-    level starts are where the depth along the parents grows, and the
-    level walk cut short on receiving level ``stop`` holds a prefix of
-    them."""
+    """The witness search lists every triple the level-by-level walk hands
+    over, in its order, and the walk keeps the same plant states per pair:
+    the search's arrays equal those of that walk run to the end, its level
+    starts are where the depth along the parents grows, and the level walk
+    cut short on receiving level ``stop`` holds a prefix of them."""
     rng = random.Random(seed)
     alphabet = random_alphabet(rng, max_events=4)
     g = _with_unreachable(rng, random_plant(rng, alphabet, max_states=6))
     a = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
     b = _with_unreachable(rng, random_automaton(rng, alphabet, max_states=5))
     walk, oracle = Lockstep(g, a, b), level_walk_oracle.Lockstep(g, a, b)
-    assert _fields(walk) == _fields(oracle.run())
+    assert _searched(walk) == _nodes(oracle.run())
+    assert _reached(walk) == _reached(oracle)
     walked = _walked(walk)
     assert oracle.starts == [node for node, _, _, _, level in walked
                              if node == 0 or walked[node - 1][4] != level]
@@ -183,7 +199,7 @@ def test_lockstep_keeps_the_triples_it_yielded(seed, stop):
         if level == stop:
             break
     held = len(oracle.xs)
-    assert [f[:held] for f in _fields(walk)[:4]] == _fields(oracle)[:4]
+    assert [f[:held] for f in _searched(walk)] == _nodes(oracle)
 
 
 def _chain(n):
@@ -459,11 +475,15 @@ def test_normality_reads_off_a_walk_with_any_equivalent_reference():
 
 def test_a_walk_that_separates_nothing_is_complete():
     """Every walk is complete when built, and ``separating_string`` only
-    reads it, so ``normal_in`` and ``_finer`` may read the walk whatever
-    it returned: the arrays are those of the level walk run to its end."""
+    reads its pairs and walks the triples afresh, so ``normal_in`` and
+    ``_finer`` may read the walk whatever it returned: the pairs, their
+    plant states and the expansions stay as built, and are those of the
+    level walk run to its end."""
     verdicts = Counter()
     for g, a, b in _triples():
         walk = Lockstep(g, a, b)
+        built = (walk.pair_a[:], walk.pair_b[:], walk.reached[:], walk.expansions)
         verdicts[separating_string(walk) is None] += 1
-        assert _fields(walk) == _fields(level_walk_oracle.Lockstep(g, a, b).run())
+        assert (walk.pair_a, walk.pair_b, walk.reached, walk.expansions) == built
+        assert _reached(walk) == _reached(level_walk_oracle.Lockstep(g, a, b).run())
     assert verdicts[True] >= 300 and verdicts[False] >= 100, verdicts

@@ -1,9 +1,10 @@
 """Differential tests: the walks that intern pairs of automaton states and
-keep one bitmask of plant states per pair (``supred.automata.Lockstep``)
-or per supervisor state (``supred.supervision.closed_loop_pairs``), and
-the readers that fold plant data once per distinct bitmask, against the
-walks that coded every visited triple or pair as one int
-(``tests/lockstep_oracle.py``, ``tests/closed_loop_oracle.py``).
+keep one bitmask of plant states per pair (``supred.automata.Lockstep``,
+whose triples its witness search lists) or per supervisor state
+(``supred.supervision.closed_loop_pairs``), and the readers that fold
+plant data once per distinct bitmask, against the walks that coded every
+visited triple or pair as one int (``tests/lockstep_oracle.py``,
+``tests/closed_loop_oracle.py``).
 
 Arrays, strings, pairs, control data, the verdicts and witnesses of the
 closed-loop checks and SUPER's text must all agree, on seeded families
@@ -71,9 +72,11 @@ def _plants_and_sets(large=True):
 
 
 def _arrays(walk):
-    """Per node, the plant state, both automaton states, parent and event."""
-    return (walk.xs, [walk.pair_a[p] for p in walk.pairs], [walk.pair_b[p] for p in walk.pairs],
-            walk.parent, walk.event)
+    """Per node of the witness search run to its end, the plant state, both
+    automaton states, parent and event."""
+    nodes = list(walk.triples())
+    return ([x for x, _ in nodes], [walk.pair_a[p] for _, p in nodes],
+            [walk.pair_b[p] for _, p in nodes], walk.parent, walk.event)
 
 
 def _old_arrays(walk):
@@ -81,28 +84,29 @@ def _old_arrays(walk):
 
 
 def test_walk_matches_the_triple_walk():
-    """Same arrays and strings as the walk over int-coded triples; each
-    pair is listed once, in order of first reach, with the plant states of
-    its nodes."""
+    """The witness search lists the arrays and strings of the walk over
+    int-coded triples, and the pair walk keeps, per pair of automaton
+    states, the plant states of its nodes."""
     walks = 0
     for g, _, cands in _plants_and_sets():
         for a, b in product(cands, repeat=2):
             new, old = Lockstep(g, a, b), lockstep_oracle.Lockstep(g, a, b).run()
             assert _arrays(new) == _old_arrays(old)
-            assert ([new.string(node) for node in range(len(new.xs))]
+            assert ([new.string(node) for node in range(len(old.xs))]
                     == [old.string(node) for node in range(len(old.xs))])
             reached: dict[tuple[int, int], int] = {}
             for x, qa, qb in zip(old.xs, old.qas, old.qbs):
                 reached[(qa, qb)] = reached.get((qa, qb), 0) | 1 << x
-            assert list(zip(new.pair_a, new.pair_b)) == list(reached)
-            assert new.reached == list(reached.values())
+            assert dict(zip(zip(new.pair_a, new.pair_b), new.reached)) == reached
+            assert len(new.pair_a) == len(reached)
             walks += 1
     assert walks > 1000
 
 
 def test_walks_cut_short_match_the_triple_walk():
     """The triple walk left on receiving level ``stop`` holds a prefix of
-    the walk's arrays: the walk lists the levels in the same order."""
+    the witness search's arrays: the search lists the levels in the same
+    order."""
     for g, _, cands in _plants_and_sets():
         a, b = cands[0], cands[-1]
         new = _arrays(Lockstep(g, a, b))
