@@ -17,9 +17,8 @@ from .automata import (Automaton, Lockstep, check_same_alphabet, control_equival
                        is_des_isomorphic, separating_string, sync_product)
 from .errors import PreconditionError, SearchCapError
 from .reduction import (DEFAULT_EXACT_CAP, build_super, reduce_exact_core, require_feasible,
-                        super_from_pairs)
-from .supervision import (ControlData, check_control_feasibility, closed_loop_pairs,
-                          control_data_from_sets, normal_in)
+                        super_construction)
+from .supervision import ControlData, check_control_feasibility, control_data_from_sets, normal_in
 
 __all__ = [
     "OrderWitness",
@@ -175,7 +174,7 @@ def compare_full_vs_partial(
     Hypotheses checked: the full-observation supervisor is isomorphic to
     its own closed loop, the partial one has only selfloop unobservable
     transitions and is isomorphic to the subset construction of its closed
-    loop (:func:`~supred.reduction.super_from_pairs`), and the two are
+    loop (:func:`~supred.reduction.super_construction`), and the two are
     control equivalent.  The full-observation side then reduces at least
     as well.
 
@@ -194,9 +193,7 @@ def compare_full_vs_partial(
             "full-isomorphism", "s_full is not DES-isomorphic to its closed loop"
         )
     if not (s_partial.is_reachable() and check_control_feasibility(s_partial)[0]
-            and is_des_isomorphic(
-                s_partial, super_from_pairs(g, s_partial, *closed_loop_pairs(g, s_partial)[:2])
-            ).verdict):
+            and is_des_isomorphic(s_partial, super_construction(g, s_partial)[0]).verdict):
         raise PreconditionError(
             "partial-isomorphism",
             "s_partial is not DES-isomorphic to the subset construction of its closed loop",

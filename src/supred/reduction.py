@@ -1,8 +1,9 @@
 """Supervisor reduction: control covers, induced quotient supervisors, the
-canonical finest supervisor (the observer of the closed loop, built on
-pairs of supervisor state and plant-state set), cover extraction
-from a smaller equivalent supervisor, a polynomial merge heuristic, and
-exact minimum-cover search.
+canonical finest supervisor (the observer of the closed loop, built in one
+subset construction keyed by supervisor state and plant-state set, whose
+keys also give loop controllability and the control data of SUPER itself),
+cover extraction from a smaller equivalent supervisor, a polynomial merge
+heuristic, and exact minimum-cover search.
 
 A control cover groups supervisor states into compatible cells; the quotient
 over any such cover is again a supervisor with the same closed-loop
@@ -19,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .automata import Automaton, Lockstep, distinct_names, separating_string
+from .automata import Automaton, Lockstep, check_same_alphabet, distinct_names, separating_string
 from .errors import CoverError, InfeasibleSupervisorError, PreconditionError, SearchCapError
 from .supervision import (
     ControlData,
@@ -40,7 +41,7 @@ __all__ = [
     "validate_cover",
     "induce_quotient",
     "build_super",
-    "super_from_pairs",
+    "super_construction",
     "extract_cover_from_simsup",
     "reduce_heuristic",
     "reduce_exact_minimum",
@@ -265,45 +266,81 @@ def _require_loop_controllable(s: Automaton, data: ControlData) -> None:
 
 
 def build_super(g: Automaton, s: Automaton) -> Automaton:
-    """The finest supervisor with the closed-loop behaviour of ``s``:
-    :func:`super_from_pairs` on the pairs of
-    :func:`~supred.automata.closed_loop_pairs`.  Fails on an infeasible
-    supervisor, with the errors of :func:`require_feasible`: the structural
-    check runs first, then loop controllability is read off the same pairs.
-    """
+    """The finest supervisor with the closed-loop behaviour of ``s``, built
+    by :func:`super_construction`.  Fails on an infeasible supervisor, with
+    the errors of :func:`require_feasible`: the structural check runs
+    first, then the alphabet check, and loop controllability is read off
+    the plant states the construction met with each state of ``s``, so an
+    uncontrollable supervisor is refused after its SUPER is built."""
+    return _gated_super(g, s)[0]
+
+
+def _gated_super(g: Automaton, s: Automaton) -> tuple[Automaton, list[tuple[int, int]]]:
+    """:func:`build_super`'s SUPER with the keys of its states."""
     _require_selfloop_unobservables(s)
-    xs, zs, sets = closed_loop_pairs(g, s)
+    sup, keys = super_construction(g, s)
+    sets = [0] * s.n  # per state of s, the plant states the closed loop pairs with it
+    for z, subset in keys:
+        sets[z] |= subset
     _require_loop_controllable(s, control_data_from_sets(g, s, sets))
-    return super_from_pairs(g, s, xs, zs)
+    return sup, keys
 
 
-def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -> Automaton:
+def super_construction(
+    g: Automaton, s: Automaton
+) -> tuple[Automaton, list[tuple[int, int]]]:
     """The subset construction over the observable events of the closed
-    loop whose reachable pairs ``(xs[i], zs[i])`` are those of
-    :func:`~supred.automata.closed_loop_pairs`, with unobservable events
-    reinserted as selfloops.  Every unobservable transition of ``s`` must
-    be a selfloop; loop controllability is not checked.
+    loop ``g||s``, with unobservable events reinserted as selfloops, and
+    per state of the result its key ``(z, X)``.  Every unobservable
+    transition of ``s`` must be a selfloop; loop controllability is not
+    checked.
 
-    No product automaton is built.  With every unobservable transition of
-    ``s`` a selfloop, the state of ``s`` after a closed-loop string
-    depends only on the string's observed projection, so every subset of
-    closed-loop pairs the construction reaches is ``{z} × X``: a SUPER
-    state is the key ``(z, X)``, with ``X`` a bitmask of plant states.  An
-    observable event ``e`` leads to ``(zt, X')``, ``zt`` the ``e``-successor
-    of ``z`` and ``X'`` the closure of the plant's ``e``-successors of
-    ``X`` under the unobservable events ``zt`` selfloops.  States, their
-    order and their names are those of the subset construction of
-    :func:`~supred.automata.sync_product`: member names are the product's
-    pair names ``(x,z)``, made distinct in the product's order.  A SUPER
-    state's members and offered events are found once per distinct ``X``,
-    and each image ``X'`` once per ``X``, event and set of selflooped
-    events.
+    No product automaton is built and no pair of the closed loop is
+    listed.  With every unobservable transition of ``s`` a selfloop, the
+    state of ``s`` after a closed-loop string depends only on the string's
+    observed projection, so every subset of closed-loop pairs the
+    construction reaches is ``{z} × X``: a SUPER state is the key
+    ``(z, X)``, with ``X`` the bitmask of the plant states the closed loop
+    pairs with ``z`` after the strings of that projection.  An observable
+    event ``e`` leads to ``(zt, X')``, ``zt`` the ``e``-successor of ``z``
+    and ``X'`` the closure of the plant's ``e``-successors of ``X`` under
+    the unobservable events ``zt`` selfloops.  A SUPER state's members and
+    offered events are found once per distinct ``X``, and each image
+    ``X'`` once per ``X``, event and set of selflooped events.  The union
+    of the ``X`` keyed with ``z`` is every plant state the closed loop
+    pairs with ``z``, so the keys also give the control data of ``s``, and
+    those of SUPER, whose state ``(z, X)`` the closed loop meets with
+    exactly the plant states ``X``.
+
+    States, their order and their names are those of the subset
+    construction of :func:`~supred.automata.sync_product`: a state is
+    named by its members' pair names ``(x,z)``, sorted and joined by
+    ``+``.  When no plant state name holds ``,``, pair names cannot
+    collide, and for a fixed ``z`` they sort as the keys ``x + ","``:
+    two such keys are never prefixes of one another, so they differ at a
+    character both hold, and the suffix ``z)`` behind it never counts.  The
+    plant states are then ranked once by that key, and each state's name
+    is one join of its members' plant names in rank order.  Otherwise pair
+    names can collide, and they are made distinct in the product's order,
+    which only :func:`~supred.automata.closed_loop_pairs` lists, and
+    sorted per state.  Either way two SUPER names can still be equal
+    (supervisor state names such as ``r)+(q,r``), and they are made
+    distinct in state order.
     """
+    check_same_alphabet(g, s)
     m, ns = len(s.alphabet), s.n
     g_succ, s_succ = g.succ, s.succ
     g_states, s_states = g.states, s.states
-    pair_name = dict(zip([x * ns + z for x, z in zip(xs, zs)], distinct_names(
-        [f"({g_states[x]},{s_states[z]})" for x, z in zip(xs, zs)])))
+    pair_name: Optional[dict[int, str]] = None
+    if any("," in name for name in g_states):
+        xs, zs, _ = closed_loop_pairs(g, s)
+        pair_name = dict(zip([x * ns + z for x, z in zip(xs, zs)], distinct_names(
+            [f"({g_states[x]},{s_states[z]})" for x, z in zip(xs, zs)])))
+    else:
+        rank = [0] * g.n
+        for r, x in enumerate(sorted(range(g.n), key=lambda x: g_states[x] + ",")):
+            rank[x] = r
+        tails = [f",{name})" for name in s_states]
     unobs_mask = s.alphabet.unobservable_mask
     obs = [e for e in range(m) if not unobs_mask >> e & 1]
     unobs = [e for e in range(m) if unobs_mask >> e & 1]
@@ -325,8 +362,9 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
         steps_into[z] = table
         return table
 
-    # per plant-state set: its members, and the events some member defines
-    by_set: dict[int, tuple[list[int], int]] = {}
+    # per plant-state set: its members, the events some member defines, and
+    # (names without collisions) its members' plant names in rank order
+    by_set: dict[int, tuple[list[int], int, list[str]]] = {}
     start = (s.initial, _closure(g, g.initial, s.enabled(s.initial) & unobs_mask))
     index = {start: 0}
     order = [start]
@@ -341,8 +379,10 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
                 low = rest & -rest
                 members.append(low.bit_length() - 1)
                 rest ^= low
-            found = by_set[subset] = (members, g.enabled_in(subset))
-        members, offered = found
+            ranked = ([] if pair_name is not None
+                      else [g_states[x] for x in sorted(members, key=rank.__getitem__)])
+            found = by_set[subset] = (members, g.enabled_in(subset), ranked)
+        members, offered, ranked = found
         base = z * m
         row = [-1] * m
         for e in obs:
@@ -369,11 +409,16 @@ def super_from_pairs(g: Automaton, s: Automaton, xs: list[int], zs: list[int]) -
                 row[u] = src
         succ += row
         enabled.append(s.enabled(z) & offered)  # the events both define
-        names.append("+".join(sorted([pair_name[x * ns + z] for x in members])))
+        if pair_name is None:
+            tail = tails[z]
+            names.append("(" + (tail + "+(").join(ranked) + tail)
+        else:
+            names.append("+".join(sorted([pair_name[x * ns + z] for x in members])))
     g_marked = sum(1 << x for x in g.marked)
     marked = [i for i, (z, subset) in enumerate(order) if z in s.marked and subset & g_marked]
-    return Automaton.from_table("SUPER", s.alphabet, distinct_names(names), 0, marked, succ,
-                                enabled)
+    sup = Automaton.from_table("SUPER", s.alphabet, distinct_names(names), 0, marked, succ,
+                               enabled)
+    return sup, order
 
 
 def _closure(g: Automaton, x: int, events: int) -> int:
@@ -703,10 +748,11 @@ def generate_equivalent_supervisor(g: Automaton, s: Automaton, seed: int) -> Aut
     congruence.  Deterministic for a given 64-bit seed.  Refuses with
     :class:`SearchCapError` when SUPER exceeds :data:`EQUIVALENT_DRAW_CAP`
     states."""
-    sup = build_super(g, s)
+    sup, keys = _gated_super(g, s)
     if sup.n > EQUIVALENT_DRAW_CAP:
         raise SearchCapError(sup.n, EQUIVALENT_DRAW_CAP, "equivalent-supervisor draw")
-    data = control_data(g, sup)
+    # the closed loop meets SUPER state (z, X) with exactly the plant states X
+    data = control_data_from_sets(g, sup, [subset for _, subset in keys])
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
     n = sup.n
     codes = array("Q")  # pair (i, j), i < j, as code i * n + j: 8 bytes, not a tuple

@@ -20,11 +20,12 @@ from supred.automata import (
 from supred.errors import PreconditionError, SupredError
 from supred.ordering import compare_full_vs_partial, compare_reductions, finer_than
 from supred.reduction import (build_super, extract_cover_from_simsup,
-                              generate_equivalent_supervisor, super_from_pairs)
+                              generate_equivalent_supervisor, super_construction)
 from supred.supervision import (check_control_feasibility, closed_loop_pairs, control_equivalent,
                                 is_normal, loop_controllable)
 
 from tests import closed_loop_oracle as oracle
+from tests import super_oracle
 from tests.conftest import FIXTURES
 from tests.generators import (
     loose_instance,
@@ -154,7 +155,8 @@ def _serialized(build):
 
 def test_build_super_matches_oracle():
     """Same SUPER or same refusal as the version that gated on a control
-    data walk of its own before building ``G||S``: supervisors drawn
+    data walk of its own before building ``G||S``, and as the version that
+    gated on a pair walk before its subset construction: supervisors drawn
     without the loop-controllability filter, each also with an
     unobservable selfloop moved (structurally infeasible) and over a
     mismatched alphabet."""
@@ -175,6 +177,7 @@ def test_build_super_matches_oracle():
         for cand in cands:
             got = _outcome(_serialized(build_super), g, cand)
             assert got == _outcome(_serialized(oracle.build_super), g, cand)
+            assert got == _outcome(_serialized(super_oracle.build_super), g, cand)
             outcomes.add(got[0] if got[0] == "returned" else got[2].split(":")[0])
     assert outcomes == {"returned", "supervisor fails the feasibility check",
                         "supervisor fails the controllability check",
@@ -182,13 +185,20 @@ def test_build_super_matches_oracle():
 
 
 def _assert_same_super(g, s):
-    assert _outcome(_serialized(build_super), g, s) == _outcome(_serialized(oracle.build_super), g, s)
+    got = _outcome(_serialized(build_super), g, s)
+    assert got == _outcome(_serialized(super_oracle.build_super), g, s)
+    assert got == _outcome(_serialized(oracle.build_super), g, s)
 
 
 # State names holding the separators of pair names: ("p,q", "r") and
 # ("p", "q,r") both make the pair name "(p,q,r)".
 PLANT_NAMES = ("p", "q", "p,q", "p,r)+(q")
 SUPERVISOR_NAMES = ("r", "q,r", "p", "r)+(q,r")
+# Plant names without "," that are prefixes of one another, followed by
+# characters below and above "," in code-point order: "p" sorts before
+# "p!", but the pair name "(p,r)" after "(p!,r)".
+RANKED_PLANT_NAMES = ("p", "p!", "p+", "p)", "p-", "pq", "(p")
+RANKED_SUPERVISOR_NAMES = ("r", "q,r", "r)+(p", "p)+(p,r")
 
 
 def _named(a, names):
@@ -199,8 +209,11 @@ def test_build_super_matches_oracle_on_colliding_names():
     """Same SUPER, ``~k`` suffixes included, when pair names collide, and
     when two SUPER states join their member names to the same name: the
     pair ``("p", "r)+(q,r")`` is named as the pairs ``("p", "r")`` and
-    ``("q", "r")`` together."""
-    pair_clashes = 0
+    ``("q", "r")`` together.  A second family has no ``,`` in plant names
+    but plant-name order and pair-name order differ: the names build_super
+    joins in the rank order of ``x + ","`` are those of the sorted pair
+    names."""
+    pair_clashes = reordered = 0
     for seed in range(300):
         rng = random.Random(seed)
         g, s = loose_instance(rng, max_plant=4, max_sup=4, max_events=4, require_unobservable=True)
@@ -208,7 +221,15 @@ def test_build_super_matches_oracle_on_colliding_names():
         s = _named(s, rng.sample(SUPERVISOR_NAMES, s.n))
         _assert_same_super(g, s)
         pair_clashes += any("~" in name for name in sync_product(g, s).states)
-    assert pair_clashes >= 10
+        g, s = loose_instance(rng, max_plant=7, max_sup=4, max_events=4,
+                              require_unobservable=seed % 2 == 0)
+        g = _named(g, rng.sample(RANKED_PLANT_NAMES, g.n))
+        s = _named(s, rng.sample(RANKED_SUPERVISOR_NAMES, s.n))
+        _assert_same_super(g, s)
+        for _, subset in super_construction(g, s)[1]:
+            names = [g.states[x] for x in range(g.n) if subset >> x & 1]
+            reordered += sorted(names) != sorted(names, key=lambda name: name + ",")
+    assert pair_clashes >= 10 and reordered >= 50, (pair_clashes, reordered)
     alphabet = Alphabet([Event("a", True, True), Event("u", True, False)])
     g = Automaton("G", alphabet, ["p", "q"], 0, [0], {(0, 0): 0, (0, 1): 1})
     s = Automaton("S", alphabet, ["r", "r)+(q,r"], 0, [0, 1], {(0, 0): 1, (0, 1): 0})
@@ -231,7 +252,8 @@ def test_super_from_pairs_matches_the_subset_construction():
     """The core of ``build_super`` without its gates, on supervisors whose
     unobservable transitions are selfloops, loop controllable or not: the
     same automaton, byte for byte, as the subset construction of the
-    product ``G||S``."""
+    product ``G||S`` and as the former core ``super_from_pairs`` on the
+    pairs of ``closed_loop_pairs``."""
     checked = uncontrollable = 0
     for seed in range(1000):
         rng = random.Random(seed)
@@ -242,8 +264,10 @@ def test_super_from_pairs_matches_the_subset_construction():
             if not check_control_feasibility(s)[0]:
                 continue
             expected = subset_construction(sync_product_pairs(g, s)[0], name="SUPER")
-            got = super_from_pairs(g, s, *closed_loop_pairs(g, s)[:2])
-            assert serialize_automaton(got) == serialize_automaton(expected), seed
+            got = serialize_automaton(super_construction(g, s)[0])
+            assert got == serialize_automaton(expected), seed
+            former = super_oracle.super_from_pairs(g, s, *closed_loop_pairs(g, s)[:2])
+            assert got == serialize_automaton(former), seed
             checked += 1
             uncontrollable += not loop_controllable(g, s)[0]
     assert checked >= 1000 and uncontrollable >= 500, (checked, uncontrollable)

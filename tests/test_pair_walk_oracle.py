@@ -16,7 +16,7 @@ from itertools import product
 
 from supred.automata import Automaton, Lockstep, serialize_automaton, sync_product
 from supred.ordering import finer_than
-from supred.reduction import build_super, generate_equivalent_supervisor, super_from_pairs
+from supred.reduction import build_super, generate_equivalent_supervisor, super_construction
 from supred.supervision import (check_control_feasibility, closed_loop_pairs, control_data,
                                 control_equivalent, is_normal)
 
@@ -157,7 +157,7 @@ def test_super_text_matches_the_subset_construction():
             if not check_control_feasibility(s)[0]:
                 continue
             expected = subset_construction(sync_product_pairs(g, s)[0], name="SUPER")
-            got = super_from_pairs(g, s, *closed_loop_pairs(g, s)[:2])
+            got = super_construction(g, s)[0]
             assert serialize_automaton(got) == serialize_automaton(expected)
             built += 1
     assert built > 150

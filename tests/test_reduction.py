@@ -28,12 +28,15 @@ from supred.reduction import (
     induce_quotient,
     reduce_exact_minimum,
     reduce_heuristic,
+    super_construction,
     validate_cover,
 )
 from supred.supervision import (
     check_control_feasibility,
     closed_incompatibility,
+    closed_loop_pairs,
     control_data,
+    control_data_from_sets,
     control_equivalent,
     is_normal,
     loop_controllable,
@@ -705,6 +708,23 @@ def test_generate_deterministic_per_seed():
     a = generate_equivalent_supervisor(g, s, 12345)
     b = generate_equivalent_supervisor(g, s, 12345)
     assert is_des_isomorphic(a, b).verdict
+
+
+def test_super_keys_give_the_control_data_of_super():
+    """The closed loop meets SUPER state ``(z, X)`` with exactly the plant
+    states ``X``, so the construction's keys are the plant-state sets of
+    ``G||SUPER`` and give SUPER's control data, which
+    ``generate_equivalent_supervisor`` reads instead of walking that loop:
+    on the ten ``finest_compare`` bench pairs and 300 loose instances."""
+    pairs = [scale_pair(random.Random(seed), core_states=8, factor=25) for seed in range(5)]
+    pairs += [partial_observation_pair(seed) for seed in range(5)]
+    pairs += [loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+              for seed in range(300)]
+    for g, s in pairs:
+        sup, keys = super_construction(g, s)
+        sets = [subset for _, subset in keys]
+        assert sets == closed_loop_pairs(g, sup)[2]
+        assert control_data_from_sets(g, sup, sets) == control_data(g, sup)
 
 
 def test_generate_outputs_equivalent():
