@@ -702,8 +702,9 @@ def closed_loop_pairs(
     the bitmask of the plant states paired with it (0 where the loop never
     visits ``z``); it is also the walk's visited test."""
     # Its own pair walk, not Lockstep(g, s, s): over the 16 bench reduce
-    # supervisors, control data takes 14.6 ms against 16.6 ms when read off
-    # Lockstep's pairs (best of 9, interleaved in one process, 2-vCPU VM).
+    # supervisors, control data takes 13.2-13.7 ms against 14.7-15.5 ms when
+    # read off Lockstep's pairs (best of 9, interleaved in one process,
+    # three processes, 2-vCPU VM).
     check_same_alphabet(g, s)
     m = len(s.alphabet)
     g_out, succ = g.out_rows, s.succ
@@ -734,8 +735,10 @@ class Lockstep:
     first reach: ``pair_a[p]`` and ``pair_b[p]`` are its states and
     ``reached[p]`` is the bitmask of the plant states walked with it, so the
     triples ``(x, qa, qb)`` of the closed loop are the plant states of each
-    pair.  The walk is a worklist over pairs: a popped pair carries the
-    plant states new to it since it was last popped.  They are first closed
+    pair.  ``index`` maps the code ``qa * b.n + qb`` of each pair to its id;
+    a successor pair is looked up there from its two states' successors.
+    The walk is a worklist over pairs: a popped pair carries the plant
+    states new to it since it was last popped.  They are first closed
     under the events that both ``a`` and ``b`` selfloop at the pair, which
     keep the walk in it; then each other event that both states define
     carries their image into the successor pair, which is queued if it
@@ -758,14 +761,9 @@ class Lockstep:
         pair_a, pair_b, reached = [a.initial], [b.initial], [1 << g.initial]
         self.pair_a, self.pair_b, self.reached = pair_a, pair_b, reached
         # Per pair: the plant states not yet expanded with it (nonzero
-        # exactly while it waits in the queue), and its successor pair per
-        # event, in one flat row filled on first use (-1 until then; the
-        # pair itself for a selfloop of both).  A pair (qa, qb) is coded as
-        # qa * nb + qb.
+        # exactly while it waits in the queue).
         fresh = reached[:]
-        unset = [-1] * m
-        self._succ = succ = unset[:]
-        index = {a.initial * nb + b.initial: 0}
+        self.index = index = {a.initial * nb + b.initial: 0}
         images: dict[int, list[int]] = {}  # per plant set, its image per event
         events_of: dict[int, list[int]] = {}  # per event mask, its events
 
@@ -782,17 +780,18 @@ class Lockstep:
         for p in queue:
             new, fresh[p] = fresh[p], 0
             qa, qb = pair_a[p], pair_b[p]
-            base, base_a, base_b = p * m, qa * m, qb * m
+            base_a, base_b = qa * m, qb * m
             shared = a_enabled[qa] & b_enabled[qb]
             events = events_of.get(shared)
             if events is None:
                 events = events_of[shared] = [e for e in range(m) if shared >> e & 1]
             loops, moves = [], []
             for e in events:
-                t = succ[base + e]
-                if t < 0 and a_succ[base_a + e] == qa and b_succ[base_b + e] == qb:
-                    t = succ[base + e] = p
-                (loops if t == p else moves).append(e)
+                ta, tb = a_succ[base_a + e], b_succ[base_b + e]
+                if ta == qa and tb == qb:
+                    loops.append(e)
+                else:
+                    moves.append((e, ta, tb))
             if loops:
                 frontier = new
                 while frontier:
@@ -804,23 +803,18 @@ class Lockstep:
                     reached[p] |= frontier
                     new |= frontier
             row = images.get(new) or image(new)
-            for e in moves:
+            for e, ta, tb in moves:
                 states = row[e]
                 if not states:
                     continue
-                t = succ[base + e]
-                if t < 0:
-                    ta, tb = a_succ[base_a + e], b_succ[base_b + e]
-                    code = ta * nb + tb
-                    t = index.get(code)
-                    if t is None:
-                        t = index[code] = len(pair_a)
-                        pair_a.append(ta)
-                        pair_b.append(tb)
-                        reached.append(0)
-                        fresh.append(0)
-                        succ += unset
-                    succ[base + e] = t
+                code = ta * nb + tb
+                t = index.get(code)
+                if t is None:
+                    t = index[code] = len(pair_a)
+                    pair_a.append(ta)
+                    pair_b.append(tb)
+                    reached.append(0)
+                    fresh.append(0)
                 states &= ~reached[t]
                 if states:
                     reached[t] |= states
@@ -836,19 +830,20 @@ class Lockstep:
         ``parent[i]`` by ``event[i]``; both lists grow as nodes are yielded,
         so :meth:`string` rebuilds the string of any node yielded so far.
         Nodes come in shortlex order of their strings."""
-        g, m, succ = self.g, len(self.g.alphabet), self._succ
-        g_out, a_enabled, b_enabled = g.out_rows, self.a._enabled, self.b._enabled
-        shared = [a_enabled[qa] & b_enabled[qb] for qa, qb in zip(self.pair_a, self.pair_b)]
+        g, a, b, index = self.g, self.a, self.b, self.index
+        m, nb, pair_a, pair_b = len(g.alphabet), b.n, self.pair_a, self.pair_b
+        g_out, a_succ, b_succ = g.out_rows, a.succ, b.succ
+        shared = [a._enabled[qa] & b._enabled[qb] for qa, qb in zip(pair_a, pair_b)]
         seen = [0] * len(shared)
         seen[0] = 1 << g.initial
         xs, pairs = [g.initial], [0]  # they double as the queue
         self.parent, self.event = parent, event = [-1], [-1]
         for node, (x, p) in enumerate(zip(xs, pairs)):
             yield x, p
-            on, base = shared[p], p * m
+            on, base_a, base_b = shared[p], pair_a[p] * m, pair_b[p] * m
             for e, xt in g_out[x]:
                 if on >> e & 1:
-                    t = succ[base + e]
+                    t = index[a_succ[base_a + e] * nb + b_succ[base_b + e]]
                     bit = 1 << xt
                     if not seen[t] & bit:
                         seen[t] |= bit

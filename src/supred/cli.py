@@ -101,11 +101,12 @@ def _build_parser() -> _Parser:
     add_loop("product", "synchronous product of two automata", writes=True)
     add_loop("super", "finest control-equivalent supervisor", writes=True)
     p = add_loop("reduce", "reduce a supervisor", writes=True)
-    p.add_argument("--exact", action="store_true")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--exact", action="store_true")
     p.add_argument("--mode", choices=("partition", "cover"), default="cover")
     p.add_argument("--cap", type=int, default=reduction.DEFAULT_EXACT_CAP)
-    p.add_argument("--seed", type=int, default=None,
-                   help="sample a random control-equivalent supervisor instead")
+    how.add_argument("--seed", type=int, default=None,
+                     help="sample a random control-equivalent supervisor instead")
 
     p = add("verify", help="boolean checks")
     p.add_argument("check", choices=("equiv", "feasible", "existence", "normal", "cover"))

@@ -513,9 +513,10 @@ class _MergePartition:
     partition and the pair.  Each root keeps the
     bitmask of its members, the union of their incompatibility masks, and
     one representative successor per event, so a union costs one ``&`` plus
-    O(|Σ|) and pushes only the pairs of representative successors.  Union
-    by size without path compression keeps every change undoable from a
-    log, so a failed attempt costs only what it did.
+    O(|Σ|) and pushes only the pairs of representative successors; any
+    member of a cell is a valid representative.  Union by size (the
+    popcount of the member masks) without path compression keeps every
+    change undoable from a log, so a failed attempt costs only what it did.
 
     A refused attempt also marks its two cells incompatible with each
     other (a learned refusal).  Commits only coarsen the partition and the
@@ -534,11 +535,10 @@ class _MergePartition:
         n = s.n
         self.m = m = len(s.alphabet)
         self.parent = list(range(n))
-        self.size = [1] * n
         self.members = [1 << q for q in range(n)]
         self.incompatible = list(masks)
         # representative successor of root r under event e at r * m + e;
-        # a copy, since unions write to it
+        # a copy, since unions and close() write to it
         self.succ = list(s.succ)
         self.steps = 0
 
@@ -552,7 +552,7 @@ class _MergePartition:
         """Merge the cells of ``i`` and ``j`` and close under successors;
         on an incompatible cell undo everything, mark the two cells
         incompatible with each other and return False."""
-        parent, size, members = self.parent, self.size, self.members
+        parent, members = self.parent, self.members
         incompatible, succ, m = self.incompatible, self.succ, self.m
         a, b = i, j
         while parent[a] != a:
@@ -574,10 +574,9 @@ class _MergePartition:
                 incompatible[ri] |= members[rj]
                 incompatible[rj] |= members[ri]
                 return False
-            if size[a] < size[b]:
+            if members[a].bit_count() < members[b].bit_count():
                 a, b = b, a
             parent[b] = a
-            size[a] += size[b]
             filled = []
             log.append((a, b, members[a], incompatible[a], filled))
             members[a] |= members[b]
@@ -606,10 +605,9 @@ class _MergePartition:
                     break
 
     def _undo(self, log: list) -> None:
-        parent, size, succ, m = self.parent, self.size, self.succ, self.m
+        parent, succ, m = self.parent, self.succ, self.m
         for a, b, members, incompatible, filled in reversed(log):
             parent[b] = b
-            size[a] -= size[b]
             self.members[a] = members
             self.incompatible[a] = incompatible
             for e in filled:
@@ -620,8 +618,10 @@ class _MergePartition:
         the partition can join: :func:`~supred.supervision.close_compatible_rows`
         over the cells, then each root's mask takes the members of every
         cell its row lost.  The roots are the positions, a cell's
-        successors are its representative successors resolved with
-        :meth:`find`, and two cells are compatible when no member of one is
+        successors are its representative successors, resolved to their
+        roots in ``succ`` itself for each root with a partner (the only
+        rows read, and a root stays a valid representative), and two cells
+        are compatible when no member of one is
         in the other's mask.  A cell's root is its member, so a cell whose
         root is in a mask is incompatible with it, and a lone state's row
         bits are read off its mask at once: the work grows with the cells
@@ -643,7 +643,6 @@ class _MergePartition:
                 grouped |= 1 << r
             rest &= ~members[r]
         rows: dict[int, int] = {}
-        cell_succ: dict[int, int] = {}
         for r in roots:
             clash = incompatible[r]
             row = singles & ~clash  # holds r itself: a cell is compatible with itself
@@ -661,8 +660,8 @@ class _MergePartition:
                     if t >= 0:
                         while parent[t] != t:
                             t = parent[t]
-                    cell_succ[base + e] = t
-        for r, kept in close_compatible_rows(cell_succ, m, rows).items():
+                        succ[base + e] = t
+        for r, kept in close_compatible_rows(succ, m, rows).items():
             lost = rows[r] ^ kept
             if lost:
                 widen = lost & singles

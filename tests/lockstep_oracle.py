@@ -17,7 +17,15 @@ and ``tests/test_pair_walk_oracle.py`` check that the library's pair walk
 reaches the same pairs with the same plant states, that its witness
 search lists the same triples in the same order with the same strings,
 and that every check built on it gives the same verdicts, witnesses and
-refusals.  All bodies are unchanged.
+refusals.
+
+``TableLockstep`` is the pair walk the library used before it dropped its
+successor table: besides the code-to-id ``index`` of its pairs it kept a
+flat row per pair of successor pair ids, filled on first use, and told a
+selfloop of both automata by a successor equal to the pair itself.
+``tests/test_triple_walk_oracle.py`` checks that the library's walk,
+which reads successor pairs from ``index``, gives the same pairs, pops,
+triples, strings and witnesses.  All bodies are unchanged.
 """
 
 from __future__ import annotations
@@ -257,3 +265,159 @@ def finer(g: Automaton, walk: TripleLockstep) -> tuple[OrderWitness, ControlData
     failed = _CLAUSES[low // m if low < 2 * m else low - 2 * m + 2]
     string = [g.alphabet.name(e) for e in walk.string(node)]
     return OrderWitness(False, (string, failed)), data1, data2
+
+
+class TableLockstep:
+    """The pairs of states that the automata ``a`` and ``b`` reach together
+    with the plant ``g``, on the events all three define, and per pair the
+    plant states reached with it; no product automaton is built, successors
+    are read from ``succ``.  The constructor walks to the end, so every walk
+    a reader gets is complete.
+
+    Each pair ``(qa, qb)`` the walk reaches gets an id ``p``, in order of
+    first reach: ``pair_a[p]`` and ``pair_b[p]`` are its states and
+    ``reached[p]`` is the bitmask of the plant states walked with it, so the
+    triples ``(x, qa, qb)`` of the closed loop are the plant states of each
+    pair.  The walk is a worklist over pairs: a popped pair carries the
+    plant states new to it since it was last popped.  They are first closed
+    under the events that both ``a`` and ``b`` selfloop at the pair, which
+    keep the walk in it; then each other event that both states define
+    carries their image into the successor pair, which is queued if it
+    gained a state.  Images are computed once per set of plant states.
+    ``expansions`` counts the pairs popped.  Facts that depend on the pair
+    alone are read once per pair, and facts about the plant once per
+    distinct ``reached`` set.
+
+    The walk keeps no strings: :meth:`first` walks the triples breadth
+    first to rebuild a witness, once a check has failed.
+    """
+
+    def __init__(self, g: Automaton, a: Automaton, b: Automaton):
+        check_same_alphabet(g, a)
+        check_same_alphabet(g, b)
+        self.g, self.a, self.b = g, a, b
+        m, nb = len(g.alphabet), b.n
+        g_out, a_succ, b_succ = g.out_rows, a.succ, b.succ
+        a_enabled, b_enabled = a._enabled, b._enabled
+        pair_a, pair_b, reached = [a.initial], [b.initial], [1 << g.initial]
+        self.pair_a, self.pair_b, self.reached = pair_a, pair_b, reached
+        # Per pair: the plant states not yet expanded with it (nonzero
+        # exactly while it waits in the queue), and its successor pair per
+        # event, in one flat row filled on first use (-1 until then; the
+        # pair itself for a selfloop of both).  A pair (qa, qb) is coded as
+        # qa * nb + qb.
+        fresh = reached[:]
+        unset = [-1] * m
+        self._succ = succ = unset[:]
+        index = {a.initial * nb + b.initial: 0}
+        images: dict[int, list[int]] = {}  # per plant set, its image per event
+        events_of: dict[int, list[int]] = {}  # per event mask, its events
+
+        def image(states: int) -> list[int]:
+            row = images[states] = [0] * m
+            while states:
+                low = states & -states
+                for e, xt in g_out[low.bit_length() - 1]:
+                    row[e] |= 1 << xt
+                states ^= low
+            return row
+
+        queue = [0]  # ids repeat: a pair is queued again when it gains states
+        for p in queue:
+            new, fresh[p] = fresh[p], 0
+            qa, qb = pair_a[p], pair_b[p]
+            base, base_a, base_b = p * m, qa * m, qb * m
+            shared = a_enabled[qa] & b_enabled[qb]
+            events = events_of.get(shared)
+            if events is None:
+                events = events_of[shared] = [e for e in range(m) if shared >> e & 1]
+            loops, moves = [], []
+            for e in events:
+                t = succ[base + e]
+                if t < 0 and a_succ[base_a + e] == qa and b_succ[base_b + e] == qb:
+                    t = succ[base + e] = p
+                (loops if t == p else moves).append(e)
+            if loops:
+                frontier = new
+                while frontier:
+                    row = images.get(frontier) or image(frontier)
+                    grown = 0
+                    for e in loops:
+                        grown |= row[e]
+                    frontier = grown & ~reached[p]
+                    reached[p] |= frontier
+                    new |= frontier
+            row = images.get(new) or image(new)
+            for e in moves:
+                states = row[e]
+                if not states:
+                    continue
+                t = succ[base + e]
+                if t < 0:
+                    ta, tb = a_succ[base_a + e], b_succ[base_b + e]
+                    code = ta * nb + tb
+                    t = index.get(code)
+                    if t is None:
+                        t = index[code] = len(pair_a)
+                        pair_a.append(ta)
+                        pair_b.append(tb)
+                        reached.append(0)
+                        fresh.append(0)
+                        succ += unset
+                    succ[base + e] = t
+                states &= ~reached[t]
+                if states:
+                    reached[t] |= states
+                    if not fresh[t]:
+                        queue.append(t)
+                    fresh[t] |= states
+        self.expansions = len(queue)
+
+    def triples(self) -> Iterator[tuple[int, int]]:
+        """Walk the triples ``(x, pair_a[p], pair_b[p])`` of the walk's pairs
+        breadth first from the initial one, events in alphabet order, and
+        yield ``(x, p)`` per node.  Node ``i`` is first reached from node
+        ``parent[i]`` by ``event[i]``; both lists grow as nodes are yielded,
+        so :meth:`string` rebuilds the string of any node yielded so far.
+        Nodes come in shortlex order of their strings."""
+        g, m, succ = self.g, len(self.g.alphabet), self._succ
+        g_out, a_enabled, b_enabled = g.out_rows, self.a._enabled, self.b._enabled
+        shared = [a_enabled[qa] & b_enabled[qb] for qa, qb in zip(self.pair_a, self.pair_b)]
+        seen = [0] * len(shared)
+        seen[0] = 1 << g.initial
+        xs, pairs = [g.initial], [0]  # they double as the queue
+        self.parent, self.event = parent, event = [-1], [-1]
+        for node, (x, p) in enumerate(zip(xs, pairs)):
+            yield x, p
+            on, base = shared[p], p * m
+            for e, xt in g_out[x]:
+                if on >> e & 1:
+                    t = succ[base + e]
+                    bit = 1 << xt
+                    if not seen[t] & bit:
+                        seen[t] |= bit
+                        xs.append(xt)
+                        pairs.append(t)
+                        parent.append(node)
+                        event.append(e)
+
+    def string(self, node: int) -> tuple[int, ...]:
+        """The first string (event indices) reaching ``node`` of
+        :meth:`triples`."""
+        parent, event = self.parent, self.event
+        back = []
+        while node:
+            back.append(event[node])
+            node = parent[node]
+        return tuple(reversed(back))
+
+    def first(self, plant: list[int], hits: list[int]) -> Optional[tuple[tuple[int, ...], int]]:
+        """The shortlex least string reaching a triple ``(x, qa, qb)`` of
+        pair ``p`` where ``plant[x] & hits[p]`` is nonzero, with that value;
+        None when no triple has one.  The triples are walked until the
+        first."""
+        for node, (x, p) in enumerate(self.triples()):
+            hit = plant[x] & hits[p]
+            if hit:
+                return self.string(node), hit
+        return None

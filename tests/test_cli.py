@@ -462,13 +462,25 @@ def test_shared_parser_matches_fresh_parser():
 
     parser = cli._build_parser()
     parser.parse_args(["reduce", "--exact", "--mode", "partition", "--cap", "5",
-                       "--seed", "3", "-g", g, "-s", s])
+                       "-g", g, "-s", s])
+    parser.parse_args(["reduce", "--seed", "3", "-g", g, "-s", s])
     args = parser.parse_args(["reduce", "-g", g, "-s", s])
     assert (args.exact, args.mode, args.cap, args.seed) == (
         False, "cover", cli.reduction.DEFAULT_EXACT_CAP, None)
     parser.parse_args(["verify", "cover", "-g", g, "-s", s, "--cells", "0;1"])
     args = parser.parse_args(["verify", "equiv", "-g", g])
     assert args.cells is None and args.s is None
+
+
+def test_reduce_refuses_exact_with_seed():
+    """``--exact`` and ``--seed`` choose different reducers, so a call given
+    both, in either order, is refused as a usage error, not run with one
+    of them ignored."""
+    g, s = f"{TANK}:G", f"{TANK}:S"
+    for options in (["--exact", "--seed", "3"], ["--seed", "3", "--exact", "--mode", "partition"]):
+        result, out, err = invoke("reduce", *options, "-g", g, "-s", s)
+        assert result.exit_code == 2 and out == ""
+        assert "not allowed with argument" in err
 
 
 MERGE_COLLISION = """\

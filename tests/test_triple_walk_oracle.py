@@ -2,7 +2,8 @@
 closes each pair's plant states under the pair's selfloops and walks the
 triples only to rebuild a witness, against the complete triple walk it
 replaced (``tests/lockstep_oracle.py``: ``TripleLockstep``, with its node
-readers ``separating_string`` and ``finer``).
+readers ``separating_string`` and ``finer``), and against the pair walk
+that kept a successor table per pair (``TableLockstep`` there).
 
 The pairs and their plant states must agree on seeded families, on the
 bench's ``finest_compare`` pairs and on automata with observable
@@ -17,7 +18,7 @@ from itertools import product
 
 import supred
 from supred.automata import Automaton, Lockstep, separating_string
-from supred.ordering import compare_reductions, finer_than
+from supred.ordering import _finer, compare_reductions, finer_than
 from supred.reduction import build_super, extract_cover_from_simsup, generate_equivalent_supervisor
 
 from tests import lockstep_oracle
@@ -96,6 +97,33 @@ def test_pairs_reach_the_plant_states_of_the_triple_walk():
         walks += 1
         looped += walk.expansions > len(walk.pair_a)
     assert walks > 1000 and looped > 20, (walks, looped)
+
+
+def test_walk_matches_the_successor_table_walk():
+    """Against the walk that kept a successor pair table next to its pair
+    index (``TableLockstep``): the same pairs in the same order, with the
+    same plant states and pops; the same triples in the same order with
+    the same parents and events, hence the same strings; and the same
+    separating strings and fineness witnesses.  At least 20 of the walks
+    pop some pair more than once, so :meth:`Lockstep.triples` looks up
+    successors of pairs whose plant states grew over several pops."""
+    walks = repopped = separated = unfiner = 0
+    for g, a, b in _all_triples():
+        walk, table = Lockstep(g, a, b), lockstep_oracle.TableLockstep(g, a, b)
+        assert (walk.pair_a, walk.pair_b, walk.reached, walk.expansions) == (
+            table.pair_a, table.pair_b, table.reached, table.expansions)
+        assert list(walk.triples()) == list(table.triples())
+        assert (walk.parent, walk.event) == (table.parent, table.event)
+        string = separating_string(walk)
+        assert string == separating_string(table)
+        witness = _finer(g, walk)[0]
+        assert witness == _finer(g, table)[0]
+        walks += 1
+        repopped += walk.expansions > len(walk.pair_a)
+        separated += string is not None
+        unfiner += not witness
+    assert walks > 1000 and repopped >= 20, (walks, repopped)
+    assert min(separated, unfiner) >= 100, (separated, unfiner)
 
 
 def test_finest_compare_pops_each_pair_once():
