@@ -103,8 +103,8 @@ def _build_parser() -> _Parser:
     p = add_loop("reduce", "reduce a supervisor", writes=True)
     how = p.add_mutually_exclusive_group()
     how.add_argument("--exact", action="store_true")
-    p.add_argument("--mode", choices=("partition", "cover"), default="cover")
-    p.add_argument("--cap", type=int, default=reduction.DEFAULT_EXACT_CAP)
+    p.add_argument("--mode", choices=("partition", "cover"))  # these two need --exact
+    p.add_argument("--cap", type=int)
     how.add_argument("--seed", type=int, default=None,
                      help="sample a random control-equivalent supervisor instead")
 
@@ -244,13 +244,16 @@ def _dispatch(args, emit) -> CommandResult:
         return CommandResult(cmd, verdict=True, sizes=sizes)
 
     if cmd in ("product", "super", "reduce"):
+        if cmd == "reduce" and not args.exact and (args.mode, args.cap) != (None, None):
+            raise UsageError("--mode and --cap need --exact")
         g, s = _require(args, "g", "s")
         if cmd == "product":
             built = am.sync_product(g, s)
         elif cmd == "super":
             built = reduction.build_super(g, s)
         elif args.exact:
-            built, _ = reduction.reduce_exact_minimum(g, s, mode=args.mode, cap_states=args.cap)
+            cap = reduction.DEFAULT_EXACT_CAP if args.cap is None else args.cap
+            built, _ = reduction.reduce_exact_minimum(g, s, args.mode or "cover", cap)
         elif args.seed is not None:
             built = reduction.generate_equivalent_supervisor(g, s, args.seed)
         else:
@@ -394,19 +397,15 @@ def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
                 args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
         except SystemExit:  # help printed; any other parse failure raises UsageError
             result = CommandResult(command)
-            if json_mode:
-                print(result.to_json(), file=out)
-            return result
-        json_mode = args.json
-        command = args.command = args.command if sub is None else argv[0]
-        result = _dispatch(args, emit)
+        else:
+            json_mode = args.json
+            command = args.command = args.command if sub is None else argv[0]
+            result = _dispatch(args, emit)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code_for(exc)
         result = CommandResult(command, witness=str(exc), exit_code=code)
+        human_lines.clear()
         print(f"error: {exc}", file=err)
-        if json_mode:
-            print(result.to_json(), file=out)
-        return result
     if json_mode:
         print(result.to_json(), file=out)
     else:

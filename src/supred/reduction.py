@@ -306,7 +306,9 @@ def super_construction(
     and ``X'`` the closure of the plant's ``e``-successors of ``X`` under
     the unobservable events ``zt`` selfloops.  A SUPER state's members and
     offered events are found once per distinct ``X``, and each image
-    ``X'`` once per ``X``, event and set of selflooped events.  The union
+    ``X'`` once per ``X``, event and set of selflooped events, from step
+    tables built up front, one per set some state of ``s`` selfloops: a
+    set that only unreached states selfloop still costs one table.  The union
     of the ``X`` keyed with ``z`` is every plant state the closed loop
     pairs with ``z``, so the keys also give the control data of ``s``, and
     those of SUPER, whose state ``(z, X)`` the closed loop meets with
@@ -344,28 +346,24 @@ def super_construction(
     unobs_mask = s.alphabet.unobservable_mask
     obs = [e for e in range(m) if not unobs_mask >> e & 1]
     unobs = [e for e in range(m) if unobs_mask >> e & 1]
-    # Per set of unobservable events, per event e: the closure under the set
-    # of each plant state's e-successor (0 where undefined), and the images
-    # of the plant-state sets met so far.  steps_into[z] is the table of the
-    # set z selfloops, filled on first use.
-    Table = list[tuple[list[int], dict[int, int]]]
-    tables: dict[int, Table] = {}
-    steps_into: list[Optional[Table]] = [None] * ns
-
-    def steps_at(z: int) -> Table:
+    # Per set of unobservable events some state of s selfloops: each plant
+    # state's closure under the set, and per event e the closure of each
+    # plant state's e-successor (0 where undefined) with the images of the
+    # plant-state sets met so far.  steps_into[z] is the latter for z's set.
+    tables: dict[int, tuple[list[int], list[tuple[list[int], dict[int, int]]]]] = {}
+    steps_into = []
+    for z in range(ns):
         events = s.enabled(z) & unobs_mask
-        table = tables.get(events)
-        if table is None:
+        if events not in tables:
             closure = [_closure(g, x, events) for x in range(g.n)]
-            table = tables[events] = [([closure[t] if t >= 0 else 0 for t in g_succ[e::m]], {})
-                                      for e in range(m)]
-        steps_into[z] = table
-        return table
+            tables[events] = (closure, [([closure[t] if t >= 0 else 0 for t in g_succ[e::m]], {})
+                                        for e in range(m)])
+        steps_into.append(tables[events][1])
 
     # per plant-state set: its members, the events some member defines, and
     # (names without collisions) its members' plant names in rank order
     by_set: dict[int, tuple[list[int], int, list[str]]] = {}
-    start = (s.initial, _closure(g, g.initial, s.enabled(s.initial) & unobs_mask))
+    start = (s.initial, tables[s.enabled(s.initial) & unobs_mask][0][g.initial])
     index = {start: 0}
     order = [start]
     names: list[str] = []
@@ -389,7 +387,7 @@ def super_construction(
             zt = s_succ[base + e]
             if zt < 0 or not offered >> e & 1:
                 continue
-            step, images = (steps_into[zt] or steps_at(zt))[e]
+            step, images = steps_into[zt][e]
             target = images.get(subset)
             if target is None:
                 target = 0

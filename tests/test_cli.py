@@ -465,8 +465,7 @@ def test_shared_parser_matches_fresh_parser():
                        "-g", g, "-s", s])
     parser.parse_args(["reduce", "--seed", "3", "-g", g, "-s", s])
     args = parser.parse_args(["reduce", "-g", g, "-s", s])
-    assert (args.exact, args.mode, args.cap, args.seed) == (
-        False, "cover", cli.reduction.DEFAULT_EXACT_CAP, None)
+    assert (args.exact, args.mode, args.cap, args.seed) == (False, None, None, None)
     parser.parse_args(["verify", "cover", "-g", g, "-s", s, "--cells", "0;1"])
     args = parser.parse_args(["verify", "equiv", "-g", g])
     assert args.cells is None and args.s is None
@@ -481,6 +480,26 @@ def test_reduce_refuses_exact_with_seed():
         result, out, err = invoke("reduce", *options, "-g", g, "-s", s)
         assert result.exit_code == 2 and out == ""
         assert "not allowed with argument" in err
+
+
+def test_reduce_refuses_mode_and_cap_without_exact(tmp_path):
+    """``--mode`` and ``--cap`` only steer the exact search, so ``reduce``
+    refuses either without ``--exact`` as a usage error, before any file is
+    read, rather than running the heuristic or the draw with them ignored."""
+    g, s = f"{TANK}:G", f"{TANK}:S"
+    missing = str(tmp_path / "missing.aut")
+    for options in (["--cap", "1"], ["--mode", "cover"], ["--seed", "3", "--mode", "partition"],
+                    ["--cap", "0", "--seed", "3"]):
+        for specs in ((g, s), (missing, missing)):
+            result, out, err = invoke("reduce", *options, "-g", specs[0], "-s", specs[1])
+            assert (result.exit_code, out, err) == (2, "", "error: --mode and --cap need --exact\n")
+        result, payload = invoke_json("reduce", *options, "-g", g, "-s", s)
+        assert result.exit_code == 2 and payload["witness"] == "--mode and --cap need --exact"
+    result, _, _ = invoke("reduce", "--exact", "--cap", "1", "-g", g, "-s", s)
+    assert result.exit_code == 4
+    for options in ([], ["--exact"], ["--exact", "--mode", "cover", "--cap", "10"]):
+        result, _, err = invoke("reduce", *options, "-g", g, "-s", s)
+        assert result.exit_code == 0, err
 
 
 MERGE_COLLISION = """\

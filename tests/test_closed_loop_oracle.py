@@ -185,9 +185,51 @@ def test_build_super_matches_oracle():
 
 
 def _assert_same_super(g, s):
+    """Same SUPER or same refusal as both oracles; where SUPER is built,
+    its keys are those of the pair-walking oracle's SUPER: per state, the
+    state of ``s`` that ``SUPER||S`` pairs it with and the plant states
+    ``G||SUPER`` pairs it with.  Returns whether SUPER was built."""
     got = _outcome(_serialized(build_super), g, s)
     assert got == _outcome(_serialized(super_oracle.build_super), g, s)
     assert got == _outcome(_serialized(oracle.build_super), g, s)
+    if got[0] == "raised":
+        return False
+    sup = super_oracle.build_super(g, s)
+    xs, zs, _ = closed_loop_pairs(sup, s)
+    assert sorted(xs) == list(range(sup.n))  # one state of s per SUPER state
+    z_of = dict(zip(xs, zs))
+    assert super_construction(g, s)[1] == [
+        (z_of[i], subset) for i, subset in enumerate(closed_loop_pairs(g, sup)[2])]
+    return True
+
+
+def _own_selfloop_sets(rng, s):
+    """Variants of ``s`` with a set of unobservable selfloops no other of
+    their states has: ``s`` with a state added that no string reaches, and
+    ``s`` with its initial state's set changed.  A variant is left out
+    where every set is taken."""
+    unobs = s.alphabet.unobservable_mask
+    events = [e for e in range(len(s.alphabet)) if unobs >> e & 1]
+    subsets = [u for u in range(unobs + 1) if not u & ~unobs]
+    own = [s.enabled(z) & unobs for z in range(s.n)]
+    variants = []
+    free = [u for u in subsets if u not in own]
+    if free:
+        loops, trans = rng.choice(free), dict(s.trans)
+        trans.update(((s.n, e), s.n) for e in events if loops >> e & 1)
+        observable = [e for e in range(len(s.alphabet)) if not unobs >> e & 1]
+        if observable:
+            trans[(s.n, rng.choice(observable))] = rng.randrange(s.n)
+        variants.append(Automaton(s.name, s.alphabet, (*s.states, "unreached"), s.initial,
+                                  s.marked, trans))
+    free = [u for u in subsets if u not in own[:s.initial] + own[s.initial + 1:]]
+    if free:
+        loops = rng.choice(free)
+        trans = {(q, e): t for (q, e), t in s.trans.items()
+                 if q != s.initial or not unobs >> e & 1}
+        trans.update(((s.initial, e), s.initial) for e in events if loops >> e & 1)
+        variants.append(Automaton(s.name, s.alphabet, s.states, s.initial, s.marked, trans))
+    return variants
 
 
 # State names holding the separators of pair names: ("p,q", "r") and
@@ -241,11 +283,25 @@ def test_build_super_matches_oracle_at_scale():
     """Same SUPER on 100-300-state partial-observation supervisors and on
     200-state counter-inflated ones.  Seeds 5, 8, 10 and 13 of the
     partial-observation family, whose SUPERs have 10.9k-32.3k states, are
-    left out for time: the oracle takes 0.3-1.2 s on each."""
+    left out for time: the oracle takes 0.3-1.2 s on each.  Also on
+    supervisors with a set of unobservable selfloops that only a state no
+    string reaches has, or only the initial state: SUPER's step tables are
+    built for every set before its walk, and the start state reads its
+    closure from its set's table."""
     for seed in (0, 1, 2, 3, 4, 6, 7, 9, 11, 12, 14, 15, 16):
         _assert_same_super(*partial_observation_pair(seed))
     for seed in range(3):
         _assert_same_super(*scale_pair(random.Random(seed), core_states=8, factor=25))
+    built = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        g, s = loose_instance(rng, max_plant=6, max_sup=5, max_events=4, require_unobservable=True)
+        for variant in _own_selfloop_sets(rng, s):
+            built[variant.n > s.n] += _assert_same_super(g, variant)
+    g, s = scale_pair(random.Random(0), core_states=8, factor=25)
+    for variant in _own_selfloop_sets(random.Random(0), s):
+        assert _assert_same_super(g, variant)
+    assert min(built.values()) >= 50, built
 
 
 def test_super_from_pairs_matches_the_subset_construction():
