@@ -4,8 +4,8 @@ Every library operation is reachable from one subcommand working on
 ``.aut`` files.  An argument of the form ``path`` names a file holding a
 single automaton; ``path:name`` selects one automaton out of a multi-block
 file.  Inputs are read as bytes and decoded as UTF-8; ``-o`` writes the
-UTF-8 bytes of its automaton through one descriptor.  An argv that starts
-with a subcommand is parsed by that subcommand's parser alone.  Exit
+UTF-8 bytes of its automaton through one descriptor.  An argv is parsed
+in one pass, by the parser its leading command words pick.  Exit
 codes: 0 success (and any verdict true), 1 well-formed run with a false
 verdict, 2 usage or parse error (an unreadable or undecodable input or an
 unwritable ``-o`` file included), 3 precondition violation
@@ -67,6 +67,8 @@ class CommandResult:
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict = {}  # the parsers of this parser's subcommand words
+
     def error(self, message):  # argparse would sys.exit(2); raise instead
         raise UsageError(message)
 
@@ -74,65 +76,65 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls and fills a fresh namespace each time.  Its
-    ``commands`` map each subcommand name to that subcommand's parser."""
+    state between calls and fills a fresh namespace each time.  Each
+    parser's ``commands`` map its subcommand words to their parsers.  Each
+    ``verify`` check and ``compare`` mode has its own parser, declaring
+    only the options it reads."""
     parser = _Parser(prog="supred", description="supervisor reduction toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def group(p, dest):
+        sub = p.add_subparsers(dest=dest, required=True)
+        p.commands = sub.choices
+        return sub
+
+    def add(sub, name, about, *specs, **names):
+        """The parser of ``name``, with ``--json`` and the required spec
+        options ``specs``.  It sets ``names`` on every namespace it fills,
+        so a parse may start at it."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(**names)
         p.add_argument("--json", action="store_true", help="emit a JSON result object")
+        for spec in specs:
+            p.add_argument(spec, required=True, metavar="SPEC")
         return p
 
-    p = add("parse", help="validate an .aut file")
-    p.add_argument("file")
-
-    def add_loop(name, about, writes):
-        """A subcommand on a plant ``-g`` and a supervisor ``-s``, with
-        ``-o`` when it writes an automaton."""
-        p = add(name, help=about)
-        p.add_argument("-g", required=True, metavar="SPEC")
-        p.add_argument("-s", required=True, metavar="SPEC")
-        if writes:
-            p.add_argument("-o", metavar="OUT")
-        return p
-
-    add_loop("product", "synchronous product of two automata", writes=True)
-    add_loop("super", "finest control-equivalent supervisor", writes=True)
-    p = add_loop("reduce", "reduce a supervisor", writes=True)
-    how = p.add_mutually_exclusive_group()
+    sub = group(parser, "command")
+    add(sub, "parse", "validate an .aut file", command="parse").add_argument("file")
+    for name, about in (("product", "synchronous product of two automata"),
+                        ("super", "finest control-equivalent supervisor"),
+                        ("reduce", "reduce a supervisor")):
+        p = add(sub, name, about, "-g", "-s", command=name)
+        p.add_argument("-o", metavar="OUT")
+    how = p.add_mutually_exclusive_group()  # reduce's
     how.add_argument("--exact", action="store_true")
     p.add_argument("--mode", choices=("partition", "cover"))  # these two need --exact
     p.add_argument("--cap", type=int)
     how.add_argument("--seed", type=int, default=None,
                      help="sample a random control-equivalent supervisor instead")
 
-    p = add("verify", help="boolean checks")
-    p.add_argument("check", choices=("equiv", "feasible", "existence", "normal", "cover"))
-    p.add_argument("-g", metavar="SPEC")
-    p.add_argument("-s", metavar="SPEC")
-    p.add_argument("-s1", metavar="SPEC")
-    p.add_argument("-s2", metavar="SPEC")
-    p.add_argument("-sp", metavar="SPEC")
-    p.add_argument("--cells", metavar="CELLS",
+    checks = group(sub.add_parser("verify", help="boolean checks"), "check")
+    for check, specs in (("equiv", ("-g", "-s1", "-s2")), ("feasible", ("-s",)),
+                         ("existence", ("-s",)), ("normal", ("-g", "-s", "-sp")),
+                         ("cover", ("-g", "-s"))):
+        p = add(checks, check, None, *specs, command="verify", check=check)
+    p.add_argument("--cells", required=True, metavar="CELLS",
                    help="cover cells: states comma-separated, cells ';'-separated")
 
-    p = add("compare", help="fineness and reduction-size comparisons")
-    p.add_argument("what", choices=("order", "reductions", "fullpartial"))
-    p.add_argument("-g", metavar="SPEC")
-    p.add_argument("-s1", metavar="SPEC")
-    p.add_argument("-s2", metavar="SPEC")
-    p.add_argument("-sf", metavar="SPEC")
-    p.add_argument("-sp", metavar="SPEC")
-    p.add_argument("--ref", metavar="SPEC", help="reference supervisor (defaults to -s1)")
-    p.add_argument("--cap", type=int, default=reduction.DEFAULT_EXACT_CAP)
+    modes = group(sub.add_parser("compare", help="fineness and reduction-size comparisons"),
+                  "what")
+    for what, specs in (("order", ("-g", "-s1", "-s2")), ("reductions", ("-g", "-s1", "-s2")),
+                        ("fullpartial", ("-g", "-sf", "-sp"))):
+        p = add(modes, what, None, *specs, command="compare", what=what)
+        if what != "fullpartial":
+            p.add_argument("--ref", metavar="SPEC", help="reference supervisor (defaults to -s1)")
+        if what != "order":
+            p.add_argument("--cap", type=int, default=reduction.DEFAULT_EXACT_CAP)
 
-    p = add("iso", help="DES-isomorphism check")
+    p = add(sub, "iso", "DES-isomorphism check", command="iso")
     p.add_argument("a", metavar="SPEC")
     p.add_argument("b", metavar="SPEC")
 
-    add_loop("data", "print the control-data table of a supervisor", writes=False)
+    add(sub, "data", "print the control-data table of a supervisor", "-g", "-s", command="data")
 
     return parser
 
@@ -286,19 +288,11 @@ def _dispatch(args, emit) -> CommandResult:
 
 
 def _require(args, *names: str) -> list:
-    """The values of the options ``names``: the automaton each spec names,
-    and ``--cells`` as given.  Every option is checked, in order, before
-    any file is read; then each distinct spec is read once, so a spec
-    named twice is one automaton."""
-    values = []
-    for n in names:
-        v = getattr(args, n)
-        if v is None:
-            raise UsageError(f"missing -{n} for this subcommand")
-        values.append(v)
-    specs = dict.fromkeys(v for n, v in zip(names, values) if n != "cells")
-    loaded = {spec: _load(spec) for spec in specs}
-    return [v if n == "cells" else loaded[v] for n, v in zip(names, values)]
+    """The automata the spec options ``names`` name.  Each distinct spec is
+    read once, so a spec named twice is one automaton."""
+    specs = [getattr(args, n) for n in names]
+    loaded = {spec: _load(spec) for spec in dict.fromkeys(specs)}
+    return [loaded[spec] for spec in specs]
 
 
 def _verify(args, emit) -> CommandResult:
@@ -321,9 +315,9 @@ def _verify(args, emit) -> CommandResult:
         verdict, w = supervision.is_normal(g, s, sp)
         witness = None if verdict else " ".join(str(part) for part in w)
     else:  # cover
-        g, s, cells = _require(args, "g", "s", "cells")
+        g, s = _require(args, "g", "s")
         data = supervision.control_data(g, s)
-        cover = _parse_cells(s, cells)
+        cover = _parse_cells(s, args.cells)
         verdict, w = reduction.validate_cover(s, data, cover)
         witness = None if verdict else " ".join(str(part) for part in w)
     emit("true" if verdict else f"false ({witness})")
@@ -386,20 +380,21 @@ def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
     command = "?"
     json_mode = "--json" in argv
     try:
-        # One argparse pass: an argv that starts with a subcommand goes
-        # straight to its parser, which is what the top-level parser would
-        # hand it; anything else (help, no or an unknown command, an option
-        # first) is the top-level parser's.
-        sub = parser.commands.get(argv[0]) if argv else None
+        # One argparse pass: the argv's leading command words pick the
+        # parser the top-level parse would hand the rest to; anything else
+        # (help, an unknown word, an option) goes to the last parser picked.
+        sub, rest = parser, argv
+        while rest and rest[0] in sub.commands:
+            sub, rest = sub.commands[rest[0]], rest[1:]
         try:
             # where argparse prints help: stdout, or stderr under --json
             with contextlib.redirect_stdout(err if json_mode else out):
-                args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
+                args = sub.parse_args(rest)
         except SystemExit:  # help printed; any other parse failure raises UsageError
             result = CommandResult(command)
         else:
             json_mode = args.json
-            command = args.command = args.command if sub is None else argv[0]
+            command = args.command
             result = _dispatch(args, emit)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code_for(exc)

@@ -1,7 +1,8 @@
 """The argv parse that ``supred.cli.run`` made before it handed an argv
-starting with a subcommand straight to that subcommand's parser: one
-``parse_args`` of the top-level parser over the whole argv, which picks
-the subcommand and runs the subcommand's parser inside its own pass.
+straight to the parser its leading command words pick (a subcommand's,
+or a ``verify`` check's or ``compare`` mode's): one ``parse_args`` of the
+top-level parser over the whole argv, which picks the subcommand and runs
+the parsers below it inside its own pass.
 
 ``outcome`` states what a parse gives in a form two parses can be
 compared by: the namespace's attributes, the ``UsageError`` message, or

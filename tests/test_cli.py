@@ -467,8 +467,8 @@ def test_shared_parser_matches_fresh_parser():
     args = parser.parse_args(["reduce", "-g", g, "-s", s])
     assert (args.exact, args.mode, args.cap, args.seed) == (False, None, None, None)
     parser.parse_args(["verify", "cover", "-g", g, "-s", s, "--cells", "0;1"])
-    args = parser.parse_args(["verify", "equiv", "-g", g])
-    assert args.cells is None and args.s is None
+    args = parser.parse_args(["verify", "equiv", "-g", g, "-s1", s, "-s2", s])
+    assert not hasattr(args, "s") and not hasattr(args, "cells")
 
 
 def test_reduce_refuses_exact_with_seed():
@@ -726,19 +726,59 @@ def test_every_subcommand_reads_a_repeated_spec_once(monkeypatch, tmp_path):
 
 
 def test_missing_option_is_reported_before_any_file_is_read(monkeypatch):
-    """The options are checked in order before any spec is read, so a
-    missing one is named even when a given spec cannot be read."""
+    """Every spec option is required by its parser, so argparse names all
+    the missing ones before any spec is read, even when a given spec cannot
+    be read."""
     parsed = _counting_parses(monkeypatch)
     for argv, missing in ((["verify", "equiv", "-g", f"{TANK}:G", "-s1", f"{TANK}:S"], "-s2"),
                           (["verify", "normal", "-g", "no/such.aut", "-s", f"{TANK}:S"], "-sp"),
-                          (["verify", "cover", "-g", f"{TANK}:G", "-s", f"{TANK}:S"], "-cells"),
-                          (["verify", "cover", "-g", "no/such.aut"], "-s"),
+                          (["verify", "cover", "-g", f"{TANK}:G", "-s", f"{TANK}:S"], "--cells"),
+                          (["verify", "cover", "-g", "no/such.aut"], "-s, --cells"),
                           (["compare", "order", "-g", f"{ORDERING}:G", "-s1", f"{ORDERING}:S1",
                             "--ref", "no/such.aut"], "-s2")):
         result, payload = invoke_json(*argv)
         assert result.exit_code == 2
-        assert payload["witness"] == f"missing {missing} for this subcommand"
+        assert payload["witness"] == f"the following arguments are required: {missing}"
     assert parsed == []
+
+
+# A complete call of each ``verify`` check and ``compare`` mode, giving
+# every option that form reads.
+FORM_CALLS = {
+    ("verify", "equiv"): ["-g", f"{ORDERING}:G", "-s1", f"{ORDERING}:S1",
+                          "-s2", f"{ORDERING}:S2"],
+    ("verify", "feasible"): ["-s", f"{TANK}:S"],
+    ("verify", "existence"): ["-s", f"{TANK}:S"],
+    ("verify", "normal"): ["-g", f"{ORDERING}:G", "-s", f"{ORDERING}:S1",
+                           "-sp", f"{ORDERING}:S2"],
+    ("verify", "cover"): ["-g", f"{TANK}:G", "-s", f"{TANK}:S", "--cells", "z0,z1,z2;z3"],
+    ("compare", "order"): ["-g", f"{ORDERING}:G", "-s1", f"{ORDERING}:S1",
+                           "-s2", f"{ORDERING}:S2", "--ref", f"{ORDERING}:S1"],
+    ("compare", "reductions"): ["-g", f"{ORDERING}:G", "-s1", f"{ORDERING}:S1",
+                                "-s2", f"{ORDERING}:S2", "--ref", f"{ORDERING}:S1",
+                                "--cap", "10"],
+    ("compare", "fullpartial"): ["-g", f"{ORDERING}:G", "-sf", f"{ORDERING}:S1",
+                                 "-sp", f"{ORDERING}:S1", "--cap", "10"],
+}
+FORM_OPTIONS = ("-g", "-s", "-s1", "-s2", "-sp", "-sf", "--cells", "--ref", "--cap")
+
+
+def test_each_form_refuses_the_options_it_does_not_read(monkeypatch):
+    """Each ``verify`` check and ``compare`` mode declares only the options
+    it reads: its complete call runs, and the same call with any other
+    option, given a value, exits 2 before any file is read."""
+    parsed = _counting_parses(monkeypatch)
+    for form, options in FORM_CALLS.items():
+        declared = set(options[::2])
+        result, _, err = invoke(*form, *options)
+        assert result.exit_code in (0, 1), (form, err)
+        del parsed[:]
+        for option in FORM_OPTIONS:
+            if option not in declared:
+                result, out, _ = invoke(*form, *options, option, "1")
+                assert (result.exit_code, out) == (2, ""), (form, option)
+        assert parsed == [], form
+    assert sum(len(options) // 2 for options in FORM_CALLS.values()) == 24
 
 
 def test_comment_only_file_has_no_automaton_block(tmp_path):
@@ -804,6 +844,16 @@ MALFORMED_ARGV = {
     "missing -g": (["reduce", "-s", S_SPEC], "usage"),
     "bad --mode": (["reduce", "--mode", "bogus", "-g", G_SPEC, "-s", S_SPEC], "usage"),
     "bad --cap": (["reduce", "--cap", "x", "-g", G_SPEC, "-s", S_SPEC], "usage"),
+    "option order does not read": (["compare", "order", "--cap", "1", "-g", f"{ORDERING}:G",
+                                    "-s1", f"{ORDERING}:S1", "-s2", f"{ORDERING}:S2"], "usage"),
+    "options feasible does not read": (["verify", "feasible", "-g", "nope.aut",
+                                        "-s", f"{ORDERING}:S1", "-s1", "zzz"], "usage"),
+    "--json before the check": (["verify", "--json", "equiv", "-g", G_SPEC,
+                                 "-s1", S_SPEC, "-s2", S_SPEC], "usage"),
+    "option fullpartial does not read": (["compare", "fullpartial", "--ref", "x",
+                                          "-g", G_SPEC, "-sf", S_SPEC, "-sp", S_SPEC], "usage"),
+    "check help": (["verify", "equiv", "-h"], "exit"),
+    "command with forms help": (["compare", "-h"], "exit"),
 }
 
 
@@ -843,7 +893,8 @@ def test_help_under_json_goes_to_stderr(argv):
 
 def test_each_call_parses_its_argv_once(monkeypatch):
     """An argv that starts with a subcommand takes one argparse pass, by
-    that subcommand's parser; the top-level parser's pass is skipped."""
+    the parser its command words pick; the top-level parser's pass is
+    skipped."""
     import argparse
 
     passes = []
@@ -854,12 +905,13 @@ def test_each_call_parses_its_argv_once(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-    for argv in (["reduce", "--exact", "--mode", "cover", "-g", G_SPEC, "-s", S_SPEC],
-                 ["parse", TANK, "--json"]):
+    for argv, words in ((["reduce", "--exact", "--mode", "cover", "-g", G_SPEC, "-s", S_SPEC], 1),
+                        (["parse", TANK, "--json"], 1),
+                        (["verify", "feasible", "-s", S_SPEC], 2)):
         del passes[:]
         result = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
         assert result.exit_code == 0
-        assert passes == [f"supred {argv[0]}"]
+        assert passes == [" ".join(["supred", *argv[:words]])]
 
 
 def _undecodable(tmp_path):
