@@ -68,9 +68,20 @@ class CommandResult:
 
 class _Parser(argparse.ArgumentParser):
     commands: dict = {}  # the parsers of this parser's subcommand words
+    # other forms' spec options that argparse would read here as a declared
+    # option with an attached value: -s1 as -s with the value 1, -s1=X as
+    # -s with the value 1=X
+    misread: frozenset = frozenset()
 
     def error(self, message):  # argparse would sys.exit(2); raise instead
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        for token in args or ():
+            option = token.split("=", 1)[0]
+            if option in self.misread:
+                self.error(f"{self.prog} does not read {option}")
+        return super().parse_known_args(args, namespace)
 
 
 @functools.cache
@@ -87,6 +98,8 @@ def _build_parser() -> _Parser:
         p.commands = sub.choices
         return sub
 
+    forms = {}  # each parser add() builds -> its spec options
+
     def add(sub, name, about, *specs, **names):
         """The parser of ``name``, with ``--json`` and the required spec
         options ``specs``.  It sets ``names`` on every namespace it fills,
@@ -96,6 +109,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="emit a JSON result object")
         for spec in specs:
             p.add_argument(spec, required=True, metavar="SPEC")
+        forms[p] = specs
         return p
 
     sub = group(parser, "command")
@@ -136,6 +150,10 @@ def _build_parser() -> _Parser:
 
     add(sub, "data", "print the control-data table of a supervisor", "-g", "-s", command="data")
 
+    every = {spec for specs in forms.values() for spec in specs}
+    for p, specs in forms.items():
+        p.misread = frozenset(other for other in every - set(specs)
+                              if any(other.startswith(spec) for spec in specs))
     return parser
 
 

@@ -121,7 +121,9 @@ def validate_cover(
     incompatible pair ``("pair", cell, (z, z'))`` or an event whose images
     fit no single cell ``("event", cell, event)``.  Structurally malformed
     covers (empty cell, out-of-range state, non-covering union) raise
-    :class:`CoverError` instead.
+    :class:`CoverError` instead.  A valid partition is confirmed from the
+    cell of each state; any other cover goes through the target masks of
+    every (cell, event) pair, which pick the first violation.
     """
     violation, _, _ = _cover_targets(s, data, c)
     return violation is None, violation
@@ -136,9 +138,80 @@ def _cover_targets(
     selfloops and the quotient keeps observation feasibility, and the
     lowest valid cell otherwise.  Returns the first violation, pairs
     before events, or None, the quotient's dense successor table, one row
-    per cell, and its enabled masks.  A cell that contains a target set
-    holds each of its members, so the cells holding its lowest member are
-    the only candidates."""
+    per cell, and its enabled masks.
+
+    A valid partition is settled by :func:`_partition_targets` from one
+    cell index per state: in a partition the only cell that can hold a
+    target set is the cell of its members, and the selfloop rule picks
+    that cell too.  Every other cover (an overlap, a structural error, a
+    clash, an event violation) goes through :func:`_cover_target_masks`,
+    the only place that raises :class:`CoverError` or picks a witness.
+    """
+    quotient = _partition_targets(s, data, c)
+    if quotient is not None:
+        return (None, *quotient)
+    return _cover_target_masks(s, data, c)
+
+
+def _partition_targets(
+    s: Automaton, data: ControlData, c: Cover
+) -> Optional[tuple[list[int], list[int]]]:
+    """The successor table and enabled masks of the quotient over ``c``
+    when ``c`` is a valid partition; None when it is anything else.
+    ``cell_of`` has one slot past the states that holds -1, so mapping
+    the successor table through it keeps an undefined target undefined.
+    A one-state cell's row is a slice of the mapped table; a multi-state
+    cell merges its members' rows, which must agree wherever two of them
+    are defined."""
+    n, cells = s.n, c.cells
+    cell_of = [-1] * (n + 1)
+    joint = []  # the cells of two states or more
+    for i, cell in enumerate(cells):
+        if len(cell) != 1:
+            if not cell:
+                return None
+            joint.append(i)
+        for z in cell:
+            if not 0 <= z < n or cell_of[z] >= 0:
+                return None
+            cell_of[z] = i
+    if cell_of.index(-1) < n:
+        return None
+    masks = data.incompatibility_masks()
+    for i in joint:
+        cell_mask = sum(1 << z for z in cells[i])
+        if any(masks[z] & cell_mask for z in cells[i]):
+            return None
+    m = len(s.alphabet)
+    image = [cell_of[t] for t in s.succ]
+    table: list[int] = []
+    enabled: list[int] = []
+    for cell in cells:
+        if len(cell) == 1:
+            (z,) = cell
+            table += image[z * m:(z + 1) * m]
+            enabled.append(s.enabled(z))
+            continue
+        row, en = [-1] * m, 0
+        for z in cell:
+            en |= s.enabled(z)
+            for e, j in enumerate(image[z * m:(z + 1) * m]):
+                if j >= 0 and row[e] != j:
+                    if row[e] >= 0:
+                        return None
+                    row[e] = j
+        table += row
+        enabled.append(en)
+    return table, enabled
+
+
+def _cover_target_masks(
+    s: Automaton, data: ControlData, c: Cover
+) -> tuple[Optional[tuple], list[int], list[int]]:
+    """:func:`_cover_targets` for any cover, from the bitmask of the
+    targets of every (cell, event) pair.  A cell that contains a target
+    set holds each of its members, so the cells holding its lowest member
+    are the only candidates.  Valid partitions never need it."""
     n = s.n
     if not c.cells:
         raise CoverError("cover has no cells")
@@ -174,13 +247,6 @@ def _cover_targets(
     enabled = [0] * len(c.cells)
     for i, (cell, cell_mask) in enumerate(zip(c.cells, cell_masks)):
         base = i * m
-        if len(cell) == 1:  # every cell holding a lone target is valid
-            (z,) = cell
-            enabled[i] = s.enabled(z)
-            for e, t in enumerate(succ[z * m:(z + 1) * m]):
-                if t >= 0:
-                    table[base + e] = i if t == z and unobs >> e & 1 else cells_of[t][0]
-            continue
         targets = [0] * m
         for z in cell:
             for e, t in enumerate(succ[z * m:(z + 1) * m]):

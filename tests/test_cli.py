@@ -471,6 +471,28 @@ def test_shared_parser_matches_fresh_parser():
     assert not hasattr(args, "s") and not hasattr(args, "cells")
 
 
+def test_another_forms_spec_option_is_not_read_as_an_attached_value(monkeypatch):
+    """Where ``-s`` is declared and ``-s1``, ``-s2``, ``-sp`` or ``-sf`` is
+    not, argparse reads ``-s1`` as ``-s`` with the value ``1`` and
+    ``-s1=X`` as ``-s`` with the value ``1=X``; such a token is refused
+    with exit 2 before any file is read.  A value attached to ``-s``
+    still parses."""
+    parsed = _counting_parses(monkeypatch)
+    g, s = f"{TANK}:G", f"{TANK}:S"
+    for form, rest in ((["reduce"], []), (["super"], []), (["data"], []),
+                       (["verify", "normal"], ["-sp", s]), (["verify", "feasible"], [])):
+        declared = {"-sp"} if rest else set()
+        for option in {"-s1", "-s2", "-sp", "-sf"} - declared:
+            specs = ["-s", s] if form == ["verify", "feasible"] else ["-g", g, "-s", s]
+            prog = " ".join(["supred", *form])
+            for token in (option, f"{option}=X"):
+                result, out, err = invoke(*form, *specs[:-2], token, *specs[-2:], *rest)
+                assert (result.exit_code, out, err) == (2, "", f"error: {prog} does not read {option}\n")
+    assert parsed == []
+    result, out, _ = invoke("reduce", "-g", g, f"-s{s}")
+    assert result.exit_code == 0 and out == invoke("reduce", "-g", g, "-s", s)[1]
+
+
 def test_reduce_refuses_exact_with_seed():
     """``--exact`` and ``--seed`` choose different reducers, so a call given
     both, in either order, is refused as a usage error, not run with one
@@ -766,7 +788,9 @@ FORM_OPTIONS = ("-g", "-s", "-s1", "-s2", "-sp", "-sf", "--cells", "--ref", "--c
 def test_each_form_refuses_the_options_it_does_not_read(monkeypatch):
     """Each ``verify`` check and ``compare`` mode declares only the options
     it reads: its complete call runs, and the same call with any other
-    option, given a value, exits 2 before any file is read."""
+    option, given a value or followed by a declared option, exits 2 before
+    any file is read.  In the second case argparse alone would read
+    ``-s1 -s S`` as ``-s`` with the value ``1`` where ``-s`` is declared."""
     parsed = _counting_parses(monkeypatch)
     for form, options in FORM_CALLS.items():
         declared = set(options[::2])
@@ -775,8 +799,9 @@ def test_each_form_refuses_the_options_it_does_not_read(monkeypatch):
         del parsed[:]
         for option in FORM_OPTIONS:
             if option not in declared:
-                result, out, _ = invoke(*form, *options, option, "1")
-                assert (result.exit_code, out) == (2, ""), (form, option)
+                for argv in ([*options, option, "1"], [option, *options]):
+                    result, out, _ = invoke(*form, *argv)
+                    assert (result.exit_code, out) == (2, ""), (form, argv)
         assert parsed == [], form
     assert sum(len(options) // 2 for options in FORM_CALLS.values()) == 24
 
@@ -852,6 +877,12 @@ MALFORMED_ARGV = {
                                  "-s1", S_SPEC, "-s2", S_SPEC], "usage"),
     "option fullpartial does not read": (["compare", "fullpartial", "--ref", "x",
                                           "-g", G_SPEC, "-sf", S_SPEC, "-sp", S_SPEC], "usage"),
+    "-s1 before -s in reduce": (["reduce", "-g", G_SPEC, "-s1", "-s", S_SPEC], "usage"),
+    "-s1=X before -s in reduce": (["reduce", "-g", G_SPEC, "-s1=X", "-s", S_SPEC], "usage"),
+    "-s1 before -s in verify normal": (["verify", "normal", "-g", G_SPEC, "-s1", "-s", S_SPEC,
+                                        "-sp", S_SPEC], "usage"),
+    "-sp before -s in super": (["super", "-g", G_SPEC, "-sp", "-s", S_SPEC], "usage"),
+    "-sf before -s in data": (["data", "-g", G_SPEC, "-sf", "-s", S_SPEC], "usage"),
     "check help": (["verify", "equiv", "-h"], "exit"),
     "command with forms help": (["compare", "-h"], "exit"),
 }

@@ -6,6 +6,7 @@ import copy
 import random
 
 from supred.automata import serialize_automaton
+from supred.errors import CoverError
 from supred.reduction import (
     Cover,
     _congruence_from_merges,
@@ -23,7 +24,7 @@ from supred.supervision import (
     successor_incompatibility,
 )
 
-from tests import merge_oracle
+from tests import merge_oracle, table_oracle
 from tests.generators import (
     loose_instance,
     partial_observation_pair,
@@ -237,6 +238,102 @@ def test_cover_verdicts_match_oracle():
         assert got == merge_oracle.validate_cover_by_scan(s, data, cover)
         verdicts.add(got[1][0] if got[1] else "valid")
     assert verdicts == {"valid", "pair", "event"}
+
+
+def _derived_partitions(rng, s, cells):
+    """Partitions of ``s`` derived from the cells of a valid partition:
+    the partition itself, one cell split in two, two cells merged, and two
+    cells merged whose states are pairwise compatible."""
+    cells = [sorted(cell) for cell in cells]
+    yield cells
+    for _ in range(3):
+        joint = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if joint:
+            i = rng.choice(joint)
+            cut = rng.randint(1, len(cells[i]) - 1)
+            members = rng.sample(cells[i], len(cells[i]))
+            yield cells[:i] + cells[i + 1:] + [members[:cut], members[cut:]]
+        if len(cells) > 1:
+            i, j = rng.sample(range(len(cells)), 2)
+            yield [cell for k, cell in enumerate(cells) if k not in (i, j)] + [cells[i] + cells[j]]
+
+
+def _compatible_merges(s, data, cells, count):
+    """Up to ``count`` partitions that merge two cells whose states are
+    pairwise compatible: only an event can refuse them."""
+    masks = data.incompatibility_masks()
+    bits = [sum(1 << z for z in cell) for cell in cells]
+    found = 0
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if found < count and not any(masks[z] & bits[j] for z in cells[i]):
+                found += 1
+                yield [cell for k, cell in enumerate(cells) if k not in (i, j)] + [
+                    [*cells[i], *cells[j]]]
+
+
+def _malformed(rng, s, cells):
+    """Covers built from a valid partition that are no partition: a state
+    in two cells, a state out of range, a missing state, an empty cell."""
+    cells = [sorted(cell) for cell in cells]
+    if len(cells) > 1:
+        i, j = rng.sample(range(len(cells)), 2)
+        yield Cover.from_cells(cells + [cells[i] + [rng.choice(cells[j])]])
+    yield Cover.from_cells(cells[:-1] + [cells[-1] + [s.n + rng.randrange(3)]])
+    i = rng.randrange(len(cells))
+    yield Cover.from_cells(cells[:i] + [cells[i][1:]] + cells[i + 1:])
+    yield Cover(Cover.from_cells(cells).cells + (frozenset(),))
+
+
+def _refusal(build, s, data, cover):
+    """The ``CoverError`` text ``build`` refuses ``cover`` with, or None."""
+    try:
+        build(s, data, cover, name="Q")
+    except CoverError as exc:
+        return str(exc)
+    return None
+
+
+def _outcome(s, data, cover):
+    """Verdict, witness and quotient bytes against the scan oracles, and
+    the refusal text against ``table_oracle``'s; names the outcome."""
+    try:
+        got = validate_cover(s, data, cover)
+    except CoverError as exc:
+        assert str(exc) == _refusal(induce_quotient, s, data, cover) == _refusal(
+            table_oracle.induce_quotient, s, data, cover)
+        return "structural"
+    assert got == merge_oracle.validate_cover_by_scan(s, data, cover)
+    if not got[0]:
+        assert _refusal(induce_quotient, s, data, cover) == _refusal(
+            table_oracle.induce_quotient, s, data, cover) == f"invalid control cover: {got[1]}"
+        return got[1][0]
+    quotient = induce_quotient(s, data, cover, name="Q")
+    reference = merge_oracle.induce_quotient_by_scan(s, data, cover, "Q")
+    assert serialize_automaton(quotient) == serialize_automaton(reference)
+    return "joint" if any(len(cell) > 1 for cell in cover.cells) else "valid"
+
+
+def test_bench_scale_partitions_match_oracle():
+    """Partitions of 100-300 state random supervisors and of their SUPERs,
+    derived from each heuristic cover by splitting and merging cells, and
+    malformed covers built from it: the same verdict, witness, quotient
+    bytes and refusal text as the scan and dict-table oracles."""
+    rng = random.Random(43)
+    outcomes = {}
+    for _ in range(4):
+        g, s = _random_pair(rng, min_states=100, max_states=300)
+        for a in (s, build_super(g, s)):
+            data = control_data(g, a)
+            cells = reduce_heuristic(g, a)[1].cover.cells
+            covers = [Cover.from_cells(c) for c in _derived_partitions(rng, a, cells)]
+            covers += [Cover.from_cells(c) for c in _compatible_merges(a, data, cells, 2)]
+            covers += _malformed(rng, a, cells)
+            for cover in covers:
+                kind = _outcome(a, data, cover)
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes["joint"] >= 8 and outcomes["structural"] >= 20
+    assert outcomes["pair"] >= 10 and outcomes["event"] >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from supred import reduction
 from supred.automata import (
     Alphabet,
     Automaton,
@@ -165,6 +166,77 @@ def test_invalid_cover_rejected_by_quotient(tank):
     data = control_data(g, s)
     with pytest.raises(CoverError):
         induce_quotient(s, data, Cover.from_cells([{0, 1, 2, 3}]))
+
+
+def _mask_pass_spy(monkeypatch):
+    """Patches the target-mask pass of ``_cover_targets`` to record the
+    cover of every call."""
+    reached = []
+    original = reduction._cover_target_masks
+
+    def spy(s, data, c):
+        reached.append(c)
+        return original(s, data, c)
+
+    monkeypatch.setattr(reduction, "_cover_target_masks", spy)
+    return reached
+
+
+def test_valid_partitions_never_reach_the_target_mask_pass(monkeypatch):
+    """Heuristic, partition-mode and ``--seed`` covers, on the fixtures and
+    seeded families, are settled from the cell of each state; a silent
+    fall-back to the target masks fails here, not only in bench time."""
+    pairs = [(g, s) for g, *sups in (parse_automaton((FIXTURES / name).read_text())
+                                     for name in ("tank.aut", "ordering.aut", "nontransitive.aut"))
+             for s in sups]
+    pairs += [scale_pair(random.Random(i), core_states=8, factor=5) for i in range(3)]
+    pairs += [partial_observation_pair(i) for i in range(3)]
+    pairs += [loose_instance(random.Random(i), max_plant=8, max_sup=10, max_events=5)
+              for i in range(40)]
+    reached = _mask_pass_spy(monkeypatch)
+    covers = joint = 0
+    for seed, (g, s) in enumerate(pairs):
+        data = control_data(g, s)
+        reports = [reduce_heuristic(g, s)[1]]
+        try:
+            reports.append(reduce_exact_minimum(g, s, mode="partition")[1])
+        except SearchCapError:
+            pass
+        for report in reports:
+            assert validate_cover(s, data, report.cover) == (True, None)
+            joint += len(report.cover) < s.n
+        try:
+            generate_equivalent_supervisor(g, s, seed)
+        except SearchCapError:
+            pass
+        covers += len(reports)
+    assert reached == []
+    assert covers >= 90 and joint >= 60
+
+
+def test_overlapping_covers_always_reach_the_target_mask_pass(monkeypatch):
+    """Heuristic covers padded with subcells (valid) or with one state put
+    into a second cell (mostly invalid): every check and quotient over
+    them runs the target-mask pass once."""
+    reached = _mask_pass_spy(monkeypatch)
+    rng = random.Random(37)
+    calls = valid = 0
+    for seed in range(20):
+        g, s = scale_pair(random.Random(seed), core_states=8, factor=3)
+        data = control_data(g, s)
+        cells = list(reduce_heuristic(g, s)[1].cover.cells)
+        padded = cells + [rng.sample(sorted(cell), rng.randint(1, len(cell))) for cell in cells]
+        moved = [*cells[1:], cells[0] | {rng.choice(sorted(cells[1]))}] if len(cells) > 1 else []
+        for cover in map(Cover.from_cells, (padded, moved) if moved else (padded,)):
+            assert not cover.is_partition
+            ok, _ = validate_cover(s, data, cover)
+            calls += 1
+            if ok:
+                induce_quotient(s, data, cover)
+                calls += 1
+                valid += 1
+            assert len(reached) == calls
+    assert valid >= 20 and calls >= 55
 
 
 # ---------------------------------------------------------------------------
