@@ -103,7 +103,10 @@ class ReductionReport:
     first refused attempt on they are closed under successors, so every
     pair the implication chart of the cells refuses is settled as well.
     The closure's own work is not counted.  The exact search counts the
-    nodes it visited, pruned ones included."""
+    nodes it visited, pruned ones included, summed over its three
+    searches: the partition search, the canonical cover search, and, once
+    a cover search has run past its allowance of one node per candidate
+    cell, the existence search over prime compatibles."""
 
     input_size: int
     output_size: int
@@ -842,6 +845,11 @@ def _greedy_incompatible_states(masks: Sequence[int]) -> list[int]:
     return clique
 
 
+class _NoCover(Exception):
+    """Raised out of the canonical cover search once the prime search has
+    shown that no cover of the size asked for exists."""
+
+
 class _ExactSearch:
     def __init__(self, s: Automaton, data: ControlData):
         self.s = s
@@ -850,6 +858,7 @@ class _ExactSearch:
         # pairwise-incompatible states never share a cell: a lower bound on
         # k, and each uncovered one needs a future cell of its own
         self.clique = _greedy_incompatible_states(self.masks)
+        self.clique_mask = sum(1 << z for z in self.clique)
         # every transition a --e--> b, under the later of a and b
         m = len(s.alphabet)
         self.later: list[list[tuple[int, int, int]]] = [[] for _ in range(s.n)]
@@ -858,6 +867,11 @@ class _ExactSearch:
                 a, e = divmod(i, m)
                 self.later[max(a, b)].append((a, e, b))
         self.steps = 0
+        # built by the first cover search and kept for every later one
+        self.by_min: Optional[list[list[int]]] = None
+        self.reach_of: dict[int, int] = {}
+        self.targets_of: dict[int, tuple[int, ...]] = {}
+        self.primes: Optional[tuple[list[int], list[tuple[int, ...]], dict[int, int]]] = None
 
     # -- partitions ---------------------------------------------------
 
@@ -926,6 +940,60 @@ class _ExactSearch:
         out.sort(key=lambda c: -c.bit_count())
         return out
 
+    def _cells(self) -> list[list[int]]:
+        """The candidate cells per minimum member, built by the first cover
+        search and shared by every later one and by the prime step.  Not
+        built in ``__init__``: only 8 of the 120 exact_small searches run a
+        cover search, and building eagerly raised that workload's
+        call_p90_s from 1.0-1.2 ms to 1.5-1.6 ms."""
+        if self.by_min is None:
+            self.by_min = [self._candidate_cells(m) for m in range(self.n)]
+            # an item's reach: the OR of its members' closed incompatibility
+            # masks; a target set's is stored when cell_targets builds it
+            self.reach_of = {1 << z: mask for z, mask in enumerate(self.masks)}
+        return self.by_min
+
+    def cell_targets(self, cell: int) -> tuple[int, ...]:
+        """The cell's non-empty per-event target sets."""
+        cached = self.targets_of.get(cell)
+        if cached is None:
+            n_events, succ, masks = len(self.s.alphabet), self.s.succ, self.masks
+            rows = [0] * n_events
+            reaches = [0] * n_events
+            c = cell
+            while c:
+                z = (c & -c).bit_length() - 1
+                c &= c - 1
+                for e, t in enumerate(succ[z * n_events:(z + 1) * n_events]):
+                    if t >= 0:
+                        rows[e] |= 1 << t
+                        reaches[e] |= masks[t]
+            self.targets_of[cell] = cached = tuple(tb for tb in rows if tb)
+            self.reach_of.update(zip(rows, reaches))
+        return cached
+
+    def _too_many_conflicts(self, uncovered: int, pending: list[int], remaining: int) -> bool:
+        """Whether more than ``remaining`` cells are needed for the uncovered
+        states and pending target sets, each of which goes into a future
+        cell, a clique: a greedy family of pairwise-conflicting items needs
+        a cell each.  It takes the uncovered states of the greedy clique,
+        then pending target sets, then other uncovered states; two items
+        conflict when a member of one is incompatible with a member of the
+        other."""
+        reach_of = self.reach_of
+        family = [1 << z for z in self.clique if uncovered >> z & 1]
+        rest = uncovered & ~self.clique_mask
+        for item in (*pending, *(1 << z for z in range(self.n) if rest >> z & 1)):
+            if len(family) > remaining:
+                return True
+            reach = reach_of[item]
+            for f in family:
+                if not reach & f:
+                    break
+            else:
+                family.append(item)
+        return len(family) > remaining
+
     def find_cover(self, k: int) -> Optional[list[set[int]]]:
         """Search directly over cell families: cells are chosen in a
         canonical order of strictly increasing (minimum member, bitmask)
@@ -935,54 +1003,35 @@ class _ExactSearch:
         be received later, a strong prune.  A pending target set is itself a
         candidate cell, so its own minimum is the highest minimum any
         receiver can have.  Two counting prunes bound the cells left: the
-        uncovered states against the largest cell, and a greedy family of
-        pairwise-conflicting items — the uncovered states of the greedy
-        clique, then pending target sets, then other uncovered states —
-        where two items conflict when a member of one is incompatible with
-        a member of the other.  Each prune cuts only subtrees that hold no
-        cover, so the first cover found is the same.
+        uncovered states against the largest cell, and
+        :meth:`_too_many_conflicts`.  Each prune cuts only subtrees that
+        hold no cover, so the first cover found is the same.
 
         A target set is pending while no chosen cell holds it.  Each node
         gets its parent's pending list and updates it for the one cell
         just chosen, in O(|pending| + |Σ|·k) instead of a rebuild in
         O(k²·|Σ|).  That gives the same sets: the chosen cells only grow
         along a path, so a parent's pending set leaves only when the new
-        cell holds it, and only the new cell's target sets are new."""
-        n_events, succ = len(self.s.alphabet), self.s.succ
+        cell holds it, and only the new cell's target sets are new.
+
+        The search runs for as many nodes as there are candidate cells,
+        and most searches end within that allowance.  Past it, the prime
+        search of :meth:`_primes_complete` first decides whether a cover of
+        at most ``k`` cells exists at all, and the search returns None at
+        once when none does.  Otherwise it runs on, and each node asks the
+        prime search whether its cells have any completion; a node without
+        one holds no cover, so the first cover found is the same."""
         full = (1 << self.n) - 1
-        # Built per call, not kept across k or built in __init__: find_cover
-        # runs at most once per search on the 120 exact_small instances and
-        # on 197 of 199 seeded loose ones, and building eagerly raised the
-        # exact_small call_p90_s from 1.0-1.2 ms to 1.5-1.6 ms.
-        by_min = [self._candidate_cells(m) for m in range(self.n)]
+        by_min = self._cells()
         max_cell = max((c.bit_count() for row in by_min for c in row), default=1)
-        clique_mask = sum(1 << z for z in self.clique)
-        targets_of: dict[int, tuple[int, ...]] = {}
-        # an item's reach: the OR of its members' closed incompatibility masks
-        reach_of = {1 << z: mask for z, mask in enumerate(self.masks)}
-
-        def cell_targets(cell: int) -> tuple[int, ...]:
-            """The cell's non-empty per-event target sets."""
-            cached = targets_of.get(cell)
-            if cached is None:
-                rows = [0] * n_events
-                reaches = [0] * n_events
-                c = cell
-                while c:
-                    z = (c & -c).bit_length() - 1
-                    c &= c - 1
-                    for e, t in enumerate(succ[z * n_events:(z + 1) * n_events]):
-                        if t >= 0:
-                            rows[e] |= 1 << t
-                            reaches[e] |= self.masks[t]
-                targets_of[cell] = cached = tuple(tb for tb in rows if tb)
-                reach_of.update(zip(rows, reaches))
-            return cached
-
+        decide_at = self.steps + sum(map(len, by_min)) + 1
+        cell_targets, too_many_conflicts = self.cell_targets, self._too_many_conflicts
         chosen: list[int] = []
 
         def dfs(last_min: int, last_cell: int, covered: int, inherited: list[int]) -> bool:
             self.steps += 1
+            if self.steps == decide_at and not self._primes_complete(k, [], 0, []):
+                raise _NoCover
             # last_cell is the cell just chosen (0 at the root)
             pending = [tb for tb in inherited if tb & ~last_cell]
             for tb in cell_targets(last_cell):
@@ -1004,28 +1053,17 @@ class _ExactSearch:
             n_uncovered = uncovered.bit_count()
             if n_uncovered > remaining * max_cell:
                 return False
-            if n_uncovered + len(pending) > remaining:
-                # each uncovered state and pending set goes into a future
-                # cell, a clique: pairwise-conflicting ones need a cell each
-                family = [1 << z for z in self.clique if uncovered >> z & 1]
-                rest = uncovered & ~clique_mask
-                for item in (*pending, *(1 << z for z in range(self.n) if rest >> z & 1)):
-                    if len(family) > remaining:
-                        return False
-                    reach = reach_of[item]
-                    for f in family:
-                        if not reach & f:
-                            break
-                    else:
-                        family.append(item)
-                if len(family) > remaining:
-                    return False
+            if (n_uncovered + len(pending) > remaining
+                    and too_many_conflicts(uncovered, pending, remaining)):
+                return False
             if uncovered:
                 hi = (uncovered & -uncovered).bit_length() - 1
             else:
                 if not pending:
                     return False  # a smaller cover; found at smaller k
                 hi = self.n - 1
+            if self.steps > decide_at and not self._primes_complete(k, chosen, covered, pending):
+                return False
             for m in range(last_min, hi + 1):
                 for cell in by_min[m]:
                     if m == last_min and cell <= last_cell:
@@ -1036,9 +1074,113 @@ class _ExactSearch:
                     chosen.pop()
             return False
 
-        if dfs(0, 0, 0, []):
+        try:
+            found = dfs(0, 0, 0, [])
+        except _NoCover:
+            return None
+        if found:
             return [{z for z in range(self.n) if cell >> z & 1} for cell in chosen]
         return None
+
+    # -- existence over prime compatibles -------------------------------
+
+    def _prime_cells(self) -> tuple[list[int], list[tuple[int, ...]], dict[int, int]]:
+        """The prime compatibles, largest first, the implied classes of
+        each, and per state (a one-bit key) the bitmask of the primes that
+        hold it; :meth:`_primes_complete` adds the holders of each item it
+        meets to that map.  An implied class of a cell is a target set of two or more
+        states that the cell does not hold.  A candidate cell is dominated
+        when a strictly larger candidate has each of its implied classes
+        inside one of the cell's; the others are prime.  In any cover the
+        larger cell can replace a dominated one: it holds every target set
+        the smaller cell held, and each of its own implied classes lies in
+        one of the smaller cell's, which another cell of the cover holds.
+        Replacing never adds a cell, so whenever some cells can be completed
+        to a cover, primes can complete them with no more cells (Grasselli
+        & Luccio, IEEE TEC 1965)."""
+        if self.primes is None:
+            n = self.n
+            holders = {1 << z: 0 for z in range(n)}
+            primes: list[int] = []
+            implied_of: list[tuple[int, ...]] = []
+            # largest first: a dominated cell is dominated by a prime too,
+            # since dominance is transitive, and every prime that can
+            # dominate a cell is larger, so it is known by then
+            cells = sorted((c for row in self._cells() for c in row), key=lambda c: -c.bit_count())
+            for cell in cells:
+                own = tuple(dict.fromkeys(tb for tb in self.cell_targets(cell)
+                                          if tb & (tb - 1) and tb & ~cell))
+                members = [z for z in range(n) if cell >> z & 1]
+                larger = -1  # the primes that hold the cell
+                for z in members:
+                    larger &= holders[1 << z]
+                while larger:
+                    low = larger & -larger
+                    larger ^= low
+                    if all(any(not a & ~b for b in own) for a in implied_of[low.bit_length() - 1]):
+                        break
+                else:
+                    for z in members:
+                        holders[1 << z] |= 1 << len(primes)
+                    primes.append(cell)
+                    implied_of.append(own)
+            self.primes = primes, implied_of, holders
+        return self.primes
+
+    def _primes_complete(self, k: int, fixed: list[int], covered: int, pending: list[int]) -> bool:
+        """Whether primes can complete the cells ``fixed``, which cover the
+        states ``covered`` and leave the target sets ``pending`` unheld, to
+        a cover of at most ``k`` cells.  An item is an uncovered state or a
+        pending set.  Each node branches on the item that the fewest allowed
+        primes hold, and a prime already tried for an item is barred from
+        that item's later siblings, which look for covers without it.
+        Nodes are bounded by :meth:`_too_many_conflicts` and counted in
+        ``steps``."""
+        primes, implied, holders = self._prime_cells()
+        full = (1 << self.n) - 1
+        too_many_conflicts = self._too_many_conflicts
+        chosen = list(fixed)
+
+        def exists(covered: int, pending: list[int], barred: int) -> bool:
+            self.steps += 1
+            uncovered = full & ~covered
+            if not uncovered and not pending:
+                return True
+            remaining = k - len(chosen)
+            if not remaining or too_many_conflicts(uncovered, pending, remaining):
+                return False
+            best, fewest = 0, len(primes) + 1
+            for item in (*pending, *(1 << z for z in range(self.n) if uncovered >> z & 1)):
+                options = holders.get(item)
+                if options is None:
+                    options = -1
+                    for z in range(self.n):
+                        if item >> z & 1:
+                            options &= holders[1 << z]
+                    holders[item] = options
+                options &= ~barred
+                if options.bit_count() < fewest:
+                    best, fewest = options, options.bit_count()
+            while best:
+                low = best & -best
+                best ^= low
+                i = low.bit_length() - 1
+                cell = primes[i]
+                here = [a for a in pending if a & ~cell]
+                for a in implied[i]:
+                    for held in chosen:
+                        if not a & ~held:
+                            break
+                    else:
+                        here.append(a)
+                chosen.append(cell)
+                if exists(covered | cell, here, barred):
+                    return True
+                chosen.pop()
+                barred |= low
+            return False
+
+        return exists(covered, pending, 0)
 
 
 def reduce_exact_minimum(

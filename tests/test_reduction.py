@@ -559,19 +559,62 @@ def test_exact_answers_the_blowup_pairs():
 
 
 def test_exact_cover_node_count_on_seed_40():
+    """The canonical search spent 1,654 nodes refuting 5 cells; past its
+    allowance of 45 candidate cells the prime search refutes it."""
     g, s = loose_instance(random.Random(40), max_plant=8, max_sup=10, max_events=5)
     _, report = reduce_exact_minimum(g, s, mode="cover")
-    assert report.steps <= 1_898
+    assert report.steps <= 122
 
 
 def test_exact_cover_node_count_on_exact_small():
     """Cover-mode nodes summed over the bench ``exact_small`` instances
-    (seeds 0-118 and 255)."""
+    (seeds 0-118 and 255), the partition and prime searches' included."""
     steps = 0
     for seed in (*range(119), 255):
         g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
         steps += reduce_exact_minimum(g, s, mode="cover")[1].steps
-    assert steps == 2_793
+    assert steps == 1_169
+
+
+@pytest.mark.parametrize("seed, nodes, cells", [
+    # 5,488,925 nodes and 15.5 s, nearly all refuting 5 cells
+    (1134, 185_437,
+     [[0, 3, 7, 10, 12, 13], [1, 2, 3, 6, 7, 8, 10, 11, 12, 13],
+      [1, 2, 4, 6, 7, 8, 10, 11, 12, 13], [2, 5, 6, 7, 11, 12, 13],
+      [2, 6, 8, 9, 11, 12, 13], [2, 7, 8, 10, 11, 12, 14]]),
+    # more than 60 s: 34,339,700 nodes refuting 6 cells alone
+    (1101, 12_337,
+     [[0, 5, 13, 14], [1, 7, 8, 10, 12, 15], [1, 8, 10, 11, 12, 15], [1, 9, 11, 12, 15],
+      [2, 5, 13, 14], [3, 4, 5, 12, 13, 14], [4, 5, 6, 8, 10, 12, 13, 14]]),
+    # more than 60 s: 15,167,459 nodes refuting 6 cells alone, and
+    # 10,996,343 at 8 before the first cover
+    (1157, 11_287,
+     [[0, 6, 9, 10], [1, 5], [2, 3, 6, 10, 12], [2, 6, 7, 8, 10, 11], [3, 4, 12],
+      [3, 6, 8, 10], [4, 5], [5, 7, 11]]),
+])
+def test_exact_cover_on_sixteen_state_hard_seeds(seed, nodes, cells):
+    """Supervisors whose cover search spent millions of nodes proving that
+    no smaller cover exists.  The cells are the ones the canonical search
+    of ``tests/cover_oracle.py`` returns when run at the minimum size."""
+    g, s = loose_instance(random.Random(seed), max_plant=10, max_sup=16)
+    _, report = reduce_exact_minimum(g, s, mode="cover", cap_states=64)
+    assert report.steps <= nodes
+    assert [sorted(cell) for cell in report.cover.cells] == cells
+
+
+def test_exact_cover_on_seed_1034():
+    """A 9-state supervisor whose cover search spent 756,345 nodes (1.3 s)
+    refuting 3 to 6 cells.  At 7 the partition search, which runs first,
+    finds a partition; the cover search run directly at 7 returns the
+    cells of the canonical search of ``tests/cover_oracle.py``."""
+    g, s = loose_instance(random.Random(1034), max_plant=10, max_sup=10)
+    _, report = reduce_exact_minimum(g, s, mode="cover")
+    assert report.steps <= 692
+    assert [sorted(cell) for cell in report.cover.cells] == \
+        [[0, 7], [1, 8], [2], [3], [4], [5], [6]]
+    cells = _ExactSearch(s, control_data(g, s)).find_cover(7)
+    assert sorted(sorted(cell) for cell in cells) == \
+        [[0, 3, 5, 7], [1, 3, 5, 8], [1, 3, 6, 8], [1, 4, 6, 8], [2, 4, 6], [2, 4, 7], [2, 5, 7]]
 
 
 def test_exact_cover_on_seed_1011():
