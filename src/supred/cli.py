@@ -4,8 +4,12 @@ Every library operation is reachable from one subcommand working on
 ``.aut`` files.  An argument of the form ``path`` names a file holding a
 single automaton; ``path:name`` selects one automaton out of a multi-block
 file.  Inputs are read as bytes and decoded as UTF-8; ``-o`` writes the
-UTF-8 bytes of its automaton through one descriptor.  An argv is parsed
-in one pass, by the parser its leading command words pick.  Exit
+UTF-8 bytes of its automaton through one descriptor.  The parser an
+argv's leading command words pick reads the rest: an argv of that form's
+options alone, each spelled in full and given once with its value as a
+token of its own, is read off the options the parser declares; argparse
+reads any other in one pass, so help, messages and exit codes are
+argparse's.  Exit
 codes: 0 success (and any verdict true), 1 well-formed run with a false
 verdict, 2 usage or parse error (an unreadable or undecodable input or an
 unwritable ``-o`` file included), 3 precondition violation
@@ -72,6 +76,14 @@ class _Parser(argparse.ArgumentParser):
     # option with an attached value: -s1 as -s with the value 1, -s1=X as
     # -s with the value 1=X
     misread: frozenset = frozenset()
+    # What _read_plain reads a form's argv by: the form's actions by
+    # spelling, its required actions, its namespace before any value (the
+    # action defaults, then its set_defaults names) and its mutually
+    # exclusive actions.  A parser of subcommand words has no options.
+    options: Optional[dict] = None
+    required: tuple = ()
+    defaults: dict = {}
+    exclusive: tuple = ()
 
     def error(self, message):  # argparse would sys.exit(2); raise instead
         raise UsageError(message)
@@ -98,7 +110,7 @@ def _build_parser() -> _Parser:
         p.commands = sub.choices
         return sub
 
-    forms = {}  # each parser add() builds -> its spec options
+    forms = {}  # each parser add() builds -> its spec options, names and actions
 
     def add(sub, name, about, *specs, **names):
         """The parser of ``name``, with ``--json`` and the required spec
@@ -106,33 +118,40 @@ def _build_parser() -> _Parser:
         so a parse may start at it."""
         p = sub.add_parser(name, help=about)
         p.set_defaults(**names)
-        p.add_argument("--json", action="store_true", help="emit a JSON result object")
+        forms[p] = (specs, names, [])
+        arg(p, "--json", action="store_true", help="emit a JSON result object")
         for spec in specs:
-            p.add_argument(spec, required=True, metavar="SPEC")
-        forms[p] = specs
+            arg(p, spec, required=True, metavar="SPEC")
         return p
 
+    def arg(p, *spellings, group=None, **how):
+        """``add_argument`` on the parser ``p`` or on its ``group``; the
+        action is kept for ``_read_plain``."""
+        action = (group or p).add_argument(*spellings, **how)
+        forms[p][2].append(action)
+        return action
+
     sub = group(parser, "command")
-    add(sub, "parse", "validate an .aut file", command="parse").add_argument("file")
+    arg(add(sub, "parse", "validate an .aut file", command="parse"), "file")
     for name, about in (("product", "synchronous product of two automata"),
                         ("super", "finest control-equivalent supervisor"),
                         ("reduce", "reduce a supervisor")):
         p = add(sub, name, about, "-g", "-s", command=name)
-        p.add_argument("-o", metavar="OUT")
+        arg(p, "-o", metavar="OUT")
     how = p.add_mutually_exclusive_group()  # reduce's
-    how.add_argument("--exact", action="store_true")
-    p.add_argument("--mode", choices=("partition", "cover"))  # these two need --exact
-    p.add_argument("--cap", type=int)
-    how.add_argument("--seed", type=int, default=None,
-                     help="sample a random control-equivalent supervisor instead")
+    exact = arg(p, "--exact", group=how, action="store_true")
+    arg(p, "--mode", choices=("partition", "cover"))  # these two need --exact
+    arg(p, "--cap", type=int)
+    p.exclusive = (exact, arg(p, "--seed", group=how, type=int, default=None,
+                              help="sample a random control-equivalent supervisor instead"))
 
     checks = group(sub.add_parser("verify", help="boolean checks"), "check")
     for check, specs in (("equiv", ("-g", "-s1", "-s2")), ("feasible", ("-s",)),
                          ("existence", ("-s",)), ("normal", ("-g", "-s", "-sp")),
                          ("cover", ("-g", "-s"))):
         p = add(checks, check, None, *specs, command="verify", check=check)
-    p.add_argument("--cells", required=True, metavar="CELLS",
-                   help="cover cells: states comma-separated, cells ';'-separated")
+    arg(p, "--cells", required=True, metavar="CELLS",
+        help="cover cells: states comma-separated, cells ';'-separated")
 
     modes = group(sub.add_parser("compare", help="fineness and reduction-size comparisons"),
                   "what")
@@ -140,21 +159,62 @@ def _build_parser() -> _Parser:
                         ("fullpartial", ("-g", "-sf", "-sp"))):
         p = add(modes, what, None, *specs, command="compare", what=what)
         if what != "fullpartial":
-            p.add_argument("--ref", metavar="SPEC", help="reference supervisor (defaults to -s1)")
+            arg(p, "--ref", metavar="SPEC", help="reference supervisor (defaults to -s1)")
         if what != "order":
-            p.add_argument("--cap", type=int, default=reduction.DEFAULT_EXACT_CAP)
+            arg(p, "--cap", type=int, default=reduction.DEFAULT_EXACT_CAP)
 
     p = add(sub, "iso", "DES-isomorphism check", command="iso")
-    p.add_argument("a", metavar="SPEC")
-    p.add_argument("b", metavar="SPEC")
+    arg(p, "a", metavar="SPEC")
+    arg(p, "b", metavar="SPEC")
 
     add(sub, "data", "print the control-data table of a supervisor", "-g", "-s", command="data")
 
-    every = {spec for specs in forms.values() for spec in specs}
-    for p, specs in forms.items():
+    every = {spec for specs, _, _ in forms.values() for spec in specs}
+    for p, (specs, names, actions) in forms.items():
         p.misread = frozenset(other for other in every - set(specs)
                               if any(other.startswith(spec) for spec in specs))
+        # a positional is required and has no spelling, so _read_plain
+        # leaves every argv of parse and iso to argparse
+        p.options = {spelling: a for a in actions for spelling in a.option_strings}
+        p.required = tuple(a for a in actions if a.required)
+        p.defaults = {**{a.dest: a.default for a in actions}, **names}
     return parser
+
+
+def _read_plain(p: _Parser, argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``p.parse_args(argv)`` fills, read off the options
+    ``p`` declares without an argparse pass, when ``argv`` is plain: each
+    token one of those options spelled in full and given once, each value
+    a token of its own that does not start with ``-`` and that the
+    option's ``type`` and ``choices`` accept, every required option given
+    and at most one exclusive one.  None for any other argv (help, an
+    abbreviation, an attached value, a repeat, a positional, any error),
+    which argparse then reads."""
+    if p.options is None:
+        return None
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        action = p.options.get(token)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:
+            given[action] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    if sum(a in given for a in p.exclusive) > 1 or not all(a in given for a in p.required):
+        return None
+    return argparse.Namespace(**{**p.defaults, **{a.dest: v for a, v in given.items()}})
 
 
 def _read(path: str) -> str:
@@ -398,16 +458,19 @@ def run(argv: list[str], stdout=None, stderr=None) -> CommandResult:
     command = "?"
     json_mode = "--json" in argv
     try:
-        # One argparse pass: the argv's leading command words pick the
-        # parser the top-level parse would hand the rest to; anything else
-        # (help, an unknown word, an option) goes to the last parser picked.
+        # The argv's leading command words pick the parser the top-level
+        # parse would hand the rest to; anything else (help, an unknown
+        # word, an option) goes to the last parser picked.  A plain rest is
+        # read off that parser's options; any other takes one argparse pass.
         sub, rest = parser, argv
         while rest and rest[0] in sub.commands:
             sub, rest = sub.commands[rest[0]], rest[1:]
+        args = _read_plain(sub, rest)
         try:
-            # where argparse prints help: stdout, or stderr under --json
-            with contextlib.redirect_stdout(err if json_mode else out):
-                args = sub.parse_args(rest)
+            if args is None:
+                # where argparse prints help: stdout, or stderr under --json
+                with contextlib.redirect_stdout(err if json_mode else out):
+                    args = sub.parse_args(rest)
         except SystemExit:  # help printed; any other parse failure raises UsageError
             result = CommandResult(command)
         else:

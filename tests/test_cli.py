@@ -10,6 +10,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supred.automata import parse_automaton, serialize_automaton
 from supred.cli import run
@@ -922,9 +924,11 @@ def test_help_under_json_goes_to_stderr(argv):
                                           "witness": None, "output_file": None}
 
 
-def test_each_call_parses_its_argv_once(monkeypatch):
-    """An argv that starts with a subcommand takes one argparse pass, by
-    the parser its command words pick; the top-level parser's pass is
+def test_each_call_parses_its_argv_once(monkeypatch, tmp_path):
+    """A plain argv of every shape ``bench/run.py`` sends is read off the
+    options its form declares and takes no argparse pass.  An abbreviated,
+    help or attached-value argv, or one with a positional, takes one pass,
+    by the parser its command words pick; the top-level parser's pass is
     skipped."""
     import argparse
 
@@ -936,13 +940,128 @@ def test_each_call_parses_its_argv_once(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
-    for argv, words in ((["reduce", "--exact", "--mode", "cover", "-g", G_SPEC, "-s", S_SPEC], 1),
-                        (["parse", TANK, "--json"], 1),
-                        (["verify", "feasible", "-s", S_SPEC], 2)):
+    g, s, out = G_SPEC, S_SPEC, str(tmp_path / "out.aut")
+    traffic = [["reduce", "-g", g, "-s", s, "-o", out, "--json"],
+               ["reduce", "--exact", "--mode", "cover", "-g", g, "-s", s, "-o", out, "--json"],
+               ["super", "-g", g, "-s", s, "-o", out, "--json"],
+               ["compare", "order", "-g", g, "-s1", out, "-s2", s, "--ref", s, "--json"],
+               ["verify", "equiv", "-g", g, "-s1", s, "-s2", out, "--json"],
+               ["verify", "normal", "-g", g, "-s", s, "-sp", out, "--json"],
+               ["verify", "feasible", "-s", s]]
+    for argv in traffic:
+        del passes[:]
+        result = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        assert (result.exit_code, passes) == (0, []), argv
+    for argv, words in ((["reduce", "--exa", "--mode", "cover", "-g", g, "-s", s], 1),
+                        (["reduce", "-g", g, f"-s{s}", "--json"], 1),
+                        (["compare", "reductions", "--cap=10", "-g", g, "-s1", s, "-s2", s], 2),
+                        (["verify", "equiv", "-h"], 2),
+                        (["parse", TANK, "--json"], 1)):
         del passes[:]
         result = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
         assert result.exit_code == 0
         assert passes == [" ".join(["supred", *argv[:words]])]
+    monkeypatch.undo()
+    for argv in traffic:
+        assert argv_oracle.outcome(parsed_by_run, argv) == argv_oracle.outcome(argv_oracle.parse,
+                                                                               argv)
+
+
+def _leaf_forms(p=None, words=()):
+    """(command words, parser) for every parser that reads one form's
+    options: a subcommand's, or a ``verify`` check's or ``compare`` mode's."""
+    from supred import cli
+
+    p = p or cli._build_parser()
+    if not p.commands:
+        return [(list(words), p)]
+    return [leaf for word, q in p.commands.items() for leaf in _leaf_forms(q, (*words, word))]
+
+
+LEAF_FORMS = {" ".join(words): p for words, p in _leaf_forms()}
+FORMS_OPTIONS = sorted({spelling for p in LEAF_FORMS.values() for spelling in p.options})
+
+
+def _values(action):
+    """Values argparse accepts for ``action``, and values it refuses."""
+    if action.choices is not None:
+        return list(action.choices), ["both", "-x"]
+    if action.type is int:
+        return ["0", "3", " 12"], ["x", "-1", "3.5"]
+    return ["a.aut", "b.aut:S", "x=y", ""], ["-x", "--json"]
+
+
+@st.composite
+def _argvs(draw, p):
+    """An argv of the form ``p`` reads, and whether it is plain.  It gives
+    ``p``'s required options and some of its others in a drawn order, each
+    with a value argparse accepts, then perturbs it up to twice: a required
+    option dropped, a refused value, both exclusive options, a repeated
+    option, help, an abbreviation, an attached value, or another form's
+    option."""
+    kinds = draw(st.lists(st.sampled_from(["drop", "refuse", "both", "repeat", "help",
+                                           "abbreviation", "attached", "other"]), max_size=2))
+    exclusive = [a.option_strings[0] for a in p.exclusive]
+    items = []
+    for spelling in draw(st.permutations(sorted(p.options))):
+        action = p.options[spelling]
+        if not (action.required or draw(st.booleans())):
+            continue
+        if spelling in exclusive and "both" not in kinds and any(i[0] in exclusive for i in items):
+            continue
+        good = [] if action.nargs == 0 else [draw(st.sampled_from(_values(action)[0]))]
+        items.append([spelling, *good])
+    plain = True
+    for kind in kinds:
+        spelling = draw(st.sampled_from(sorted(p.options)))
+        value = draw(st.sampled_from(_values(p.options[spelling])[0]))
+        declared = [i for i in items if i[0] in p.options]
+        required = [i for i in declared if p.options[i[0]].required]
+        valued = [i for i in declared if len(i) == 2]
+        if kind == "drop" and required:
+            items.remove(draw(st.sampled_from(required)))
+        elif kind == "refuse" and valued:
+            item = draw(st.sampled_from(valued))
+            item[1] = draw(st.sampled_from(_values(p.options[item[0]])[1]))
+        elif kind == "both" and len(exclusive) == 2:
+            items = [i for i in items if i[0] not in exclusive]
+            items.insert(draw(st.integers(0, len(items))), [exclusive[0]])
+            items.insert(draw(st.integers(0, len(items))), [exclusive[1], "3"])
+        elif kind == "repeat" and items:
+            items.insert(draw(st.integers(0, len(items))), list(draw(st.sampled_from(items))))
+        elif kind == "help":
+            items.insert(draw(st.integers(0, len(items))), ["-h"])
+        elif kind == "abbreviation" and spelling.startswith("--"):
+            items.insert(draw(st.integers(0, len(items))),
+                         [spelling[:draw(st.integers(3, len(spelling) - 1))]])
+        elif kind == "attached":
+            items.insert(draw(st.integers(0, len(items))),
+                         [draw(st.sampled_from([f"{spelling}={value}", f"{spelling}{value}X"]))])
+        elif kind == "other":
+            other = draw(st.sampled_from([o for o in FORMS_OPTIONS if o not in p.options]))
+            items.insert(draw(st.integers(0, len(items))), [other, "v"])
+        else:
+            continue
+        plain = False
+    return [token for item in items for token in item], plain
+
+
+@pytest.mark.parametrize("form", LEAF_FORMS)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plain_reader_fills_argparses_namespace_or_declines(form, data):
+    """For every argv of a form, ``_read_plain`` returns None or the
+    attributes the top-level parser's full pass gives; a plain argv is
+    read.  No form with a positional reads any argv."""
+    from supred import cli
+
+    p = LEAF_FORMS[form]
+    argv, plain = data.draw(_argvs(p))
+    args = cli._read_plain(p, argv)
+    if args is not None:
+        assert argv_oracle.outcome(argv_oracle.parse, [*form.split(), *argv]) == ("args",
+                                                                                  vars(args))
+    assert (args is not None) == (plain and form not in ("parse", "iso"))
 
 
 def _undecodable(tmp_path):
