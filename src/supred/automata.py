@@ -119,8 +119,10 @@ def _bad_token(name: str) -> bool:
 
 def check_same_alphabet(a: "Automaton", b: "Automaton") -> None:
     """Raise :class:`AlphabetMismatchError`, naming both automata, unless
-    ``a`` and ``b`` carry the identical alphabet."""
-    if a.alphabet != b.alphabet:
+    ``a`` and ``b`` carry the identical alphabet.  Automata parsed with one
+    ``alphabets`` map (:func:`parse_automaton`) from token-identical events
+    sections share one alphabet object and pass at once."""
+    if a.alphabet is not b.alphabet and a.alphabet != b.alphabet:
         raise AlphabetMismatchError(
             f"automata {a.name!r} and {b.name!r} have different alphabets"
         )
@@ -375,37 +377,63 @@ class _TokenStream:
         return value
 
 
-def _parse_block(ts: _TokenStream) -> Automaton:
-    ts.expect("automaton")
-    name = ts.next("automaton name")
+def _parse_block(ts: _TokenStream, alphabets: dict[str, Alphabet]) -> Automaton:
+    # The skeleton (keywords and counts) of a well-formed block is read by
+    # slicing the token list and comparing, as the sections are.  Where a
+    # slice deviates, that part is read token by token from its start, which
+    # raises the error the token reader names.
+    tokens = ts.tokens
+    pos = ts.pos
+    head = tokens[pos:pos + 4]
+    if len(head) == 4 and head[0] == "automaton" and head[2] == "events" and head[3].isdecimal():
+        name, n_events = head[1], int(head[3])
+        ts.pos = pos + 4
+    else:
+        ts.expect("automaton")
+        name = ts.next("automaton name")
+        ts.expect("events")
+        n_events = ts.count("events")
 
-    ts.expect("events")
-    n_events = ts.count("events")
-    events: list[Event] = []
-    names_seen: set[str] = set()
-    for _ in range(n_events):
-        ev_name = ts.next("event name")
-        if ev_name in names_seen:
-            raise ts.error(f"duplicate event name '{ev_name}'", kind="duplicate")
-        names_seen.add(ev_name)
-        c_tok = ts.next("controllability flag")
-        if c_tok not in ("c", "u"):
-            raise ts.error(f"expected 'c' or 'u', found '{c_tok}'")
-        o_tok = ts.next("observability flag")
-        if o_tok not in ("o", "n"):
-            raise ts.error(f"expected 'o' or 'n', found '{o_tok}'")
-        events.append(Event(ev_name, c_tok == "c", o_tok == "o"))
-    alphabet = Alphabet(events)
+    # An events section whose 3 * n_events tokens were read before, in this
+    # document or in another one sharing ``alphabets``, gives that alphabet.
+    start = ts.pos
+    section = tokens[start:start + 3 * n_events]
+    key = " ".join(section) if len(section) == 3 * n_events else None
+    alphabet = alphabets.get(key)
+    if alphabet is not None:
+        ts.pos = start + 3 * n_events
+    else:
+        events: list[Event] = []
+        names_seen: set[str] = set()
+        for _ in range(n_events):
+            ev_name = ts.next("event name")
+            if ev_name in names_seen:
+                raise ts.error(f"duplicate event name '{ev_name}'", kind="duplicate")
+            names_seen.add(ev_name)
+            c_tok = ts.next("controllability flag")
+            if c_tok not in ("c", "u"):
+                raise ts.error(f"expected 'c' or 'u', found '{c_tok}'")
+            o_tok = ts.next("observability flag")
+            if o_tok not in ("o", "n"):
+                raise ts.error(f"expected 'o' or 'n', found '{o_tok}'")
+            events.append(Event(ev_name, c_tok == "c", o_tok == "o"))
+        alphabet = alphabets[key] = Alphabet(events)
 
-    ts.expect("states")
-    n_states = ts.count("states")
-    if n_states == 0:
-        raise ts.error("automaton must have at least one state", back=0)
+    pos = ts.pos
+    head = tokens[pos:pos + 2]
+    n_states = int(head[1]) if len(head) == 2 and head[1].isdecimal() else 0
+    if n_states and head[0] == "states":
+        ts.pos = pos + 2
+    else:
+        ts.expect("states")
+        n_states = ts.count("states")
+        if n_states == 0:
+            raise ts.error("automaton must have at least one state", back=0)
     # Read the section in one go.  A short or repeating list leaves fewer
     # than n_states names; it is then reread token by token, which raises
     # at the first bad token.
     start = ts.pos
-    state_names = ts.tokens[start:start + n_states]
+    state_names = tokens[start:start + n_states]
     state_index = {s: i for i, s in enumerate(state_names)}
     if len(state_index) == n_states:
         ts.pos = start + n_states
@@ -424,14 +452,20 @@ def _parse_block(ts: _TokenStream) -> Automaton:
             raise ts.error(f"unknown state '{s}'", kind="unknown")
         return state_index[s]
 
-    ts.expect("initial")
-    initial = resolve_state("initial state")
-
-    ts.expect("marked")
-    n_marked = ts.count("marked states")
+    pos = ts.pos
+    head = tokens[pos:pos + 4]
+    if (len(head) == 4 and head[0] == "initial" and head[1] in state_index
+            and head[2] == "marked" and head[3].isdecimal()):
+        initial, n_marked = state_index[head[1]], int(head[3])
+        ts.pos = pos + 4
+    else:
+        ts.expect("initial")
+        initial = resolve_state("initial state")
+        ts.expect("marked")
+        n_marked = ts.count("marked states")
     # Likewise: a short list or an unknown name leaves it to the token loop.
     start = ts.pos
-    chunk = ts.tokens[start:start + n_marked]
+    chunk = tokens[start:start + n_marked]
     try:
         marked = [state_index[s] for s in chunk]
     except KeyError:
@@ -441,15 +475,21 @@ def _parse_block(ts: _TokenStream) -> Automaton:
     else:
         marked = [resolve_state("marked state") for _ in range(n_marked)]
 
-    ts.expect("trans")
-    n_trans = ts.count("transitions")
+    pos = ts.pos
+    head = tokens[pos:pos + 2]
+    if len(head) == 2 and head[0] == "trans" and head[1].isdecimal():
+        n_trans = int(head[1])
+        ts.pos = pos + 2
+    else:
+        ts.expect("trans")
+        n_trans = ts.count("transitions")
     # Likewise: a missing or unknown token leaves fewer than n_trans
     # targets, and a repeated (source, event) fewer than n_trans entries.
     m = len(alphabet)
     succ = [-1] * (n_states * m)
     enabled = [0] * n_states
     start = ts.pos
-    chunk = ts.tokens[start:start + 3 * n_trans]
+    chunk = tokens[start:start + 3 * n_trans]
     try:
         sources = [state_index[s] for s in chunk[0::3]]
         labels = [alphabet._index[ev] for ev in chunk[1::3]]
@@ -479,17 +519,30 @@ def _parse_block(ts: _TokenStream) -> Automaton:
             succ[src * m + e] = dst
             enabled[src] |= 1 << e
 
-    ts.expect("end")
+    if tokens[ts.pos:ts.pos + 1] == ["end"]:
+        ts.pos += 1
+    else:
+        ts.expect("end")
     return Automaton.from_table(name, alphabet, state_names, initial, marked, succ, enabled)
 
 
-def parse_automaton(text: str) -> list[Automaton]:
-    """Parse all ``automaton`` blocks of an ``.aut`` document, in file order."""
+def parse_automaton(text: str, alphabets: Optional[dict[str, Alphabet]] = None) -> list[Automaton]:
+    """Parse all ``automaton`` blocks of an ``.aut`` document, in file order.
+
+    ``alphabets`` maps the tokens of each events section read so far
+    (joined by single spaces) to the :class:`Alphabet` built from them; a
+    section is looked up only when all its tokens are present, and each
+    one read for the first time is added.  The blocks of one document share
+    the map, and documents parsed with the same map share it too, so that
+    token-identical events sections give one alphabet object.  Without a
+    map each call starts an empty one."""
     ts = _TokenStream(text)
+    if alphabets is None:
+        alphabets = {}
     automata: list[Automaton] = []
     names: set[str] = set()
     while ts.peek() is not None:
-        a = _parse_block(ts)
+        a = _parse_block(ts, alphabets)
         if a.name in names:
             raise ParseError(f"duplicate automaton name '{a.name}'", kind="duplicate")
         names.add(a.name)

@@ -227,7 +227,9 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
 
 
-def _load(spec: str) -> am.Automaton:
+def _load(spec: str, alphabets: Optional[dict[str, am.Alphabet]] = None) -> am.Automaton:
+    """The automaton ``spec`` names, parsed with the ``alphabets`` map of
+    :func:`~supred.automata.parse_automaton`."""
     path, _, selector = spec.rpartition(":")
     if not (path and selector):
         path, selector = spec, ""
@@ -243,7 +245,7 @@ def _load(spec: str) -> am.Automaton:
         except UsageError:
             raise first from None
         selector = ""
-    blocks = am.parse_automaton(text)
+    blocks = am.parse_automaton(text, alphabets=alphabets)
     if selector:
         for a in blocks:
             if a.name == selector:
@@ -367,9 +369,12 @@ def _dispatch(args, emit) -> CommandResult:
 
 def _require(args, *names: str) -> list:
     """The automata the spec options ``names`` name.  Each distinct spec is
-    read once, so a spec named twice is one automaton."""
+    read once, so a spec named twice is one automaton, and all are parsed
+    with one ``alphabets`` map, so token-identical events sections give
+    them one alphabet object."""
     specs = [getattr(args, n) for n in names]
-    loaded = {spec: _load(spec) for spec in dict.fromkeys(specs)}
+    alphabets: dict[str, am.Alphabet] = {}
+    loaded = {spec: _load(spec, alphabets) for spec in dict.fromkeys(specs)}
     return [loaded[spec] for spec in specs]
 
 

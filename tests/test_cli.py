@@ -297,9 +297,9 @@ def test_compare_reads_a_repeated_spec_once(monkeypatch):
     parsed = []
     original = supred.automata.parse_automaton
 
-    def counting(text):
+    def counting(text, alphabets=None):
         parsed.append(text)
-        return original(text)
+        return original(text, alphabets)
 
     monkeypatch.setattr(supred.automata, "parse_automaton", counting)
     for what in ("order", "reductions"):
@@ -724,9 +724,9 @@ def _counting_parses(monkeypatch):
     parsed = []
     original = supred.automata.parse_automaton
 
-    def counting(text):
+    def counting(text, alphabets=None):
         parsed.append(text)
-        return original(text)
+        return original(text, alphabets)
 
     monkeypatch.setattr(supred.automata, "parse_automaton", counting)
     return parsed
@@ -965,6 +965,51 @@ def test_each_call_parses_its_argv_once(monkeypatch, tmp_path):
     for argv in traffic:
         assert argv_oracle.outcome(parsed_by_run, argv) == argv_oracle.outcome(argv_oracle.parse,
                                                                                argv)
+
+
+def test_each_call_builds_one_alphabet(monkeypatch, tmp_path):
+    """Every argv shape ``bench/run.py`` sends, on a G and an S written to
+    files of their own as the bench writes them, parses all its files with
+    one ``alphabets`` map: token-identical events sections build one
+    :class:`~supred.automata.Alphabet` per call, shared by G, S and the
+    output read back.  An S whose event lines are reordered builds a second
+    one and still exits 3 with the mismatch message."""
+    from supred import automata
+
+    built = []
+    real = automata.Alphabet.__init__
+
+    def counting(self, events):
+        built.append(self)
+        real(self, events)
+
+    g_aut, s_aut = parse_automaton((FIXTURES / "tank.aut").read_text())
+    g_file, s_file = tmp_path / "g.aut", tmp_path / "s.aut"
+    g_file.write_text(serialize_automaton(g_aut), encoding="utf-8")
+    s_file.write_text(serialize_automaton(s_aut), encoding="utf-8")
+    g, s, out = str(g_file), str(s_file), str(tmp_path / "out.aut")
+    traffic = [["reduce", "-g", g, "-s", s, "-o", out, "--json"],
+               ["reduce", "--exact", "--mode", "cover", "-g", g, "-s", s, "-o", out, "--json"],
+               ["super", "-g", g, "-s", s, "-o", out, "--json"],
+               ["compare", "order", "-g", g, "-s1", out, "-s2", s, "--ref", s, "--json"],
+               ["verify", "equiv", "-g", g, "-s1", s, "-s2", out, "--json"],
+               ["verify", "normal", "-g", g, "-s", s, "-sp", out, "--json"],
+               ["reduce", "--exact", "--mode", "cover", "-g", G_SPEC, "-s", S_SPEC]]
+    monkeypatch.setattr(automata.Alphabet, "__init__", counting)
+    for argv in traffic:
+        del built[:]
+        result = run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        assert (result.exit_code, len(built)) == (0, 1), argv
+
+    lines = s_file.read_text(encoding="utf-8").split("\n")
+    first = lines.index("events 6") + 1
+    lines[first:first + 2] = lines[first + 1], lines[first]
+    s_file.write_text("\n".join(lines), encoding="utf-8")
+    del built[:]
+    err = io.StringIO()
+    result = run(["reduce", "-g", g, "-s", s, "-o", out], stdout=io.StringIO(), stderr=err)
+    assert (result.exit_code, len(built)) == (3, 2)
+    assert err.getvalue() == "error: automata 'G' and 'S' have different alphabets\n"
 
 
 def _leaf_forms(p=None, words=()):

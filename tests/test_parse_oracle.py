@@ -7,7 +7,11 @@ that time.  On the fixtures, on every single-token mutation of them with
 and without their comments, and on token soups drawn from them, both must
 return the same automata (every field, and the text each side's
 serialiser writes) or raise the same error with the same line, column and
-kind."""
+kind.  The library shares one alphabet object between token-identical
+events sections, of one document or of documents parsed with one
+``alphabets`` map; its automata must hold one object exactly where the
+oracle's alphabets are equal, so a mutated or truncated section never
+reuses another section's alphabet."""
 
 import random
 import re
@@ -24,10 +28,13 @@ from tests.conftest import FIXTURES
 FIXTURE_NAMES = ("tank.aut", "ordering.aut", "nontransitive.aut")
 
 
-def _outcome(text):
-    """The library's outcome on ``text``, after checking that the oracle
-    parses the same automata: the text the library writes, or the error."""
-    outcome = _parsed(parse_automaton, text)
+def _outcome(text, alphabets=None, before=()):
+    """The library's outcome on ``text``, parsed with the map ``alphabets``
+    that parsed the automata ``before``, after checking that the oracle
+    parses the same automata from ``text`` alone and that the library's
+    automata share alphabet objects exactly where they are equal: the text
+    the library writes, or the error."""
+    outcome = _parsed(lambda t: parse_automaton(t, alphabets), text)
     reference = _parsed(parse_oracle.parse_automaton, text)
     if outcome[0] == "parsed":
         assert reference[0] == "parsed"
@@ -35,6 +42,10 @@ def _outcome(text):
         assert [a.name for a in automata] == [old.name for old in olds]
         for a, old in zip(automata, olds):
             assert parse_oracle.differences(a, old) == []
+        everyone = [*before, *automata]
+        for a in everyone:
+            assert [b for b in everyone if b.alphabet is a.alphabet] == \
+                [b for b in everyone if b.alphabet == a.alphabet]
         outcome = "parsed", serialize_automata(automata)
     else:
         assert outcome == reference
@@ -56,18 +67,26 @@ def _without_comments(text):
     return "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
 
 
-def _mutations(text):
+FLIPS = {"c": "u", "u": "c", "o": "n", "n": "o"}
+
+
+def _mutations(text, lines_from=0, lines_to=None):
     """Each token dropped, duplicated, and replaced by zero, a number, a
     negative count, a fresh word and the token before it on its line (which puts a
-    repeated token on the line, so a column search must skip the first)."""
+    repeated token on the line, so a column search must skip the first),
+    and each event flag by the other one; only on the lines ``lines_from``
+    to ``lines_to`` (0-based, end excluded) when given."""
     lines = text.split("\n")
     for ln, line in enumerate(lines):
+        if not lines_from <= ln < (len(lines) if lines_to is None else lines_to):
+            continue
         body = line.split("#", 1)[0]
         spans = [m.span() for m in re.finditer(r"\S+", body)]
         for k, (a, b) in enumerate(spans):
             tok = line[a:b]
             previous = [line[spans[k - 1][0]:spans[k - 1][1]]] if k else []
-            for repl in ["", f"{tok} {tok}", "0", "3", "-1", "zz", *previous]:
+            flipped = [FLIPS[tok]] if tok in FLIPS else []
+            for repl in ["", f"{tok} {tok}", "0", "3", "-1", "zz", *previous, *flipped]:
                 yield "\n".join(lines[:ln] + [line[:a] + repl + line[b:]] + lines[ln + 1:])
 
 
@@ -91,6 +110,77 @@ def test_single_token_mutations_match_oracle():
                 outcome = _outcome(variant)
                 kinds.add(outcome[4] if outcome[0] == "ParseError" else outcome[0])
         assert kinds >= {"parsed", "syntax", "duplicate", "unknown", "nondeterministic"}
+
+
+def _second_events_lines(text):
+    """The lines (0-based, end excluded) of the second block's ``events``
+    section, its count line included."""
+    lines = text.split("\n")
+    starts = [ln for ln, line in enumerate(lines) if line.split()[:1] == ["events"]]
+    end = next(ln for ln in range(starts[1], len(lines)) if lines[ln].split()[:1] == ["states"])
+    return starts[1], end
+
+
+def test_mutations_of_a_second_events_section_match_oracle():
+    """Every fixture's blocks share one events section; a mutation inside
+    the second block's section must give the oracle's outcome and, where
+    it still parses, an alphabet of the second block's own unless the
+    section reads as the first one does."""
+    for strip in (False, True):
+        shared = own = 0
+        for name in FIXTURE_NAMES:
+            text = (FIXTURES / name).read_text()
+            if strip:
+                text = _without_comments(text)
+            for variant in _mutations(text, *_second_events_lines(text)):
+                outcome = _outcome(variant)
+                if outcome[0] == "parsed":
+                    first, second = parse_automaton(variant)[:2]
+                    shared += first.alphabet is second.alphabet
+                    own += first.alphabet is not second.alphabet
+        assert shared and own
+
+
+def test_mutations_parsed_after_their_fixture_with_one_map_match_oracle():
+    """Each fixture is parsed first; every single-token mutation of it is
+    then parsed with the same ``alphabets`` map.  Each must give the
+    oracle's outcome on the mutation alone, sharing the fixture's
+    alphabet only where its own section reads the same."""
+    for strip in (False, True):
+        for name in FIXTURE_NAMES:
+            text = (FIXTURES / name).read_text()
+            if strip:
+                text = _without_comments(text)
+            alphabets = {}
+            before = parse_automaton(text, alphabets)
+            for variant in _mutations(text):
+                _outcome(variant, dict(alphabets), before)
+
+
+def test_truncated_section_matching_a_shorter_one_read_before_is_not_reused():
+    """Blocks over the first ``k`` events of a fixture's section fill the
+    map; a second document that announces all its events but ends (or
+    runs on into the next keyword) after ``k`` of them holds the same
+    ``3 * k`` tokens there, and must raise what the oracle raises rather
+    than reuse the shorter alphabet.  Every token prefix of the fixture is
+    parsed the same way."""
+    for name in FIXTURE_NAMES:
+        text = _without_comments((FIXTURES / name).read_text())
+        tokens = text.split()
+        n_events = int(tokens[3])
+        alphabets, before = {}, []
+        for k in range(n_events):
+            short = " ".join(["automaton", f"short{k}", "events", str(k),
+                              *tokens[4:4 + 3 * k], "states 1 q initial q marked 0 trans 0 end"])
+            before += parse_automaton(short, alphabets)
+        assert len({id(a.alphabet) for a in before}) == n_events
+        for k in range(n_events):
+            cut = tokens[:4 + 3 * k]
+            for rest in ([], ["states"], tokens[4 + 3 * n_events:]):
+                outcome = _outcome(" ".join(cut + rest), dict(alphabets), before)
+                assert outcome[0] == "ParseError"
+        for end in range(len(tokens) + 1):
+            _outcome(" ".join(tokens[:end]), dict(alphabets), before)
 
 
 FIXTURE_TOKENS = [_without_comments((FIXTURES / name).read_text()).split()

@@ -11,6 +11,7 @@ from supred.automata import Alphabet, Automaton, Event, sync_product, trim_reach
 from supred.supervision import (
     check_control_existence,
     check_control_feasibility,
+    close_compatible_rows,
     closed_incompatibility,
     closed_loop_pairs,
     compatible,
@@ -347,6 +348,25 @@ def test_closed_incompatibility_follows_a_chain():
     closed = closed_incompatibility(s, masks)
     pairs = {(i, j) for i in range(6) for j in range(i) if closed[i] >> j & 1}
     assert pairs == {(5, 2), (4, 1), (3, 0)}
+
+
+def test_closed_incompatibility_returns_an_empty_relation_as_it_is():
+    """On the ``exact_small`` bench family (loose seeds 0-118 and 255) the
+    masks of an empty relation come back unclosed, as a new list, and equal
+    what the full closure over :func:`close_compatible_rows` and the
+    implication chart give; the other inputs take the closure."""
+    empty = 0
+    for seed in [*range(119), 255]:
+        g, s = loose_instance(random.Random(seed), max_plant=8, max_sup=10, max_events=5)
+        masks = control_data(g, s).incompatibility_masks()
+        full = (1 << s.n) - 1
+        rows = close_compatible_rows(
+            s.succ, len(s.alphabet), {z: full & ~mask for z, mask in enumerate(masks)})
+        closed = closed_incompatibility(s, masks)
+        assert closed == [full & ~rows[z] for z in range(s.n)] == _implication_chart(s, masks)
+        assert type(closed) is list and closed is not masks
+        empty += not any(masks)
+    assert empty == 44
 
 
 def _one_round(s, masks):
